@@ -181,6 +181,7 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
                 "rate_single": solved.rate_single,
                 "optimality_certificate": solved.optimality_certificate,
                 "solver_iterations": solved.solver_iterations,
+                "kkt_residual": solved.kkt_residual,
             }
         )
     else:
@@ -194,6 +195,8 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
                         "x_star": c.x_star,
                         "quad_value": c.quad_value,
                         "iterations": c.iterations,
+                        "optimality_certificate": c.optimality_certificate,
+                        "kkt_residual": c.kkt_residual,
                     }
                     for c in solved.per_component
                 ],

@@ -26,11 +26,11 @@ class DimensionMismatch(GaussMaxError, ValueError):
 
 
 class ConvergenceFailure(GaussMaxError, RuntimeError):
-    """An iterative projection stalled above its residual tolerance."""
+    """An iterative projection stalled, or an active-set least-squares solve failed."""
 
 
 class EmptyInterior(GaussMaxError, ValueError):
-    """No strictly interior point could be produced for the set."""
+    """No strictly interior point could be produced for the set, or the set is empty."""
 
 
 class NotAtypical(GaussMaxError, ValueError):
@@ -38,7 +38,11 @@ class NotAtypical(GaussMaxError, ValueError):
 
 
 class SolverDivergence(GaussMaxError, RuntimeError):
-    """The projected-gradient solver hit its iteration cap while still moving."""
+    """An iterative solver hit its iteration cap while still moving.
+
+    Kept for callers that catch it; the exact dominating-point solvers
+    no longer raise it.
+    """
 
 
 class RankDeficient(GaussMaxError, ValueError):

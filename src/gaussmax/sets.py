@@ -10,9 +10,13 @@ closed, so boundary points count as inside.  Each shape knows how to
   scaled point in the scaled set matches the original pair,
 * produce a strictly interior point.
 
+The linear shapes (blocks, halfspaces, polyhedra) also list their
+inequalities ``rows @ x >= offsets`` for the dominating-point solver.
+
 Projection is closed-form where possible; polyhedra use Dykstra's
 alternating projections and ellipsoids a monotone bisection on the
-Lagrange multiplier of the boundary-projection problem.
+Lagrange multiplier of the boundary-projection problem
+(``secular_root``, which the ellipsoid dominating-point solve shares).
 """
 
 from __future__ import annotations
@@ -71,6 +75,35 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
+    """Roots ``lam >= 0`` of ``sum(weights / (1 + lam * rates)**2) = level``, row-wise.
+
+    ``weights`` is (k, d) and nonnegative, ``rates`` broadcasts against it
+    and is positive, and every row must exceed ``level`` at ``lam = 0``.
+    Each left side falls strictly in ``lam``, so doubling brackets the
+    root and bisection runs until the bracket holds two adjacent floats.
+    Returns the roots and the number of bracketing and bisection steps.
+    """
+
+    def over(lam):
+        return (weights / (1.0 + lam[:, None] * rates) ** 2).sum(axis=1) > level
+
+    lo = np.zeros(weights.shape[0])
+    hi = np.ones(weights.shape[0])
+    steps = 0
+    while np.any(grow := over(hi)):
+        hi[grow] *= 2.0
+        steps += 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid, steps
+        high = over(mid)
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+        steps += 1
 
 
 def _diag_entries(diag, dimension: int) -> np.ndarray:
@@ -154,7 +187,15 @@ class Block(ConvexSet):
         return self.corner.shape[0]
 
     def slack_many(self, points):
-        return (points - self.corner).min(axis=1)
+        # Column by column: the strided minimum is about ten times faster
+        # than a reduction along the short axis, and bit-identical.
+        slack = points[:, 0] - self.corner[0]
+        for j in range(1, self.dimension):
+            np.minimum(slack, points[:, j] - self.corner[j], out=slack)
+        return slack
+
+    def inequalities(self):
+        return np.eye(self.dimension), self.corner
 
     def project_many(self, points):
         return np.maximum(points, self.corner)
@@ -189,6 +230,9 @@ class Halfspace(ConvexSet):
 
     def slack_many(self, points):
         return points @ self.normal - self.offset
+
+    def inequalities(self):
+        return self.normal[None, :], np.array([self.offset])
 
     def project_many(self, points):
         b = self.normal
@@ -231,6 +275,9 @@ class Polyhedron(ConvexSet):
 
     def slack_many(self, points):
         return (points @ self.constraints.T - self.offsets).min(axis=1)
+
+    def inequalities(self):
+        return self.constraints, self.offsets
 
     def project_many(self, points):
         """Dykstra's alternating projections over the constraint rows."""
@@ -404,23 +451,7 @@ class Ellipsoid(ConvexSet):
         if not np.any(outside):
             return pts
         wo = w[outside]
-
-        def boundary_quad(lam):
-            return ((evals * wo**2) / (1.0 + lam[:, None] * evals) ** 2).sum(axis=1)
-
-        lo = np.zeros(wo.shape[0])
-        hi = np.ones(wo.shape[0])
-        for _ in range(400):
-            over = boundary_quad(hi) > r2
-            if not np.any(over):
-                break
-            hi[over] *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            over = boundary_quad(mid) > r2
-            lo = np.where(over, mid, lo)
-            hi = np.where(over, hi, mid)
-        lam = 0.5 * (lo + hi)
+        lam, _ = secular_root(evals * wo**2, evals, r2)
         mapped = (wo / (1.0 + lam[:, None] * evals)) @ self._evecs.T
         pts[outside] = self.center + mapped
         return pts

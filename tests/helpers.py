@@ -81,3 +81,51 @@ def grid_quadratic_minimum(
     diff = pts[keep] - center
     vals = np.einsum("ij,jk,ik->i", diff, weight, diff)
     return float(vals.min())
+
+
+def least_distance_argmin(weight, rows, offsets, center) -> np.ndarray:
+    """Minimizer of ``(x - center)^T weight (x - center)`` over ``rows @ x >= offsets``.
+
+    With ``weight = R^T R`` and ``y = R (x - center)`` the problem is the
+    least-distance program ``min |y|^2 s.t. G y >= h``, solved by
+    ``scipy.optimize.nnls`` on ``[G^T; h^T]`` against ``e_{d+1}``
+    (Lawson and Hanson, ch. 23): ``y = -r[:d] / r[d]`` for the residual r.
+    """
+    from scipy.optimize import nnls
+
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    r_upper = np.linalg.cholesky(weight).T
+    g = np.linalg.solve(r_upper.T, rows.T).T
+    h = np.atleast_1d(np.asarray(offsets, dtype=float)) - rows @ center
+    d = g.shape[1]
+    e = np.vstack([g.T, h[None, :]])
+    f = np.zeros(d + 1)
+    f[-1] = 1.0
+    u, _ = nnls(e, f, maxiter=50 * e.shape[1])
+    resid = e @ u - f
+    return center + np.linalg.solve(r_upper, -resid[:d] / resid[d])
+
+
+def secular_argmin(weight, center, ellipsoid: gm.Ellipsoid) -> np.ndarray:
+    """Minimizer of ``(x - center)^T weight (x - center)`` over an ellipsoid, center outside.
+
+    The constraint is active: ``x(lam) = (W + lam S)^-1 (W m + lam S c)``
+    and ``(x(lam) - c)^T S (x(lam) - c) - r^2`` falls strictly from a
+    positive value at 0; ``scipy.optimize.brentq`` finds its root.
+    """
+    from scipy.optimize import brentq
+
+    s = np.asarray(ellipsoid.shape, dtype=float)
+    c = ellipsoid.center
+
+    def point(lam):
+        return np.linalg.solve(weight + lam * s, weight @ center + lam * (s @ c))
+
+    def excess(lam):
+        diff = point(lam) - c
+        return float(diff @ s @ diff) - ellipsoid.radius**2
+
+    hi = 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return point(brentq(excess, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500))

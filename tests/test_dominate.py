@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gaussmax as gm
-from helpers import random_spd
+from gaussmax.dominate import KKT_TOL, _argmin, _kkt_residual, _weight_matrix
+from helpers import least_distance_argmin, random_spd, secular_argmin
 
 IDENTITY2 = gm.build_covariance(np.eye(2))
 CORRELATED2 = gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -144,6 +145,140 @@ class TestDominatingPoint:
             )
             expected = c * (sigma @ b) / float(b @ sigma @ b)
             assert np.linalg.norm(point.x_star - expected) < 1e-6
+
+
+def _random_limit(rng, d):
+    diag = rng.uniform(0.3, 1.0, size=d)
+    return gm.ScalingLimit(diag / diag.max())
+
+
+def _random_polyhedron(rng, d):
+    """Nonempty polyhedron with d + 3 rows that excludes the origin."""
+    while True:
+        rows = rng.standard_normal((d + 3, d))
+        anchor = rng.uniform(1.0, 3.0, size=d)
+        target = gm.Polyhedron(rows, rows @ anchor - rng.uniform(0.0, 1.0, size=d + 3))
+        if target.is_atypical():
+            return target
+
+
+def _assert_matches(x, quad, want, weight, center):
+    want_quad = float((want - center) @ weight @ (want - center))
+    assert np.linalg.norm(x - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
+    assert quad == pytest.approx(want_quad, rel=1e-10)
+
+
+class TestExactSolver:
+    """The exact solves against scipy NNLS and brentq oracles, and the KKT certificate."""
+
+    @pytest.mark.parametrize("d", [2, 5, 10, 20])
+    def test_random_polyhedra_match_nnls(self, d):
+        rng = np.random.default_rng(1000 + d)
+        for _ in range(10):
+            cov = gm.build_covariance(random_spd(rng, d))
+            limit = _random_limit(rng, d)
+            target = _random_polyhedron(rng, d)
+            point = gm.dominating_point(target, cov, limit)
+            weight = _weight_matrix(cov, limit)
+            want = least_distance_argmin(weight, target.constraints, target.offsets, np.zeros(d))
+            _assert_matches(point.x_star, point.quad_value, want, weight, np.zeros(d))
+            assert point.optimality_certificate
+            assert point.kkt_residual <= KKT_TOL
+
+    def test_halfspace_block_and_duplicate_rows_match_nnls(self):
+        rng = np.random.default_rng(163)
+        d = 4
+        cov = gm.build_covariance(random_spd(rng, d))
+        limit = _random_limit(rng, d)
+        rows = np.vstack([np.eye(d)[:2], rng.standard_normal((2, d)) + 1.0])
+        offsets = np.array([1.5, 1.0, 2.0, 2.5])
+        targets = [
+            (gm.Halfspace(rows[2], 2.0), rows[2:3], [2.0]),
+            (gm.Block(np.array([1.0, 0.5, 2.0, 1.5])), np.eye(d), [1.0, 0.5, 2.0, 1.5]),
+            (gm.Polyhedron(np.vstack([rows, rows[:2]]), np.concatenate([offsets, offsets[:2]])),
+             rows, offsets),
+        ]
+        weight = _weight_matrix(cov, limit)
+        for target, oracle_rows, oracle_offsets in targets:
+            point = gm.dominating_point(target, cov, limit)
+            want = least_distance_argmin(weight, oracle_rows, oracle_offsets, np.zeros(d))
+            _assert_matches(point.x_star, point.quad_value, want, weight, np.zeros(d))
+            assert point.optimality_certificate
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 3.0])
+    def test_boundary_margin_is_exact(self, scale):
+        # alpha = offset^2 / (2 |normal|^2) = 1 exactly.  Re-solving on the
+        # active rows in the original coordinates keeps it there; mapping
+        # the whitened least-distance solution back drifts by a few ulps
+        # (1 + 9e-16 at scale 3), which would flip the margin verdict.
+        target = gm.Halfspace(np.array([scale, scale]), 2.0 * scale)
+        point = gm.dominating_point(target, IDENTITY2, gm.ScalingLimit.identity(2))
+        assert point.margin_alpha == 1.0
+        assert not gm.check_margin(point)[1]
+
+    def test_ellipsoids_match_secular_root(self):
+        rng = np.random.default_rng(167)
+        for d in (2, 3, 6):
+            cov = gm.build_covariance(random_spd(rng, d))
+            limit = _random_limit(rng, d)
+            target = gm.Ellipsoid(rng.uniform(2.0, 4.0, size=d), random_spd(rng, d), 1.0)
+            point = gm.dominating_point(target, cov, limit)
+            weight = _weight_matrix(cov, limit)
+            want = secular_argmin(weight, np.zeros(d), target)
+            _assert_matches(point.x_star, point.quad_value, want, weight, np.zeros(d))
+            assert point.optimality_certificate
+
+    def test_mixture_components_match_oracles(self):
+        rng = np.random.default_rng(173)
+        d = 3
+        limit = _random_limit(rng, d)
+        components = tuple(
+            gm.GaussianModel(
+                rng.uniform(-1.0, 0.5, size=d), gm.build_covariance(random_spd(rng, d))
+            )
+            for _ in range(3)
+        )
+        mixture = gm.GaussianMixture(np.full(3, 1.0 / 3.0), components)
+        ellipsoid = gm.Ellipsoid(np.full(d, 3.0), random_spd(rng, d), 1.2)
+        polyhedron = _random_polyhedron(rng, d)
+        for target in (ellipsoid, polyhedron):
+            result = gm.rate_mixture(target, mixture, limit)
+            for solved, comp in zip(result.per_component, components):
+                weight = _weight_matrix(comp.covariance, limit)
+                if target is ellipsoid:
+                    want = secular_argmin(weight, comp.mean, target)
+                else:
+                    want = least_distance_argmin(
+                        weight, target.constraints, target.offsets, comp.mean
+                    )
+                _assert_matches(solved.x_star, solved.quad_value, want, weight, comp.mean)
+                assert solved.optimality_certificate
+                assert solved.kkt_residual <= KKT_TOL
+                assert solved.iterations >= 1
+
+    def test_certificate_rejects_nudged_point_and_flipped_multipliers(self):
+        rng = np.random.default_rng(179)
+        d = 3
+        cov = gm.build_covariance(random_spd(rng, d))
+        limit = _random_limit(rng, d)
+        weight = _weight_matrix(cov, limit)
+        center = np.zeros(d)
+        for target in (
+            _random_polyhedron(rng, d),
+            gm.Ellipsoid(np.full(d, 2.5), random_spd(rng, d), 1.0),
+        ):
+            x, multipliers, _ = _argmin(target, cov, limit, weight, center)
+            assert _kkt_residual(target, weight, center, x, multipliers) <= KKT_TOL
+            for _ in range(5):
+                nudge = rng.standard_normal(d)
+                nudged = x + 1e-6 * np.linalg.norm(x) * nudge / np.linalg.norm(nudge)
+                assert _kkt_residual(target, weight, center, nudged, multipliers) > KKT_TOL
+            assert _kkt_residual(target, weight, center, x, -multipliers) > KKT_TOL
+
+    def test_empty_polyhedron_raises_infeasible(self):
+        empty = gm.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(gm.GaussMaxError, match="infeasible"):
+            gm.dominating_point(empty, IDENTITY2, gm.ScalingLimit.identity(2))
 
 
 class TestCornerFormulas:
