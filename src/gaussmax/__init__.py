@@ -71,6 +71,7 @@ from .estimate import (
     is_single,
     mc_at_least_one,
     mc_componentwise,
+    mc_crude,
     slope_fit,
     union_combine,
     union_combined_report,
@@ -124,6 +125,7 @@ __all__ = [
     "Method",
     "EstimateReport",
     "SlopeFit",
+    "mc_crude",
     "mc_componentwise",
     "mc_at_least_one",
     "is_single",

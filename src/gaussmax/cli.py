@@ -15,6 +15,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,8 +41,7 @@ from .estimate import (
     exact_block_diagonal_log,
     exact_block_reports,
     is_single,
-    mc_at_least_one,
-    mc_componentwise,
+    mc_crude,
     slope_fit,
     union_combine,
     union_combined_report,
@@ -280,8 +280,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             return payload
         entry = feasible[-1]
         payload.update({"n": entry.n, "speed": entry.speed})
-        cw = mc_componentwise(model, target, entry, config.trials, root.substream(901))
-        alo = mc_at_least_one(model, target, entry, config.trials, root.substream(902))
+        cw, alo = mc_crude(model, target, entry, config.trials, root.substream(901))
         payload["crude_componentwise"] = _report_dict(cw)
         payload["crude_at_least_one"] = _report_dict(alo)
         payload["warnings"] = warnings
@@ -376,8 +375,9 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     root = RandomStream(seed)
     x_star = np.asarray(x_star, dtype=float)
 
-    def entry_rows(item) -> list[EstimateReport]:
-        i, entry = item
+    order = {m: k for k, m in enumerate(_VERIFY_METHOD_ORDER)}
+
+    def entry_rows(i, entry, pool) -> list[EstimateReport]:
         rows: list[EstimateReport] = []
         if exact_ok:
             cw, alo = exact_block_reports(
@@ -385,30 +385,24 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             )
             rows.extend([cw, alo])
         if entry.n * config.trials * d <= CRUDE_SCALAR_BUDGET:
-            rows.append(
-                mc_componentwise(model, target, entry, config.trials, root.substream(16 * i + 1))
-            )
-            rows.append(
-                mc_at_least_one(model, target, entry, config.trials, root.substream(16 * i + 2))
+            rows.extend(
+                mc_crude(model, target, entry, config.trials, root.substream(16 * i + 1), pool)
             )
         if gaussian and not exact_ok:
             scaled = target.scale(entry.scale_diag)
             shift = entry.scale_diag * x_star
             q = is_single(
                 model, scaled, shift, config.is_samples, root.substream(16 * i + 3),
-                n=1, scaling_norm_sq=entry.speed,
+                n=1, scaling_norm_sq=entry.speed, executor=pool,
             )
             rows.append(union_combined_report(q, entry.n, entry.speed))
-        order = {m: k for k, m in enumerate(_VERIFY_METHOD_ORDER)}
         rows.sort(key=lambda r: order[r.method])
         return rows
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(entry_rows, enumerate(entries)))
-    else:
-        grouped = [entry_rows(item) for item in enumerate(entries)]
-    reports = [r for group in grouped for r in group]
+    # Workers share out the sampling chunks of one rung at a time; chunk
+    # results combine in chunk order, so the rows do not depend on them.
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        reports = [r for i, entry in enumerate(entries) for r in entry_rows(i, entry, pool)]
     _write_csv(outdir / "verify_ladder.csv", reports)
 
     summary = _envelope(config, seed)
@@ -552,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the ladder and fit empirical decay slopes")
     common(p_ver)
-    p_ver.add_argument("--workers", type=int, default=1, help="parallel workers over ladder rungs")
+    p_ver.add_argument(
+        "--workers", type=int, default=1, help="parallel workers over sampling chunks"
+    )
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

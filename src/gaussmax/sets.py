@@ -427,11 +427,18 @@ class Ellipsoid(ConvexSet):
     def dimension(self) -> int:
         return self.center.shape[0]
 
+    def _quad(self, points):
+        """Eigenbasis coordinates ``w`` of ``points - center`` and the shape quadratic."""
+        w = (points - self.center) @ self._evecs
+        # Column by column, as in Block.slack_many: about twice as fast as
+        # summing the short axis, and for d < 8 the same sequential order.
+        quad = w[:, 0] ** 2 * self._evals[0]
+        for j in range(1, self.dimension):
+            quad += w[:, j] ** 2 * self._evals[j]
+        return w, quad
+
     def slack_many(self, points):
-        diff = points - self.center
-        w = diff @ self._evecs
-        quad = (w**2 * self._evals).sum(axis=1)
-        return self.radius**2 - quad
+        return self.radius**2 - self._quad(points)[1]
 
     def project_many(self, points):
         """Boundary projection via bisection on the multiplier.
@@ -444,9 +451,7 @@ class Ellipsoid(ConvexSet):
         pts = np.array(points, dtype=float, copy=True)
         evals = self._evals
         r2 = self.radius**2
-        diff = pts - self.center
-        w = diff @ self._evecs
-        quad = (w**2 * evals).sum(axis=1)
+        w, quad = self._quad(pts)
         outside = quad > r2
         if not np.any(outside):
             return pts

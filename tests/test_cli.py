@@ -3,6 +3,9 @@
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +380,28 @@ class TestVerifyCommand:
             out_b / "verify_ladder.csv"
         ).read_bytes()
 
+    def test_worker_count_does_not_change_crude_hits(self, tmp_path):
+        # A lowered corner makes the crude rows hit; at n = 10000 the 600
+        # trials span three sampling chunks that the workers share out.
+        text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [0.75, 0.75]").replace(
+            "trials: 2000", "trials: 600"
+        )
+        cfg = write_config(tmp_path, text)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            args = ["verify", "--config", str(cfg), "--out", str(out), "--workers", workers]
+            assert cli.main(args) == 0
+            summary = (out / "verify_summary.json").read_text().splitlines()
+            kept = [line for line in summary if '"workers"' not in line]
+            outputs.append(((out / "verify_ladder.csv").read_bytes(), kept))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        rows = [line.split(",") for line in outputs[0][0].decode().splitlines()[1:]]
+        crude = [r for r in rows if r[2].startswith("crude_") and r[0] == "10000"]
+        assert len(crude) == 2
+        assert all(float(r[3]) > 0.0 for r in crude)
+
     def test_halfspace_uses_importance_sampling_rows(self, tmp_path):
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         out = tmp_path / "artifacts"
@@ -479,3 +504,10 @@ seed: 3
         assert payload["seed"] == 99
         # The digest pins the config document, not the override.
         assert payload["config_digest"] == parse_config(BLOCK_YAML).digest()
+
+
+def test_import_does_not_load_scipy_optimize():
+    # A fresh interpreter, since the test suite itself imports scipy.optimize.
+    src = str(Path(gm.__file__).resolve().parents[1])
+    code = "import gaussmax, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=120)

@@ -1,6 +1,7 @@
 """Monte Carlo, importance sampling, exact references, and slope fits."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy import integrate
 
 import gaussmax as gm
+from gaussmax import estimate
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
@@ -213,6 +215,52 @@ class TestCrudeMonteCarlo:
         assert 0.0 < report.p_hat < 1.0
 
 
+class TestFusedCrude:
+    # n = 10000 at d = 2 gives 200 trials per chunk, so 600 trials span
+    # three chunks; the correlated model and lowered corner make both
+    # events hit in a sizeable share of the trials.
+    MODEL = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.8], [0.8, 1.0]])))
+    TARGET = gm.Block(np.array([0.85, 0.85]))
+    ENTRY = (10_000, np.full(2, math.sqrt(2.0 * math.log(10_000))))
+    TRIALS = 600
+
+    def test_matches_single_event_estimators(self):
+        assert self.TRIALS > 2 * (estimate.CHUNK_SCALARS // (self.ENTRY[0] * 2))
+        stream = gm.RandomStream(5)
+        cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+        assert cw == gm.mc_componentwise(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+        assert alo == gm.mc_at_least_one(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+        assert 0.0 < alo.p_hat < cw.p_hat < 1.0
+
+    def test_block_hits_split_into_union_and_conspiracies(self):
+        # For an upward-closed set a vector inside puts the maximum inside,
+        # so every componentwise hit is a union hit or a conspiracy.
+        stream = gm.RandomStream(6)
+        cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+        p, _ = gm.conspiracy_rate(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+        assert p > 0.0
+        hits = [round(q * self.TRIALS) for q in (cw.p_hat, alo.p_hat, p)]
+        assert hits[0] == hits[1] + hits[2]
+
+    def test_executor_does_not_change_reports(self, monkeypatch):
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
+        entry = (20, np.full(2, math.sqrt(2.0 * math.log(20))))
+        stream = gm.RandomStream(7)
+        inline = gm.mc_crude(self.MODEL, self.TARGET, entry, 3_000, stream)
+        with ThreadPoolExecutor(3) as pool:
+            pooled = gm.mc_crude(self.MODEL, self.TARGET, entry, 3_000, stream, pool)
+        assert pooled == inline
+        assert inline[1].p_hat > 0.0
+
+    def test_buffered_draw_matches_sample_gaussian(self):
+        cov = gm.build_covariance(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]]))
+        model = gm.GaussianModel(np.array([0.5, -1.0, 2.0]), cov)
+        stream = gm.RandomStream(8, 3)
+        z, x = np.empty((1500, 3)), np.empty((1500, 3))
+        drawn = estimate._gaussian_into(model.mean, cov.chol_lower, stream, z[:1001], x[:1001])
+        np.testing.assert_array_equal(drawn, gm.sample_gaussian(model, 1001, stream))
+
+
 class TestImportanceSampling:
     def test_zero_shift_weights_are_unit(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
@@ -252,6 +300,16 @@ class TestImportanceSampling:
         a = gm.is_single(STANDARD2, target, np.array([2.0, 2.0]), 3000, gm.RandomStream(46))
         b = gm.is_single(STANDARD2, target, np.array([2.0, 2.0]), 3000, gm.RandomStream(46))
         assert a == b
+
+    def test_executor_does_not_change_report(self, monkeypatch):
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 1_000)
+        target = gm.Halfspace(np.array([1.0, 1.0]), 4.0)
+        args = (STANDARD2, target, np.array([2.0, 2.0]), 30_000, gm.RandomStream(47))
+        inline = gm.is_single(*args, n=3, scaling_norm_sq=1.5)
+        with ThreadPoolExecutor(3) as pool:
+            pooled = gm.is_single(*args, n=3, scaling_norm_sq=1.5, executor=pool)
+        assert pooled == inline
+        assert not inline.degenerate_weights
 
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)

@@ -213,6 +213,20 @@ class TestEllipsoid:
         np.testing.assert_allclose(ell.interior_point(), [3.0, 2.5])
         assert ell.min_slack(ell.interior_point()) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_slack_matches_axis_sum_bitwise(self, d):
+        # The column-wise accumulation keeps the reduction's sequential
+        # order for d < 8, so the reference sum agrees to the last bit.
+        rng = np.random.default_rng(70 + d)
+        a = rng.standard_normal((d, d))
+        shape = a @ a.T + 0.5 * np.eye(d)
+        ell = gm.Ellipsoid(rng.standard_normal(d), shape, 1.3)
+        pts = 2.0 * rng.standard_normal((5000, d))
+        evals, evecs = np.linalg.eigh(0.5 * (shape + shape.T))
+        w = (pts - ell.center) @ evecs
+        reference = ell.radius**2 - (w**2 * evals).sum(axis=1)
+        np.testing.assert_array_equal(ell.slack_many(pts), reference)
+
     def test_asymmetric_shape_rejected(self):
         with pytest.raises(gm.NotPositiveDefinite):
             gm.Ellipsoid(np.zeros(2), np.array([[1.0, 0.3], [0.0, 1.0]]), 1.0)
