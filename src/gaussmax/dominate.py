@@ -12,10 +12,8 @@ The minimizer is computed exactly, one method per shape:
 
 * linear sets (blocks, halfspaces, polyhedra) ``B x >= c`` become a
   least-distance program ``min |y|^2 s.t. G y >= h`` under ``y = R x``
-  with ``R^T R`` the quadratic's weight, solved by Lawson-Hanson
-  non-negative least squares (Lawson & Hanson 1974, ch. 23); ``x*`` is
-  then re-solved in the original coordinates on the active rows, so hand
-  checked cases come out exact;
+  with ``R^T R`` the quadratic's weight, solved exactly by
+  ``sets.least_distance`` (Lawson & Hanson 1974, ch. 23);
 * ellipsoids have one active quadratic constraint whose multiplier is
   the root of a strictly decreasing secular function in the generalized
   eigenbasis of (weight, shape) (More & Sorensen 1983), found by
@@ -33,10 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs
+from scipy.linalg import eigh
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     EmptyInterior,
     MeanInsideSet,
@@ -45,7 +42,7 @@ from .errors import (
     SingularPair,
 )
 from .model import CovarianceModel, GaussianMixture, RandomStream
-from .sets import ConvexSet, Ellipsoid, secular_root
+from .sets import ConvexSet, Ellipsoid, _readonly, least_distance, secular_root
 
 __all__ = [
     "ScalingLimit",
@@ -68,9 +65,6 @@ __all__ = [
 # Largest scaled KKT violation the certificate accepts; the exact solves
 # land near 1e-15.
 KKT_TOL = 1e-9
-# The squared least-distance residual equals 1 / (1 + Q) at the optimum,
-# so a value at rounding level means no feasible point exists.
-INFEASIBLE_RESIDUAL = 1e-16
 
 KKT_DIRECTION_TOL = 1e-8
 # Cloud points closer to the candidate than this (relative to its size)
@@ -82,12 +76,6 @@ DIRECTION_NORM_FLOOR = 1e-8
 # behavior, not dependent on caller-provided seeds.
 _CERT_STREAM = RandomStream(927022841)
 _PROBE_STREAM = RandomStream(404811253)
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,94 +195,6 @@ def _weight_matrix(covariance: CovarianceModel, limit: ScalingLimit) -> np.ndarr
     return 0.5 * (m + m.T)
 
 
-_EPS = np.finfo(float).eps
-_GELSD, _GELSD_LWORK = get_lapack_funcs(("gelsd", "gelsd_lwork"), (np.zeros(1),))
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a vector ``b``.
-
-    Calls the same LAPACK driver (gelsd) with the same cutoff directly:
-    at the solver's sizes numpy's wrapper costs about 60 us a call, the
-    solve itself under 10.
-    """
-    m, n = a.shape
-    rhs = np.zeros(max(m, n))
-    rhs[:m] = b
-    rcond = _EPS * max(m, n)
-    work, iwork, _ = _GELSD_LWORK(m, n, 1, rcond)
-    x, _, _, info = _GELSD(a, rhs, int(work), iwork, rcond)
-    if info != 0:
-        raise ConvergenceFailure(f"least-squares SVD did not converge (gelsd info {info})")
-    return x[:n]
-
-
-def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
-    """Lawson-Hanson active set for ``min |e u - f|`` subject to ``u >= 0``.
-
-    Returns the solution and the number of least-squares solves.
-    """
-    n = e.shape[1]
-    u = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * _EPS * max(e.shape) * float(np.abs(e).sum(axis=0).max())
-    steps = 0
-    # Each pass adds one index and the residual falls strictly, so no
-    # passive set repeats; the cap only stops cycling caused by rounding.
-    for _ in range(3 * n):
-        gain = e.T @ (f - e @ u)
-        if not (~passive & (gain > tol)).any():
-            return u, steps
-        passive[np.argmax(np.where(passive, -np.inf, gain))] = True
-        while True:
-            steps += 1
-            trial = np.zeros(n)
-            trial[passive] = _lstsq(e[:, passive], f)
-            if trial[passive].min() > 0.0:
-                u = trial
-                break
-            # Step back to the first passive entry that reaches zero and drop it.
-            cut = passive & (trial <= 0.0)
-            ratios = u[cut] / (u[cut] - trial[cut])
-            u = u + ratios.min() * (trial - u)
-            u[np.flatnonzero(cut)[np.argmin(ratios)]] = 0.0
-            passive &= u > 0.0
-            u[~passive] = 0.0
-    raise ConvergenceFailure(f"active-set least squares still cycling after {3 * n} passes")
-
-
-def _linear_argmin(rows, offsets, covariance, limit, center):
-    """Exact minimizer of ``(x - center)^T W (x - center)`` over ``rows @ x >= offsets``."""
-    a = limit.diagonal
-    # W = R^T R with R = L^-1 A (sigma = L L^T), so R^-1 = A^-1 L and W^-1 = A^-1 sigma A^-1.
-    w_inv = covariance.sigma / np.outer(a, a)
-    g = (rows / a) @ covariance.chol_lower
-    norms = np.linalg.norm(g, axis=1)
-    shifted = offsets - rows @ center
-    # Least-distance program min |y|^2 s.t. g y >= shifted (rows normalized):
-    # NNLS of [g^T; shifted^T] against e_{d+1}, residual r, y = -r[:d] / r[d].
-    e = np.vstack([(g / norms[:, None]).T, shifted / norms])
-    f = np.zeros(e.shape[0])
-    f[-1] = 1.0
-    u, steps = _nnls(e, f)
-    resid = e @ u - f
-    gap = float(resid @ resid)
-    if gap <= INFEASIBLE_RESIDUAL:
-        raise EmptyInterior(
-            f"target set is infeasible: least-distance residual {gap:.3e} "
-            f"(no point satisfies all {rows.shape[0]} constraints)"
-        )
-    # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
-    # passive rows P; lstsq because dependent active rows make it singular.
-    passive = u > 0.0
-    active = rows[passive]
-    z = _lstsq(active @ w_inv @ active.T, shifted[passive])
-    x = center + w_inv @ active.T @ z
-    # The least-distance multipliers 2 u / (1 - h^T u), with 1 - h^T u = gap,
-    # mapped back through the row normalization.
-    return x, 2.0 * u / (gap * norms), steps
-
-
 def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     """Exact minimizer of ``(x - center)^T W (x - center)`` over the ellipsoid.
 
@@ -314,7 +214,11 @@ def _argmin(target: ConvexSet, covariance, limit, weight, center):
     """Minimizer, KKT multipliers and solver steps for the set's shape."""
     if isinstance(target, Ellipsoid):
         return _ellipsoid_argmin(target, weight, center)
-    return _linear_argmin(*target.inequalities(), covariance, limit, center)
+    rows, offsets = target.inequalities()
+    a = limit.diagonal
+    # W = R^T R with R = L^-1 A (sigma = L L^T), so R^-1 = A^-1 L and W^-1 = A^-1 sigma A^-1.
+    w_inv = covariance.sigma / np.outer(a, a)
+    return least_distance(rows, offsets, (rows / a) @ covariance.chol_lower, w_inv, center)
 
 
 def _constraints(target: ConvexSet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,6 +264,8 @@ def _solve(target, covariance, limit, center):
     weight = _weight_matrix(covariance, limit)
     x, multipliers, steps = _argmin(target, covariance, limit, weight, center)
     diff = x - center
+    if not diff.any():
+        raise NotAtypical("the origin lies on the target set's boundary to working precision")
     residual = _kkt_residual(target, weight, center, x, multipliers)
     return x, float(diff @ weight @ diff), residual, steps
 
@@ -397,7 +303,8 @@ def dominating_point(
     Raises
     ------
     NotAtypical
-        If the origin lies in the set (no rare event to dominate).
+        If the origin lies in the set, or on its boundary to working
+        precision (no rare event to dominate).
     DimensionMismatch
         If the limit and the covariance disagree on the dimension.
     EmptyInterior
@@ -508,16 +415,19 @@ def rate_mixture(
     Raises
     ------
     MeanInsideSet
-        If any component mean lies inside the target set.
+        If any component mean lies inside the target set, or on its
+        boundary to working precision.
     EmptyInterior
         If a linear set is infeasible.
     """
+    solutions = []
     for j, comp in enumerate(mixture.components, start=1):
         if bool(target.contains(comp.mean)):
             raise MeanInsideSet(j)
-    solutions = []
-    for j, comp in enumerate(mixture.components, start=1):
-        x, val, residual, iterations = _solve(target, comp.covariance, limit, comp.mean)
+        try:
+            x, val, residual, iterations = _solve(target, comp.covariance, limit, comp.mean)
+        except NotAtypical:
+            raise MeanInsideSet(j) from None
         solutions.append(
             ComponentSolution(
                 index=j,

@@ -26,7 +26,7 @@ class DimensionMismatch(GaussMaxError, ValueError):
 
 
 class ConvergenceFailure(GaussMaxError, RuntimeError):
-    """An iterative projection stalled, or an active-set least-squares solve failed."""
+    """An active-set least-squares solve failed: its SVD diverged or rounding made it cycle."""
 
 
 class EmptyInterior(GaussMaxError, ValueError):

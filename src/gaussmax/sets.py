@@ -13,10 +13,10 @@ closed, so boundary points count as inside.  Each shape knows how to
 The linear shapes (blocks, halfspaces, polyhedra) also list their
 inequalities ``rows @ x >= offsets`` for the dominating-point solver.
 
-Projection is closed-form where possible; polyhedra use Dykstra's
-alternating projections and ellipsoids a monotone bisection on the
-Lagrange multiplier of the boundary-projection problem
-(``secular_root``, which the ellipsoid dominating-point solve shares).
+Projection is exact, through the two solves the dominating-point solver
+shares: polyhedra solve a least-distance program (``least_distance``)
+and ellipsoids bisect on the multiplier of the boundary-projection
+problem (``secular_root``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceFailure,
@@ -43,13 +44,12 @@ __all__ = [
     "Ellipsoid",
 ]
 
-# Dykstra projection controls for polyhedra.
-DYKSTRA_SWEEP_CAP = 10_000
-DYKSTRA_RESIDUAL_TOL = 1e-8
-DYKSTRA_STEP_TOL = 1e-12
+# A re-solved least-distance point violating a row by more than this, scaled
+# as the KKT certificate scales primal slack, proves the set empty.
+INFEASIBLE_SLACK = 1e-9
 
-# Interior-point search: a normalized slack radius at or below this is
-# treated as an empty interior.
+# Chebyshev-centre radius (normalized slack) at or below which the
+# interior counts as empty.
 INTERIOR_RADIUS_FLOOR = 1e-9
 
 
@@ -104,6 +104,104 @@ def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)
         steps += 1
+
+
+_EPS = np.finfo(float).eps
+_GELSD, _GELSD_LWORK = get_lapack_funcs(("gelsd", "gelsd_lwork"), (np.zeros(1),))
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a vector ``b``.
+
+    Calls the same LAPACK driver (gelsd) with the same cutoff directly:
+    at the solver's sizes numpy's wrapper costs about 60 us a call, the
+    solve itself under 10.
+    """
+    m, n = a.shape
+    rhs = np.zeros(max(m, n))
+    rhs[:m] = b
+    rcond = _EPS * max(m, n)
+    work, iwork, _ = _GELSD_LWORK(m, n, 1, rcond)
+    x, _, _, info = _GELSD(a, rhs, int(work), iwork, rcond)
+    if info != 0:
+        raise ConvergenceFailure(f"least-squares SVD did not converge (gelsd info {info})")
+    return x[:n]
+
+
+def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson active set for ``min |e u - f|`` subject to ``u >= 0``.
+
+    Returns the solution and the number of least-squares solves.
+    """
+    n = e.shape[1]
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * _EPS * max(e.shape) * float(np.abs(e).sum(axis=0).max())
+    steps = 0
+    # Each pass adds one index and the residual falls strictly, so no
+    # passive set repeats and the loop ends; a repeat is a rounding cycle.
+    seen = set()
+    while True:
+        gain = e.T @ (f - e @ u)
+        if not (~passive & (gain > tol)).any():
+            return u, steps
+        if passive.tobytes() in seen:
+            raise ConvergenceFailure("active-set least squares is cycling under rounding")
+        seen.add(passive.tobytes())
+        passive[np.argmax(np.where(passive, -np.inf, gain))] = True
+        while True:
+            steps += 1
+            trial = np.zeros(n)
+            trial[passive] = _lstsq(e[:, passive], f)
+            if trial[passive].min() > 0.0:
+                u = trial
+                break
+            # Step back to the first passive entry that reaches zero and drop it.
+            cut = passive & (trial <= 0.0)
+            ratios = u[cut] / (u[cut] - trial[cut])
+            u = u + ratios.min() * (trial - u)
+            u[np.flatnonzero(cut)[np.argmin(ratios)]] = 0.0
+            passive &= u > 0.0
+            u[~passive] = 0.0
+
+
+def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact minimizer of ``(x - center)^T W (x - center)`` over ``rows @ x >= offsets``.
+
+    ``g = rows @ R^-1`` for ``W = R^T R``, and ``w_inv = W^-1``.  NNLS solves
+    the least-distance program in ``y = R (x - center)`` (Lawson & Hanson
+    1974, ch. 23), then ``x`` is re-solved on the passive rows.  Returns
+    ``x``, the row multipliers and the least-squares solve count; ``x`` is
+    ``center`` when no row is passive (``center`` in the set to rounding).
+    Raises ``EmptyInterior`` if no point meets every row.
+    """
+    norms = np.linalg.norm(g, axis=1)
+    shifted = offsets - rows @ center
+    h = shifted / norms
+    # NNLS of [g^T; h^T / s] (rows normalized) against e_{d+1}, residual r,
+    # y = -s r[:d] / r[d].  r[d] = -1 / (1 + |y / s|^2) and the NNLS gains
+    # drown in rounding for far sets, so s is a power of two (exact) that
+    # takes every |h / s| below 16.
+    scale = 2.0 ** max(0, math.frexp(float(np.abs(h).max()))[1] - 4)
+    e = np.vstack([(g / norms[:, None]).T, h / scale])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    u, steps = _nnls(e, f)
+    passive = u > 0.0
+    if not passive.any():
+        return center.copy(), u, steps
+    # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
+    # passive rows P; lstsq because dependent active rows make it singular.
+    active = rows[passive]
+    x = center + w_inv @ active.T @ _lstsq(active @ w_inv @ active.T, shifted[passive])
+    # On an empty set NNLS finds a Farkas certificate, whose rows x cannot meet.
+    violation = float(((offsets - rows @ x) / np.linalg.norm(rows, axis=1)).max())
+    if violation > INFEASIBLE_SLACK * float(np.linalg.norm(x - center)):
+        raise EmptyInterior(f"target set is infeasible: a row is violated by {violation:.3e}")
+    # The least-distance multipliers 2 u / (1 - h^T u), with 1 - h^T u = |r|^2,
+    # mapped back through the row normalization and the scale.
+    resid = e @ u - f
+    return x, 2.0 * scale * u / (float(resid @ resid) * norms), steps
 
 
 def _diag_entries(diag, dimension: int) -> np.ndarray:
@@ -280,30 +378,11 @@ class Polyhedron(ConvexSet):
         return self.constraints, self.offsets
 
     def project_many(self, points):
-        """Dykstra's alternating projections over the constraint rows."""
+        """Exact projection of each outside point: a least-distance solve."""
         pts = np.array(points, dtype=float, copy=True)
-        rows = self.constraints
-        offs = self.offsets
-        m = rows.shape[0]
-        norms2 = (rows**2).sum(axis=1)
-        corrections = np.zeros((m,) + pts.shape)
-        viol = np.inf
-        for _ in range(DYKSTRA_SWEEP_CAP):
-            prev = pts.copy()
-            for i in range(m):
-                y = pts + corrections[i]
-                shortfall = np.minimum(y @ rows[i] - offs[i], 0.0) / norms2[i]
-                pts = y - shortfall[:, None] * rows[i]
-                corrections[i] = y - pts
-            delta = np.abs(pts - prev).max()
-            viol = np.maximum(offs - pts @ rows.T, 0.0).max()
-            if delta <= DYKSTRA_STEP_TOL and viol <= DYKSTRA_RESIDUAL_TOL:
-                return pts
-        if viol > DYKSTRA_RESIDUAL_TOL:
-            raise ConvergenceFailure(
-                f"polyhedron projection residual {viol:.3e} after "
-                f"{DYKSTRA_SWEEP_CAP} sweeps (infeasible or degenerate set)"
-            )
+        rows, eye = self.constraints, np.eye(self.dimension)
+        for k in np.flatnonzero(self.slack_many(pts) < 0.0):
+            pts[k] = least_distance(rows, self.offsets, rows, eye, pts[k])[0]
         return pts
 
     def scale(self, diag):
@@ -311,86 +390,31 @@ class Polyhedron(ConvexSet):
         return Polyhedron(self.constraints / d, self.offsets)
 
     def interior_point(self):
-        """Point of (locally) maximal normalized slack, strictly inside.
+        """Chebyshev centre (Boyd & Vandenberghe 2004, sec. 8.5.1) within a box.
 
-        Maximizes the minimum normalized row slack over a bounding box
-        anchored at the projection of the origin: coarse-to-fine grid
-        search in up to three dimensions, projected subgradient ascent
-        above that.  The box faces take part in the objective so the
-        maximizer stays interior.
+        Maximizes ``r`` with every normalized row slack and every face slack
+        of the box ``anchor +- 4 (1 + |anchor|)``, ``anchor`` the projection
+        of the origin, at least ``r``.  ``scipy.optimize`` loads only here.
         """
+        from scipy.optimize import linprog
+
         d = self.dimension
-        try:
-            anchor = self.project(np.zeros(d))
-        except ConvergenceFailure:
-            raise EmptyInterior("polyhedron appears infeasible") from None
+        anchor = self.project(np.zeros(d))
         radius = 4.0 * (1.0 + float(np.linalg.norm(anchor)))
-        low = anchor - radius
-        high = anchor + radius
-        row_norms = np.sqrt((self.constraints**2).sum(axis=1))
-        rows_n = self.constraints / row_norms[:, None]
-        offs_n = self.offsets / row_norms
-
-        def score(pts):
-            slack = (pts @ rows_n.T - offs_n).min(axis=1)
-            box = np.minimum((pts - low).min(axis=1), (high - pts).min(axis=1))
-            return np.minimum(slack, box)
-
-        if d <= 3:
-            best, best_val = self._grid_ascent(score, low, high)
-        else:
-            best, best_val = self._subgradient_ascent(rows_n, offs_n, low, high, anchor)
-        if best_val <= INTERIOR_RADIUS_FLOOR:
-            raise EmptyInterior(
-                f"no interior point found (best slack radius {best_val:.3e})"
-            )
-        return best
-
-    @staticmethod
-    def _grid_ascent(score, low, high, levels: int = 6, per_axis: int = 17):
-        lo = low.copy()
-        hi = high.copy()
-        best = None
-        best_val = -np.inf
-        for _ in range(levels):
-            axes = [np.linspace(lo[j], hi[j], per_axis) for j in range(lo.shape[0])]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            vals = score(pts)
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:
-                best_val = float(vals[k])
-                best = pts[k]
-            half = 0.2 * (hi - lo)
-            lo = np.maximum(best - half, low)
-            hi = np.minimum(best + half, high)
-        return best, best_val
-
-    def _subgradient_ascent(self, rows_n, offs_n, low, high, start, iters: int = 4000):
-        x = np.clip(start + 0.5, low, high)
-        best = x.copy()
-        best_val = -np.inf
-        step0 = float((high - low).max()) / 4.0
-        for k in range(1, iters + 1):
-            slack = rows_n @ x - offs_n
-            box_lo = x - low
-            box_hi = high - x
-            candidates = np.concatenate([slack, box_lo, box_hi])
-            j = int(np.argmin(candidates))
-            val = float(candidates[j])
-            if val > best_val:
-                best_val = val
-                best = x.copy()
-            m = rows_n.shape[0]
-            d = x.shape[0]
-            if j < m:
-                g = rows_n[j]
-            elif j < m + d:
-                g = np.eye(d)[j - m]
-            else:
-                g = -np.eye(d)[j - m - d]
-            x = np.clip(x + (step0 / k) * g, low, high)
-        return best, best_val
+        norms = np.linalg.norm(self.constraints, axis=1)
+        # Variables (x, r): -b x / |b| + r <= -c / |b| per row, -+x + r <= radius -+ anchor.
+        a_ub = np.vstack([-self.constraints / norms[:, None], -np.eye(d), np.eye(d)])
+        b_ub = np.concatenate([-self.offsets / norms, radius - anchor, radius + anchor])
+        a_ub = np.hstack([a_ub, np.ones((len(b_ub), 1))])
+        result = linprog(np.r_[np.zeros(d), -1.0], a_ub, b_ub, bounds=(None, None), method="highs")
+        if result.status != 0:
+            raise EmptyInterior(f"Chebyshev-centre program failed: {result.message}")
+        # Judge the point returned, not the solver's r, which carries its tolerance.
+        x = result.x[:d]
+        r = float(((self.constraints @ x - self.offsets) / norms).min())
+        if r <= INTERIOR_RADIUS_FLOOR:
+            raise EmptyInterior(f"no interior point (best normalized slack {r:.3e})")
+        return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -454,7 +454,7 @@ class TestExitCodes:
 
     def test_solver_failure_is_three(self, tmp_path, capsys):
         # An empty polyhedron passes the atypicality check (the origin is
-        # outside) but the projection inside the solver cannot converge.
+        # outside) but the least-distance solve proves it empty.
         text = """\
 model:
   kind: gaussian
@@ -473,6 +473,16 @@ seed: 3
         cfg = write_config(tmp_path, text)
         assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_origin_on_boundary_to_rounding_is_three(self, tmp_path, capsys):
+        # The origin is outside by 1e-15, so the config validates, but the
+        # solve finds it on the boundary to working precision.
+        text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]").replace(
+            "offset: 2.4", "offset: 1.0e-15"
+        )
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "boundary to working precision" in capsys.readouterr().err
 
     def test_missing_config_is_four(self, tmp_path):
         missing = tmp_path / "nope.yaml"
@@ -511,3 +521,18 @@ def test_import_does_not_load_scipy_optimize():
     src = str(Path(gm.__file__).resolve().parents[1])
     code = "import gaussmax, sys; assert 'scipy.optimize' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=120)
+
+
+def test_polyhedron_commands_do_not_load_scipy_optimize(tmp_path):
+    # Only Polyhedron.interior_point imports scipy.optimize; no command calls it.
+    src = str(Path(gm.__file__).resolve().parents[1])
+    code = (
+        "import sys; from pathlib import Path; from gaussmax import cli; "
+        "from gaussmax.config import parse_config; "
+        f"config = parse_config({POLY_YAML!r}); out = Path({str(tmp_path)!r}); "
+        "cli.run_dominate(config, 31, out / 'dominate'); "
+        "cli.run_verify(config, 31, out / 'verify', 1); "
+        "assert 'scipy.optimize' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=300)
+    assert (tmp_path / "verify" / "verify_summary.json").exists()

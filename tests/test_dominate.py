@@ -280,6 +280,33 @@ class TestExactSolver:
         with pytest.raises(gm.GaussMaxError, match="infeasible"):
             gm.dominating_point(empty, IDENTITY2, gm.ScalingLimit.identity(2))
 
+    @pytest.mark.parametrize("corner", [1e8, 1e9])
+    def test_far_block_is_solved(self, corner):
+        # The least-distance residual 1 / (1 + Q) is below rounding here,
+        # so neither it nor the solve may be read at the raw scale.
+        point = gm.dominating_point(
+            gm.Block(np.array([corner, corner])), IDENTITY2, gm.ScalingLimit.identity(2)
+        )
+        np.testing.assert_array_equal(point.x_star, [corner, corner])
+        assert point.margin_alpha == corner**2
+        assert point.optimality_certificate
+
+    @pytest.mark.parametrize("offset", [1.0, 1e9])
+    def test_far_empty_polyhedron_raises_infeasible(self, offset):
+        empty = gm.Polyhedron(
+            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([offset, offset, offset])
+        )
+        with pytest.raises(gm.EmptyInterior, match="infeasible"):
+            gm.dominating_point(empty, CORRELATED2, gm.ScalingLimit.identity(2))
+
+    def test_origin_on_boundary_to_rounding_is_not_atypical(self):
+        # The origin is outside by 1e-15, below the active-set tolerance,
+        # so no row becomes active and the solve returns the origin itself.
+        target = gm.Halfspace(np.array([1.0, 0.0]), 1e-15)
+        assert target.is_atypical()
+        with pytest.raises(gm.NotAtypical, match="boundary"):
+            gm.dominating_point(target, IDENTITY2, gm.ScalingLimit.identity(2))
+
 
 class TestCornerFormulas:
     def test_full_rank_identity(self):
@@ -487,6 +514,12 @@ class TestMixtureRate:
             )
         assert exc.value.component == 2
         assert "component 2" in str(exc.value)
+
+    def test_mean_on_boundary_to_rounding_rejected(self):
+        target = gm.Halfspace(np.array([1.0, 0.0]), 1e-15)
+        with pytest.raises(gm.MeanInsideSet) as exc:
+            gm.rate_mixture(target, self._mixture(), gm.ScalingLimit.identity(2))
+        assert exc.value.component == 2
 
     def test_single_component_matches_gaussian_rate(self):
         cov = gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))

@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize
 
 import gaussmax as gm
-from helpers import feasible_samples
+from helpers import feasible_samples, least_distance_argmin
 
 EXAMPLE_POLY = gm.Polyhedron(
     np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]), np.array([4.0, 3.0, 4.0])
@@ -142,6 +142,61 @@ class TestPolyhedron:
             assert f_ours <= f_ref + 1e-6
             assert np.linalg.norm(ours - res.x) < 1e-3
 
+    @pytest.mark.parametrize("d", [2, 5, 10, 20])
+    def test_projection_matches_least_distance_oracle(self, d):
+        rng = np.random.default_rng(200 + d)
+        rows = rng.standard_normal((2 * d, d))
+        anchor = rng.uniform(-2.0, 2.0, size=d)
+        poly = gm.Polyhedron(rows, rows @ anchor - rng.uniform(0.5, 2.0, size=2 * d))
+        outside = rng.uniform(-8.0, 8.0, size=(60, d))
+        # Moves of at most 0.4 / max_i |row_i|_1 keep every slack above 0.1.
+        step = 0.4 / np.abs(rows).sum(axis=1).max()
+        inside = anchor + rng.uniform(-step, step, size=(20, d))
+        pts = np.vstack([outside, inside])
+        proj = poly.project_many(pts)
+        for x, p in zip(outside, proj):
+            want = least_distance_argmin(np.eye(d), poly.constraints, poly.offsets, x)
+            assert np.linalg.norm(p - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
+        # In-set points come back bit for bit.
+        np.testing.assert_array_equal(proj[60:], inside)
+
+    def test_flat_polyhedron(self):
+        # The line x1 = 1: projection is exact, but there is no interior.
+        flat = gm.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(
+            flat.project_many(np.array([[0.0, 0.0], [3.0, 5.0], [-2.0, -0.5]])),
+            [[1.0, 0.0], [1.0, 5.0], [1.0, -0.5]],
+        )
+        with pytest.raises(gm.EmptyInterior):
+            flat.interior_point()
+
+    def test_interior_point_far_triangle(self):
+        # Legs of 1e6 from the corner (1e6, 1e6): the inradius is about 2.9e5.
+        far = gm.Polyhedron(
+            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1e6, 1e6, -3e6])
+        )
+        assert far.min_slack(far.interior_point()) >= 1e5
+
+    def test_interior_point_far_cube(self):
+        cube = gm.Polyhedron(
+            np.vstack([np.eye(3), -np.eye(3)]),
+            np.concatenate([np.full(3, 1e9), np.full(3, -1e9 - 1.0)]),
+        )
+        assert cube.min_slack(cube.interior_point()) == pytest.approx(0.5)
+
+    def test_interior_point_is_never_outside(self):
+        # A Chebyshev radius near 1e-8, below the LP solver's feasibility
+        # tolerance: its own r clears the floor at a point that is outside.
+        thin = gm.Polyhedron(
+            np.array([[-1.72, 1.3], [0.58, -0.02], [1.16, -0.96], [-0.07, 1.73], [0.98, -2.23]]),
+            np.array([-17.700000019, 3.039999984, 12.519999987, -12.460000014999999, 20.509999991999997]),
+        )
+        try:
+            p = thin.interior_point()
+        except gm.EmptyInterior:
+            return
+        assert thin.min_slack(p) > 0.0
+
     def test_interior_point_example_slack(self):
         p = EXAMPLE_POLY.interior_point()
         assert EXAMPLE_POLY.min_slack(p) >= 0.3
@@ -153,8 +208,10 @@ class TestPolyhedron:
         assert poly.min_slack(p) > 1e-6
 
     def test_infeasible_projection_fails(self):
+        # The least-distance solve proves the set empty, as it does for
+        # dominating_point on the same set.
         empty = gm.Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-        with pytest.raises(gm.ConvergenceFailure):
+        with pytest.raises(gm.EmptyInterior, match="infeasible"):
             empty.project([0.0])
 
     def test_infeasible_interior_fails(self):
