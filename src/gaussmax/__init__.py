@@ -29,7 +29,6 @@ from .errors import (
     NotSymmetric,
     RankDeficient,
     SingularPair,
-    SolverDivergence,
 )
 from .model import (
     CovarianceModel,
@@ -68,10 +67,10 @@ from .estimate import (
     exact_block_diagonal,
     exact_block_diagonal_log,
     exact_block_reports,
+    exact_single_log,
     is_single,
-    mc_at_least_one,
-    mc_componentwise,
     mc_crude,
+    plan_rung,
     slope_fit,
     union_combine,
     union_combined_report,
@@ -87,7 +86,6 @@ __all__ = [
     "ConvergenceFailure",
     "EmptyInterior",
     "NotAtypical",
-    "SolverDivergence",
     "RankDeficient",
     "SingularPair",
     "MeanInsideSet",
@@ -125,15 +123,15 @@ __all__ = [
     "Method",
     "EstimateReport",
     "SlopeFit",
+    "plan_rung",
     "mc_crude",
-    "mc_componentwise",
-    "mc_at_least_one",
     "is_single",
     "union_combine",
     "union_combined_report",
     "exact_block_diagonal",
     "exact_block_diagonal_log",
     "exact_block_reports",
+    "exact_single_log",
     "slope_fit",
     "conspiracy_rate",
     "ExperimentConfig",

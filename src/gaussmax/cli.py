@@ -20,10 +20,10 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import __version__
 from .config import ExperimentConfig, load_config
@@ -38,22 +38,19 @@ from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
     EstimateReport,
     Method,
-    exact_block_diagonal_log,
     exact_block_reports,
+    exact_single_log,
     is_single,
     mc_crude,
+    plan_rung,
     slope_fit,
     union_combine,
     union_combined_report,
 )
-from .model import GaussianMixture, GaussianModel, RandomStream
-from .sets import Block, Halfspace, Polyhedron
+from .model import GaussianMixture, RandomStream
+from .sets import Polyhedron
 
 CSV_HEADER = "n,speed,method,p_hat,std_error,log_p_hat,seed"
-
-# Crude Monte Carlo rows are emitted only when n * trials * dimension
-# stays under this budget; larger rungs rely on exact or IS-based rows.
-CRUDE_SCALAR_BUDGET = 200_000_000
 
 MARGIN_WARNING = "margin alpha <= 1"
 MARGIN_NEAR_ONE = "margin alpha within 1e-9 of 1"
@@ -105,20 +102,6 @@ def _write_csv(path: Path, reports: list[EstimateReport]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _report_dict(r: EstimateReport) -> dict:
-    return {
-        "p_hat": r.p_hat,
-        "std_error": r.std_error,
-        "log_p_hat": r.log_p_hat,
-        "trials": r.trials,
-        "method": r.method.value,
-        "seed": r.seed,
-        "n": r.n,
-        "scaling_norm_sq": r.scaling_norm_sq,
-        "degenerate_weights": r.degenerate_weights,
-    }
-
-
 def _envelope(config: ExperimentConfig, seed: int) -> dict:
     return {
         "artifact_version": __version__,
@@ -127,28 +110,23 @@ def _envelope(config: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def _margin_warnings(alpha: float) -> list[str]:
+def _solve_warnings(solved, alpha: float) -> list[str]:
+    """Warnings every command carries: the margin, and each failed KKT certificate."""
     warnings = []
     if alpha <= 1.0:
         warnings.append(MARGIN_WARNING)
     elif alpha <= 1.0 + 1e-9:
         warnings.append(MARGIN_NEAR_ONE)
+    if isinstance(solved, DominatingPoint):
+        points = [("x*", solved)]
+    else:
+        points = [(f"component {c.index} x*", c) for c in solved.per_component]
+    for label, point in points:
+        if not point.optimality_certificate:
+            warnings.append(
+                f"{label} fails its KKT certificate (kkt_residual {point.kkt_residual:.3g})"
+            )
     return warnings
-
-
-def _is_diagonal(sigma: np.ndarray) -> bool:
-    off = sigma - np.diag(np.diag(sigma))
-    return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
-
-
-def _exact_block_applicable(model, target, limit) -> bool:
-    return (
-        isinstance(model, GaussianModel)
-        and isinstance(target, Block)
-        and _is_diagonal(model.covariance.sigma)
-        and bool(np.all(model.mean == 0.0))
-        and bool(np.all(limit.diagonal * target.corner > 0.0))
-    )
 
 
 def _solve(config: ExperimentConfig):
@@ -160,19 +138,19 @@ def _solve(config: ExperimentConfig):
         mix = rate_mixture(target, model, limit)
         best = mix.per_component[mix.argmin_component - 1]
         alpha = 0.5 * best.quad_value
-        return model, target, limit, mix, best.x_star, alpha, mix.rate
+        return model, target, mix, best.x_star, alpha, mix.rate
     point = dominating_point(target, model.covariance, limit)
     alpha, _ = check_margin(point)
-    return model, target, limit, point, point.x_star, alpha, point.rate_componentwise
+    return model, target, point, point.x_star, alpha, point.rate_componentwise
 
 
 def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
-    model, target, limit, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved, x_star, alpha, rate = _solve(config)
     payload = _envelope(config, seed)
     payload["margin_alpha"] = alpha
     payload["margin_pass"] = alpha > 1.0
     payload["rate_componentwise"] = rate
-    warnings = _margin_warnings(alpha)
+    warnings = _solve_warnings(solved, alpha)
     if isinstance(solved, DominatingPoint):
         payload.update(
             {
@@ -222,7 +200,7 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
 
 
 def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
-    model, target, limit, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved, x_star, alpha, rate = _solve(config)
     ladder = config.build_ladder()
     payload = _envelope(config, seed)
     payload.update(
@@ -231,7 +209,7 @@ def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
             "ladder": [{"n": e.n, "speed": e.speed} for e in ladder.entries()],
             "margin_alpha": alpha,
             "rate_componentwise": rate,
-            "warnings": _margin_warnings(alpha),
+            "warnings": _solve_warnings(solved, alpha),
         }
     )
     if isinstance(solved, DominatingPoint):
@@ -247,42 +225,23 @@ def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
     return payload
 
 
-def _exact_single_tail(model: GaussianModel, target, scale_diag: np.ndarray):
-    """Exact log of the single-vector probability where a closed form exists."""
-    if isinstance(target, Block) and _is_diagonal(model.covariance.sigma):
-        corner = scale_diag * target.corner - model.mean
-        sd = np.sqrt(np.diag(model.covariance.sigma))
-        return float(np.sum(log_ndtr(-corner / sd)))
-    if isinstance(target, Halfspace):
-        normal = target.normal / scale_diag
-        offset = target.offset
-        spread = math.sqrt(float(normal @ model.covariance.sigma @ normal))
-        return float(log_ndtr(-(offset - float(normal @ model.mean)) / spread))
-    return None
-
-
 def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: bool) -> dict:
-    model, target, limit, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved, x_star, alpha, rate = _solve(config)
     entries = config.build_ladder().entries()
     payload = _envelope(config, seed)
-    warnings = _margin_warnings(alpha)
+    warnings = _solve_warnings(solved, alpha)
     root = RandomStream(seed)
 
     if isinstance(model, GaussianMixture):
-        d = model.dimension
-        feasible = [
-            e for e in entries if e.n * config.trials * d <= CRUDE_SCALAR_BUDGET
-        ]
-        if not feasible:
+        planned = [e for e in entries if plan_rung(model, target, e, config.trials)]
+        if planned:
+            entry = planned[-1]
+            payload.update({"n": entry.n, "speed": entry.speed})
+            cw, alo = mc_crude(model, target, entry, config.trials, root.substream(901))
+            payload["crude_componentwise"] = asdict(cw)
+            payload["crude_at_least_one"] = asdict(alo)
+        else:
             warnings.append("no ladder entry fits the crude sampling budget")
-            payload["warnings"] = warnings
-            _write_json(outdir / "estimate.json", payload)
-            return payload
-        entry = feasible[-1]
-        payload.update({"n": entry.n, "speed": entry.speed})
-        cw, alo = mc_crude(model, target, entry, config.trials, root.substream(901))
-        payload["crude_componentwise"] = _report_dict(cw)
-        payload["crude_at_least_one"] = _report_dict(alo)
         payload["warnings"] = warnings
         _write_json(outdir / "estimate.json", payload)
         return payload
@@ -315,16 +274,16 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "speed": entry.speed,
             "zero_shift": zero_shift,
             "shift": shift,
-            "importance_sampled": _report_dict(is_report),
-            "crude_single": _report_dict(crude_report),
-            "union_combined": _report_dict(union_report),
+            "importance_sampled": asdict(is_report),
+            "crude_single": asdict(crude_report),
+            "union_combined": asdict(union_report),
             "crude_resolved": crude_resolved,
             "variance_reduction_factor": reduction,
             "degenerate_weights": is_report.degenerate_weights,
         }
     )
 
-    log_q_exact = _exact_single_tail(model, target, entry.scale_diag)
+    log_q_exact = exact_single_log(model, target, entry)
     if log_q_exact is not None:
         q_exact = math.exp(log_q_exact)
         p_alo_exact = union_combine(q_exact, entry.n)
@@ -336,14 +295,9 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             relative["union_combined_vs_exact"] = (
                 abs(union_report.p_hat - p_alo_exact) / p_alo_exact
             )
-        if _exact_block_applicable(model, target, limit):
-            log_cw, log_alo = exact_block_diagonal_log(
-                np.diag(model.covariance.sigma),
-                entry.scale_diag * target.corner,
-                1.0,
-                entry.n,
-            )
-            exact["p_componentwise"] = math.exp(log_cw)
+        if Method.EXACT_BLOCK_DIAGONAL in plan_rung(model, target, entry, config.trials):
+            cw, _ = exact_block_reports(np.diag(model.covariance.sigma), target.corner, entry, seed)
+            exact["p_componentwise"] = cw.p_hat
         payload["exact"] = exact
         payload["relative_errors"] = relative
     else:
@@ -355,54 +309,45 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     return payload
 
 
-_VERIFY_METHOD_ORDER = (
-    Method.EXACT_BLOCK_DIAGONAL,
-    Method.UNION_COMBINED,
-    Method.CRUDE_COMPONENTWISE,
-    Method.CRUDE_AT_LEAST_ONE,
-)
-
 # Methods whose ladder probabilities follow the at-least-one event.
 _AT_LEAST_ONE_METHODS = {Method.UNION_COMBINED, Method.CRUDE_AT_LEAST_ONE}
 
 
 def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) -> dict:
-    model, target, limit, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved, x_star, alpha, rate = _solve(config)
     entries = config.build_ladder().entries()
-    d = target.dimension
-    gaussian = isinstance(model, GaussianModel)
-    exact_ok = gaussian and _exact_block_applicable(model, target, limit)
+    plans = [plan_rung(model, target, e, config.trials) for e in entries]
     root = RandomStream(seed)
     x_star = np.asarray(x_star, dtype=float)
 
-    order = {m: k for k, m in enumerate(_VERIFY_METHOD_ORDER)}
-
-    def entry_rows(i, entry, pool) -> list[EstimateReport]:
+    def entry_rows(i, entry, plan, pool) -> list[EstimateReport]:
         rows: list[EstimateReport] = []
-        if exact_ok:
-            cw, alo = exact_block_reports(
-                np.diag(model.covariance.sigma), target.corner, entry, seed
-            )
-            rows.extend([cw, alo])
-        if entry.n * config.trials * d <= CRUDE_SCALAR_BUDGET:
-            rows.extend(
-                mc_crude(model, target, entry, config.trials, root.substream(16 * i + 1), pool)
-            )
-        if gaussian and not exact_ok:
-            scaled = target.scale(entry.scale_diag)
-            shift = entry.scale_diag * x_star
-            q = is_single(
-                model, scaled, shift, config.is_samples, root.substream(16 * i + 3),
-                n=1, scaling_norm_sq=entry.speed, executor=pool,
-            )
-            rows.append(union_combined_report(q, entry.n, entry.speed))
-        rows.sort(key=lambda r: order[r.method])
+        crude = {}
+        for method in plan:
+            if method is Method.EXACT_BLOCK_DIAGONAL:
+                sigma_diag = np.diag(model.covariance.sigma)
+                rows.extend(exact_block_reports(sigma_diag, target.corner, entry, seed))
+            elif method is Method.IMPORTANCE_SAMPLED_SINGLE:
+                q = is_single(
+                    model, target.scale(entry.scale_diag), entry.scale_diag * x_star,
+                    config.is_samples, root.substream(16 * i + 3),
+                    n=1, scaling_norm_sq=entry.speed, executor=pool,
+                )
+                rows.append(union_combined_report(q, entry.n, entry.speed))
+            else:
+                # Both crude rows come from one pass over the rung's crude stream.
+                if not crude:
+                    stream = root.substream(16 * i + 1)
+                    pair = mc_crude(model, target, entry, config.trials, stream, pool)
+                    crude = {r.method: r for r in pair}
+                rows.append(crude[method])
         return rows
 
     # Workers share out the sampling chunks of one rung at a time; chunk
     # results combine in chunk order, so the rows do not depend on them.
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        reports = [r for i, entry in enumerate(entries) for r in entry_rows(i, entry, pool)]
+        rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, plans))]
+    reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)
 
     summary = _envelope(config, seed)
@@ -415,11 +360,16 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             "ladder": [{"n": e.n, "speed": e.speed} for e in entries],
         }
     )
-    warnings = _margin_warnings(alpha)
-    product_rate = 0.5 * d - alpha
+    warnings = _solve_warnings(solved, alpha)
+    warnings += [
+        f"ladder entry n={e.n} does not fit the crude sampling budget"
+        for e, plan in zip(entries, plans)
+        if not plan
+    ]
+    product_rate = 0.5 * target.dimension - alpha
 
     fits = {}
-    for method in _VERIFY_METHOD_ORDER:
+    for method in dict.fromkeys(r.method for r in reports):
         pts = [
             (r.scaling_norm_sq, r.log_p_hat)
             for r in reports
@@ -449,18 +399,19 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
         fits[method.value] = entry_dict
     summary["slope_fits"] = fits
 
-    if exact_ok:
+    # An exact rung's rows open with its componentwise and at-least-one pair.
+    exact_pairs = [
+        rows[:2] for rows, plan in zip(rungs, plans) if Method.EXACT_BLOCK_DIAGONAL in plan
+    ]
+    if exact_pairs:
         gap_entries = []
         worst = 0.0
-        for e in entries:
-            log_cw, log_alo = exact_block_diagonal_log(
-                np.diag(model.covariance.sigma), e.scale_diag * target.corner, 1.0, e.n
-            )
-            log_ratio = log_cw - log_alo
-            scaled_gap = log_ratio / math.log(e.n)
+        for cw, alo in exact_pairs:
+            log_ratio = cw.log_p_hat - alo.log_p_hat
+            scaled_gap = log_ratio / math.log(cw.n)
             worst = max(worst, abs(scaled_gap))
             gap_entries.append(
-                {"n": e.n, "log_ratio": log_ratio, "log_ratio_over_log_n": scaled_gap}
+                {"n": cw.n, "log_ratio": log_ratio, "log_ratio_over_log_n": scaled_gap}
             )
         detected = worst > 0.01
         summary["equivalence_gap"] = {

@@ -37,14 +37,6 @@ class NotAtypical(GaussMaxError, ValueError):
     """The set contains the origin, so the rare-event scaling is void."""
 
 
-class SolverDivergence(GaussMaxError, RuntimeError):
-    """An iterative solver hit its iteration cap while still moving.
-
-    Kept for callers that catch it; the exact dominating-point solvers
-    no longer raise it.
-    """
-
-
 class RankDeficient(GaussMaxError, ValueError):
     """Constraint matrix lacks full column rank."""
 

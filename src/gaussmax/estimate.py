@@ -11,6 +11,10 @@ Both crude estimators come from one pass: each chunk of trials is drawn
 once and yields the componentwise hits, the at-least-one hits and the
 conspiracies (maximum inside, no single vector inside) together.
 
+``plan_rung`` is the one place that decides which of these a ladder
+rung runs (exact rows or importance sampling, then crude rows within a
+scalar budget); the command line only runs what it lists.
+
 Determinism contract: every estimator consumes a RandomStream and draws
 in fixed-size chunks, chunk ``i`` from ``stream.substream(i)``.  Chunks
 may run on an executor's threads, but their results are combined in
@@ -31,21 +35,21 @@ from scipy.special import log_ndtr
 
 from .dominate import LadderEntry
 from .model import GaussianMixture, GaussianModel, RandomStream, sample_mixture
-from .sets import ConvexSet
+from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
     "Method",
     "EstimateReport",
     "SlopeFit",
+    "plan_rung",
     "mc_crude",
-    "mc_componentwise",
-    "mc_at_least_one",
     "is_single",
     "union_combine",
     "union_combined_report",
     "exact_block_diagonal",
     "exact_block_diagonal_log",
     "exact_block_reports",
+    "exact_single_log",
     "slope_fit",
     "conspiracy_rate",
 ]
@@ -53,6 +57,10 @@ __all__ = [
 # Upper bound on scalars drawn per chunk; chunk boundaries depend only on
 # the problem shape, never on timing, so runs replay exactly.
 CHUNK_SCALARS = 4_000_000
+
+# A rung gets crude rows only while n * trials * dimension stays within
+# this many scalars; larger rungs rely on their exact or IS rows.
+CRUDE_SCALAR_BUDGET = 200_000_000
 
 
 class Method(str, enum.Enum):
@@ -107,6 +115,36 @@ def _resolve_entry(entry) -> tuple[int, np.ndarray, float]:
     if np.any(diag <= 0.0):
         raise ValueError("scaling diagonal entries must be positive")
     return n, diag, float(diag.max()) ** 2
+
+
+def _is_diagonal(sigma: np.ndarray) -> bool:
+    off = sigma - np.diag(np.diag(sigma))
+    return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
+
+
+def plan_rung(model, target: ConvexSet, entry, trials: int) -> tuple[Method, ...]:
+    """The estimators one ladder rung runs, in the order their rows are written.
+
+    A block with a positive corner under a centred diagonal Gaussian gets
+    ``EXACT_BLOCK_DIAGONAL`` (its exact componentwise and union_combined
+    rows); any other Gaussian gets ``IMPORTANCE_SAMPLED_SINGLE`` (one
+    union_combined row).  The crude pair, one ``mc_crude`` pass, follows
+    while ``n * trials * dimension`` fits the budget, so an over-budget
+    mixture rung runs nothing.
+    """
+    n, diag, _ = _resolve_entry(entry)
+    plan = []
+    if isinstance(model, GaussianModel):
+        exact = (
+            isinstance(target, Block)
+            and _is_diagonal(model.covariance.sigma)
+            and np.all(model.mean == 0.0)
+            and np.all(diag * target.corner > 0.0)
+        )
+        plan.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
+    if n * trials * model.dimension <= CRUDE_SCALAR_BUDGET:
+        plan += [Method.CRUDE_COMPONENTWISE, Method.CRUDE_AT_LEAST_ONE]
+    return tuple(plan)
 
 
 def _map_chunks(task, total: int, chunk: int, executor) -> list:
@@ -197,20 +235,6 @@ def mc_crude(
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, speed),
         _crude_report(alo, trials, Method.CRUDE_AT_LEAST_ONE, stream.seed, n, speed),
     )
-
-
-def mc_componentwise(model, target: ConvexSet, entry, trials: int, stream: RandomStream) -> EstimateReport:
-    """Crude Monte Carlo for the componentwise maximum landing in the scaled set.
-
-    Each trial draws ``n`` vectors, forms their componentwise maximum,
-    and tests membership in ``scale(target, A_n)``.
-    """
-    return mc_crude(model, target, entry, trials, stream)[0]
-
-
-def mc_at_least_one(model, target: ConvexSet, entry, trials: int, stream: RandomStream) -> EstimateReport:
-    """Crude Monte Carlo for at least one of the n vectors landing in the scaled set."""
-    return mc_crude(model, target, entry, trials, stream)[1]
 
 
 def is_single(
@@ -370,6 +394,20 @@ def exact_block_reports(sigma_diag, corner, entry, seed: int) -> tuple[EstimateR
         math.exp(log_alo), 0.0, log_alo, 0, Method.UNION_COMBINED, seed, n, speed
     )
     return cw, alo
+
+
+def exact_single_log(model: GaussianModel, target: ConvexSet, entry) -> float | None:
+    """Exact log of the single-vector probability: diagonal blocks and halfspaces, else None."""
+    _, diag, _ = _resolve_entry(entry)
+    if isinstance(target, Block) and _is_diagonal(model.covariance.sigma):
+        corner = diag * target.corner - model.mean
+        sd = np.sqrt(np.diag(model.covariance.sigma))
+        return float(np.sum(log_ndtr(-corner / sd)))
+    if isinstance(target, Halfspace):
+        normal = target.normal / diag
+        spread = math.sqrt(float(normal @ model.covariance.sigma @ normal))
+        return float(log_ndtr(-(target.offset - float(normal @ model.mean)) / spread))
+    return None
 
 
 def slope_fit(points, predicted_rate: float) -> SlopeFit:

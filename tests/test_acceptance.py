@@ -214,8 +214,8 @@ def test_c05_monte_carlo_within_four_standard_errors(capsys):
         )
         target = gm.Block(corner)
         entry = (n, a_n * np.ones(d))
-        cw = gm.mc_componentwise(model, target, entry, trials, sub.substream(1))
-        alo = gm.mc_at_least_one(model, target, entry, trials, sub.substream(2))
+        cw = gm.mc_crude(model, target, entry, trials, sub.substream(1))[0]
+        alo = gm.mc_crude(model, target, entry, trials, sub.substream(2))[1]
         se_cw = math.sqrt(p_cw * (1.0 - p_cw) / trials)
         se_alo = math.sqrt(p_alo * (1.0 - p_alo) / trials)
         cw_hits += abs(cw.p_hat - p_cw) <= 4.0 * se_cw

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -416,6 +417,54 @@ class TestVerifyCommand:
         assert fit["r_squared"] > 0.95
         assert len(fit["points"]) == 3
 
+    def test_equivalence_gap_reads_the_exact_rows(self, tmp_path):
+        text = BLOCK_YAML.replace("trials: 2000", "trials: 50")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "verify_ladder.csv").read_text().splitlines()[1:]]
+        exact = {}
+        for n, _, method, _, _, log_p, _ in rows:
+            if method in ("exact_block_diagonal", "union_combined"):
+                exact.setdefault(int(n), []).append(float(log_p))
+        gap = json.loads((out / "verify_summary.json").read_text())["equivalence_gap"]
+        assert [e["n"] for e in gap["entries"]] == [100, 1000, 10000]
+        for e in gap["entries"]:
+            log_cw, log_alo = exact[e["n"]]
+            assert e["log_ratio"] == log_cw - log_alo
+
+    def test_mixture_over_budget_warns_per_rung(self, tmp_path):
+        text = MIXTURE_YAML.replace("ladder: [5, 20]", "ladder: [1000000, 10000000]").replace(
+            "trials: 1000", "trials: 2000"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "verify_ladder.csv").read_text() == cli.CSV_HEADER + "\n"
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["slope_fits"] == {}
+        assert summary["warnings"] == [
+            "ladder entry n=1000000 does not fit the crude sampling budget",
+            "ladder entry n=10000000 does not fit the crude sampling budget",
+        ]
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        assert payload["warnings"] == ["no ladder entry fits the crude sampling budget"]
+
+    def test_mixture_partly_over_budget_uses_last_fitting_rung(self, tmp_path):
+        text = MIXTURE_YAML.replace("ladder: [5, 20]", "ladder: [5, 20, 1000000]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "verify_ladder.csv").read_text().splitlines()[1:]
+        assert sorted({int(r.split(",")[0]) for r in rows}) == [5, 20]
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["warnings"] == [
+            "ladder entry n=1000000 does not fit the crude sampling budget"
+        ]
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "estimate.json").read_text())["n"] == 20
+
     def test_single_rung_reports_insufficient_points(self, tmp_path):
         text = BLOCK_YAML.replace("ladder: [100, 1000, 10000]", "ladder: [100]")
         cfg = write_config(tmp_path, text)
@@ -439,6 +488,47 @@ class TestVerifyCommand:
                 assert float_pattern.match(field), field
             # Round trip at 17 significant digits is exact for doubles.
             assert cli._g(float(speed)) == speed
+
+
+EMPTY_POLY_YAML = """\
+model:
+  kind: gaussian
+  mean: [0.0]
+  sigma: [[1.0]]
+set:
+  kind: polyhedron
+  constraints: [[1.0], [-1.0]]
+  offsets: [1000000001.0, -1000000000.0]
+limit: [1.0]
+ladder: [10, 100]
+trials: 100
+is_samples: 200
+seed: 16
+"""
+
+
+class TestCertificateWarnings:
+    def test_every_command_warns_on_failed_certificate(self, tmp_path):
+        # The set is empty (x >= 1e9 + 1 and x <= 1e9), but the solve cannot
+        # tell so at this offset: x* comes back with a KKT residual of 5.8e10.
+        cfg = write_config(tmp_path, EMPTY_POLY_YAML)
+        out = tmp_path / "artifacts"
+        for command in ("dominate", "rate", "estimate", "verify"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        dominate = json.loads((out / "dominate.json").read_text())
+        assert dominate["optimality_certificate"] is False
+        warning = f"x* fails its KKT certificate (kkt_residual {dominate['kkt_residual']:.3g})"
+        assert warning == "x* fails its KKT certificate (kkt_residual 5.77e+10)"
+        for name in ("dominate.json", "rate.json", "estimate.json", "verify_summary.json"):
+            assert warning in json.loads((out / name).read_text())["warnings"], name
+
+    def test_mixture_components_are_named(self):
+        good = SimpleNamespace(index=1, optimality_certificate=True, kkt_residual=1e-15)
+        bad = SimpleNamespace(index=2, optimality_certificate=False, kkt_residual=3.25e-4)
+        solved = SimpleNamespace(per_component=(good, bad))
+        assert cli._solve_warnings(solved, 4.0) == [
+            "component 2 x* fails its KKT certificate (kkt_residual 0.000325)"
+        ]
 
 
 class TestExitCodes:

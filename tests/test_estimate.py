@@ -126,15 +126,15 @@ class TestCrudeMonteCarlo:
         entry = (5, np.ones(2))
         target = gm.Block(np.array([1.0, 1.0]))
         stream = gm.RandomStream(321)
-        a = gm.mc_componentwise(STANDARD2, target, entry, 4000, stream)
-        b = gm.mc_componentwise(STANDARD2, target, entry, 4000, stream)
+        a = gm.mc_crude(STANDARD2, target, entry, 4000, stream)
+        b = gm.mc_crude(STANDARD2, target, entry, 4000, stream)
         assert a == b
 
     def test_componentwise_matches_exact_within_four_se(self):
         entry = (5, np.ones(2))
-        report = gm.mc_componentwise(
+        report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(11)
-        )
+        )[0]
         exact, _ = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         assert abs(report.p_hat - exact) <= 4.0 * report.std_error
         assert report.method is gm.Method.CRUDE_COMPONENTWISE
@@ -143,9 +143,9 @@ class TestCrudeMonteCarlo:
 
     def test_at_least_one_matches_exact_within_four_se(self):
         entry = (5, np.ones(2))
-        report = gm.mc_at_least_one(
+        report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(12)
-        )
+        )[1]
         _, exact = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         assert abs(report.p_hat - exact) <= 4.0 * report.std_error
         assert report.method is gm.Method.CRUDE_AT_LEAST_ONE
@@ -154,52 +154,50 @@ class TestCrudeMonteCarlo:
         target = gm.Block(np.array([0.8, 1.1]))
         for n, seed in [(3, 21), (8, 22), (20, 23)]:
             entry = (n, np.ones(2))
-            cw = gm.mc_componentwise(STANDARD2, target, entry, 10_000, gm.RandomStream(seed))
-            alo = gm.mc_at_least_one(STANDARD2, target, entry, 10_000, gm.RandomStream(seed + 100))
+            cw = gm.mc_crude(STANDARD2, target, entry, 10_000, gm.RandomStream(seed))[0]
+            alo = gm.mc_crude(STANDARD2, target, entry, 10_000, gm.RandomStream(seed + 100))[1]
             assert alo.p_hat <= cw.p_hat + 4.0 * (alo.std_error + cw.std_error)
 
     def test_single_draw_estimators_coincide_exactly(self):
         # With n = 1 both events reduce to the same single-vector event and
-        # both estimators walk the same substreams, so the counts agree.
+        # both counts come from the same draws, so they agree.
         entry = (1, np.ones(2))
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.5)
-        stream = gm.RandomStream(77)
-        cw = gm.mc_componentwise(STANDARD2, target, entry, 8000, stream)
-        alo = gm.mc_at_least_one(STANDARD2, target, entry, 8000, stream)
+        cw, alo = gm.mc_crude(STANDARD2, target, entry, 8000, gm.RandomStream(77))
         assert cw.p_hat == alo.p_hat
 
     def test_near_certain_event(self):
         entry = (2, np.ones(2))
-        report = gm.mc_componentwise(
+        report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([-10.0, -10.0])), entry, 2000, gm.RandomStream(9)
-        )
+        )[0]
         assert report.p_hat == 1.0
         assert report.std_error == 0.0
         assert report.log_p_hat == 0.0
 
     def test_zero_hits_reports_neg_inf_log(self):
         entry = (2, np.ones(2))
-        report = gm.mc_componentwise(
+        report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([9.0, 9.0])), entry, 500, gm.RandomStream(10)
-        )
+        )[0]
         assert report.p_hat == 0.0
         assert report.log_p_hat == -math.inf
 
     def test_trials_validation(self):
         entry = (2, np.ones(2))
         with pytest.raises(ValueError):
-            gm.mc_componentwise(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 0, gm.RandomStream(1))
+            gm.mc_crude(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 0, gm.RandomStream(1))
         with pytest.raises(ValueError):
-            gm.mc_at_least_one(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, -5, gm.RandomStream(1))
+            gm.mc_crude(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, -5, gm.RandomStream(1))
 
     def test_entry_validation(self):
         target = gm.Block(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            gm.mc_componentwise(STANDARD2, target, (0, np.ones(2)), 10, gm.RandomStream(1))
+            gm.mc_crude(STANDARD2, target, (0, np.ones(2)), 10, gm.RandomStream(1))
         with pytest.raises(ValueError):
-            gm.mc_componentwise(STANDARD2, target, (5, -np.ones(2)), 10, gm.RandomStream(1))
+            gm.mc_crude(STANDARD2, target, (5, -np.ones(2)), 10, gm.RandomStream(1))
         with pytest.raises(ValueError):
-            gm.mc_componentwise(
+            gm.mc_crude(
                 STANDARD2, target, (5, np.array([[1.0, 0.2], [0.0, 1.0]])), 10, gm.RandomStream(1)
             )
 
@@ -209,9 +207,9 @@ class TestCrudeMonteCarlo:
             np.array([0.5, 0.5]),
             (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([0.5, 0.5]), cov)),
         )
-        report = gm.mc_componentwise(
+        report = gm.mc_crude(
             mixture, gm.Block(np.array([1.0, 1.0])), (4, np.ones(2)), 4000, gm.RandomStream(31)
-        )
+        )[0]
         assert 0.0 < report.p_hat < 1.0
 
 
@@ -223,14 +221,6 @@ class TestFusedCrude:
     TARGET = gm.Block(np.array([0.85, 0.85]))
     ENTRY = (10_000, np.full(2, math.sqrt(2.0 * math.log(10_000))))
     TRIALS = 600
-
-    def test_matches_single_event_estimators(self):
-        assert self.TRIALS > 2 * (estimate.CHUNK_SCALARS // (self.ENTRY[0] * 2))
-        stream = gm.RandomStream(5)
-        cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
-        assert cw == gm.mc_componentwise(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
-        assert alo == gm.mc_at_least_one(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
-        assert 0.0 < alo.p_hat < cw.p_hat < 1.0
 
     def test_block_hits_split_into_union_and_conspiracies(self):
         # For an upward-closed set a vector inside puts the maximum inside,
@@ -261,6 +251,64 @@ class TestFusedCrude:
         np.testing.assert_array_equal(drawn, gm.sample_gaussian(model, 1001, stream))
 
 
+class TestPlanRung:
+    ENTRY = gm.ScalingLadder(gm.ScalingLimit.identity(2), (1000,)).entries()[0]
+    CRUDE = (gm.Method.CRUDE_COMPONENTWISE, gm.Method.CRUDE_AT_LEAST_ONE)
+    IS = gm.Method.IMPORTANCE_SAMPLED_SINGLE
+
+    def test_centred_diagonal_block_gets_exact_rows(self):
+        model = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.diag([1.0, 2.0])))
+        plan = gm.plan_rung(model, gm.Block(np.array([1.0, 1.2])), self.ENTRY, 100)
+        assert plan == (gm.Method.EXACT_BLOCK_DIAGONAL, *self.CRUDE)
+
+    @pytest.mark.parametrize(
+        "model, target",
+        [
+            (
+                gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))),
+                gm.Block(np.array([1.0, 1.0])),
+            ),
+            (gm.GaussianModel(np.array([0.1, 0.0]), STANDARD2.covariance), gm.Block(np.array([1.0, 1.0]))),
+            (STANDARD2, gm.Halfspace(np.array([1.0, 1.0]), 2.0)),
+            (STANDARD2, gm.Polyhedron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))),
+            (STANDARD2, gm.Ellipsoid(np.array([2.0, 2.0]), np.eye(2), 0.5)),
+        ],
+        ids=["correlated-block", "nonzero-mean-block", "halfspace", "polyhedron", "ellipsoid"],
+    )
+    def test_other_gaussian_rungs_get_importance_sampling(self, model, target):
+        assert gm.plan_rung(model, target, self.ENTRY, 100) == (self.IS, *self.CRUDE)
+
+    def test_mixture_gets_crude_rows_only(self):
+        cov = STANDARD2.covariance
+        mixture = gm.GaussianMixture(
+            np.array([0.5, 0.5]),
+            (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([-1.0, -1.0]), cov)),
+        )
+        target = gm.Block(np.array([2.0, 2.0]))
+        assert gm.plan_rung(mixture, target, self.ENTRY, 100) == self.CRUDE
+        assert gm.plan_rung(mixture, target, self.ENTRY, 10**6) == ()
+
+    def test_budget_boundary_is_inclusive(self):
+        target = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
+        trials = estimate.CRUDE_SCALAR_BUDGET // (self.ENTRY.n * 2)
+        assert self.ENTRY.n * trials * 2 == estimate.CRUDE_SCALAR_BUDGET
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials) == (self.IS, *self.CRUDE)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials + 1) == (self.IS,)
+
+    def test_exact_single_log(self):
+        from scipy.stats import norm
+
+        a_n = self.ENTRY.scale_diag
+        model = gm.GaussianModel(np.array([0.2, -0.1]), gm.build_covariance(np.diag([1.0, 4.0])))
+        got = gm.exact_single_log(model, gm.Block(np.array([1.0, 1.5])), self.ENTRY)
+        want = norm.logsf((a_n[0] - 0.2) / 1.0) + norm.logsf((1.5 * a_n[1] + 0.1) / 2.0)
+        assert got == pytest.approx(want, rel=1e-12)
+        got = gm.exact_single_log(STANDARD2, gm.Halfspace(np.array([1.0, 1.0]), 2.0), self.ENTRY)
+        assert got == pytest.approx(norm.logsf(2.0 * a_n[0] / math.sqrt(2.0)), rel=1e-12)
+        ellipsoid = gm.Ellipsoid(np.array([2.0, 2.0]), np.eye(2), 0.5)
+        assert gm.exact_single_log(STANDARD2, ellipsoid, self.ENTRY) is None
+
+
 class TestImportanceSampling:
     def test_zero_shift_weights_are_unit(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
@@ -273,7 +321,7 @@ class TestImportanceSampling:
     def test_zero_shift_agrees_with_independent_crude(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
         is_report = gm.is_single(STANDARD2, target, np.zeros(2), 20_000, gm.RandomStream(42))
-        crude = gm.mc_componentwise(STANDARD2, target, (1, np.ones(2)), 20_000, gm.RandomStream(43))
+        crude = gm.mc_crude(STANDARD2, target, (1, np.ones(2)), 20_000, gm.RandomStream(43))[0]
         combined = is_report.std_error + crude.std_error
         assert abs(is_report.p_hat - crude.p_hat) <= 4.0 * combined
 
