@@ -10,9 +10,9 @@ The package answers three related questions about a centered Gaussian
 * and do simulations reproduce the predicted rate.
 
 ``model`` holds distributions and reproducible sampling, ``sets`` the
-target shapes, ``dominate`` the solver and rate functions, ``estimate``
-the Monte Carlo and exact estimators, and ``cli`` a config-driven
-command line wrapper around all of it.
+target shapes, ``dominate`` the solver and the rates it implies,
+``estimate`` the Monte Carlo and exact estimators, and ``cli`` a
+config-driven command line wrapper around all of it.
 """
 
 __version__ = "0.1.0"
@@ -37,11 +37,10 @@ from .model import (
     RandomStream,
     build_covariance,
     gaussian_log_density,
-    mills_bounds,
     sample_gaussian,
     sample_mixture,
 )
-from .sets import Block, ConvexSet, Ellipsoid, Halfspace, Membership, Polyhedron
+from .sets import Block, ConvexSet, Ellipsoid, Halfspace, Polyhedron
 from .dominate import (
     ComponentSolution,
     DominatingPoint,
@@ -49,14 +48,11 @@ from .dominate import (
     MixtureRate,
     ScalingLadder,
     ScalingLimit,
-    check_margin,
     closest_point_equivalence,
     corner_full_rank,
     corner_pairwise,
     dominating_point,
-    rate_componentwise,
     rate_mixture,
-    rate_single,
     verify_optimality,
 )
 from .estimate import (
@@ -64,7 +60,6 @@ from .estimate import (
     Method,
     SlopeFit,
     conspiracy_rate,
-    exact_block_diagonal,
     exact_block_diagonal_log,
     exact_block_reports,
     exact_single_log,
@@ -98,8 +93,6 @@ __all__ = [
     "sample_gaussian",
     "sample_mixture",
     "gaussian_log_density",
-    "mills_bounds",
-    "Membership",
     "ConvexSet",
     "Block",
     "Halfspace",
@@ -114,10 +107,7 @@ __all__ = [
     "dominating_point",
     "corner_full_rank",
     "corner_pairwise",
-    "rate_single",
-    "rate_componentwise",
     "rate_mixture",
-    "check_margin",
     "verify_optimality",
     "closest_point_equivalence",
     "Method",
@@ -128,7 +118,6 @@ __all__ = [
     "is_single",
     "union_combine",
     "union_combined_report",
-    "exact_block_diagonal",
     "exact_block_diagonal_log",
     "exact_block_reports",
     "exact_single_log",

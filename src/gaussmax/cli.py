@@ -26,14 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config
-from .dominate import (
-    DominatingPoint,
-    check_margin,
-    corner_pairwise,
-    dominating_point,
-    rate_mixture,
-)
+from .config import ExperimentConfig, check_seed, load_config
+from .dominate import DominatingPoint, corner_pairwise, dominating_point, rate_mixture
 from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
     EstimateReport,
@@ -140,8 +134,7 @@ def _solve(config: ExperimentConfig):
         alpha = 0.5 * best.quad_value
         return model, target, mix, best.x_star, alpha, mix.rate
     point = dominating_point(target, model.covariance, limit)
-    alpha, _ = check_margin(point)
-    return model, target, point, point.x_star, alpha, point.rate_componentwise
+    return model, target, point, point.x_star, point.margin_alpha, point.rate_componentwise
 
 
 def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
@@ -152,16 +145,7 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
     payload["rate_componentwise"] = rate
     warnings = _solve_warnings(solved, alpha)
     if isinstance(solved, DominatingPoint):
-        payload.update(
-            {
-                "x_star": solved.x_star,
-                "quad_value": solved.quad_value,
-                "rate_single": solved.rate_single,
-                "optimality_certificate": solved.optimality_certificate,
-                "solver_iterations": solved.solver_iterations,
-                "kkt_residual": solved.kkt_residual,
-            }
-        )
+        payload.update(asdict(solved))
     else:
         payload.update(
             {
@@ -382,14 +366,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
         except ValueError as exc:
             fits[method.value] = {"error": str(exc), "points": pts}
             continue
-        entry_dict = {
-            "points": [list(p) for p in fit.points],
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "predicted_rate": fit.predicted_rate,
-            "relative_gap": fit.relative_gap,
-        }
+        entry_dict = asdict(fit)
         if method not in _AT_LEAST_ONE_METHODS:
             entry_dict["product_rate"] = product_rate
             if product_rate != 0.0:
@@ -430,7 +407,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
 
 def _prepare(args) -> tuple[ExperimentConfig, int, Path]:
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    seed = check_seed(args.seed) if args.seed is not None else config.seed
     outdir = Path(args.out) if args.out else Path(config.outputs)
     return config, seed, outdir
 

@@ -70,6 +70,18 @@ def _int_value(value, name: str, minimum: int) -> int:
     return value
 
 
+def check_seed(value) -> int:
+    """A run seed: an integer in ``[0, 2**64)``, the width of a Philox key word.
+
+    Streams key on the seed's low 64 bits, so a wider seed would replay
+    another seed's draws while the artifacts record a different one.
+    """
+    seed = _int_value(value, "seed", 0)
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be < 2**64, got {seed}")
+    return seed
+
+
 def _parse_model(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("model must be a table")
@@ -267,7 +279,7 @@ def parse_config(text: str) -> ExperimentConfig:
         ladder=ladder,
         trials=_int_value(raw["trials"], "trials", 1),
         is_samples=_int_value(raw["is_samples"], "is_samples", 1),
-        seed=_int_value(raw["seed"], "seed", 0),
+        seed=check_seed(raw["seed"]),
         outputs=str(raw.get("outputs", "out")),
     )
 
@@ -290,7 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     if isinstance(built_model, GaussianMixture):
         for j, comp in enumerate(built_model.components, start=1):
-            if bool(built_set.contains(comp.mean)):
+            if built_set.contains(comp.mean):
                 raise ConfigError(
                     f"config validation failed: mixture mean inside set (component {j})"
                 )

@@ -3,10 +3,11 @@
 The central object is the minimizer of the scaled quadratic
 ``Q_A(x) = <A x, sigma_inv A x>`` over a closed convex target set, with
 ``A`` the positive diagonal limit of the per-coordinate scaling.  From
-the minimizer everything else follows: the single-vector decay rate
-``-Q_I(x*) / 2``, the margin ``alpha = Q_A(x*) / 2`` that must exceed 1
-for the maximum statistic to concentrate, and the componentwise-maximum
-rate ``1/2 - alpha``.
+the minimizer everything else follows, and ``DominatingPoint`` carries
+it as fields: the single-vector decay rate ``rate_single = -Q_I(x*) / 2``,
+the margin ``margin_alpha = Q_A(x*) / 2`` that must exceed 1 for the
+maximum statistic to concentrate, and the componentwise-maximum rate
+``rate_componentwise = 1/2 - alpha``.
 
 The minimizer is computed exactly, one method per shape:
 
@@ -54,10 +55,7 @@ __all__ = [
     "dominating_point",
     "corner_full_rank",
     "corner_pairwise",
-    "rate_single",
-    "rate_componentwise",
     "rate_mixture",
-    "check_margin",
     "verify_optimality",
     "closest_point_equivalence",
 ]
@@ -104,22 +102,14 @@ class ScalingLimit:
     def dimension(self) -> int:
         return self.diagonal.shape[0]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
 
 @dataclass(frozen=True, eq=False)
 class LadderEntry:
-    """One rung: block size ``n`` and the scaling matrix ``A_n`` for it."""
+    """One rung: block size ``n`` and the diagonal of the scaling matrix ``A_n``."""
 
     n: int
     scale_diag: np.ndarray
     speed: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.scale_diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,21 +378,6 @@ def corner_pairwise(rows, offsets) -> np.ndarray:
     return np.stack(corners).min(axis=0)
 
 
-def rate_single(x_star, covariance: CovarianceModel) -> float:
-    """Single-vector decay rate ``-<x*, sigma_inv x*> / 2``."""
-    return -0.5 * covariance.quad_inv(np.asarray(x_star, dtype=float))
-
-
-def rate_componentwise(point: DominatingPoint) -> float:
-    """Componentwise-maximum decay rate ``1/2 - alpha``."""
-    return 0.5 - point.margin_alpha
-
-
-def check_margin(point: DominatingPoint) -> tuple[float, bool]:
-    """Margin ``alpha`` and whether it strictly exceeds 1."""
-    return point.margin_alpha, point.margin_alpha > 1.0
-
-
 def rate_mixture(
     target: ConvexSet, mixture: GaussianMixture, limit: ScalingLimit
 ) -> MixtureRate:
@@ -422,7 +397,7 @@ def rate_mixture(
     """
     solutions = []
     for j, comp in enumerate(mixture.components, start=1):
-        if bool(target.contains(comp.mean)):
+        if target.contains(comp.mean):
             raise MeanInsideSet(j)
         try:
             x, val, residual, iterations = _solve(target, comp.covariance, limit, comp.mean)

@@ -3,9 +3,11 @@
 Two crude Monte Carlo estimators target the two event definitions (the
 componentwise maximum landing in the scaled set; at least one of the n
 vectors landing in it), a mean-shift importance sampler targets the
-single-vector probability, and closed-form references cover diagonal
-covariances with block sets.  A small regression helper turns a ladder
-of log probabilities into an empirical decay rate.
+single-vector probability, and closed-form references, in log space
+throughout, cover block sets under diagonal covariances
+(``exact_block_diagonal_log``) and single-vector halfspace events
+(``exact_single_log``).  A small regression helper turns a ladder of log
+probabilities into an empirical decay rate.
 
 Both crude estimators come from one pass: each chunk of trials is drawn
 once and yields the componentwise hits, the at-least-one hits and the
@@ -46,7 +48,6 @@ __all__ = [
     "is_single",
     "union_combine",
     "union_combined_report",
-    "exact_block_diagonal",
     "exact_block_diagonal_log",
     "exact_block_reports",
     "exact_single_log",
@@ -365,17 +366,6 @@ def exact_block_diagonal_log(sigma_diag, corner, a_n: float, n: int) -> tuple[fl
     log_cw = math.fsum(_log_union_combine(float(lq), n) for lq in log_q)
     log_alo = _log_union_combine(math.fsum(float(lq) for lq in log_q), n)
     return log_cw, log_alo
-
-
-def exact_block_diagonal(sigma_diag, corner, a_n: float, n: int) -> tuple[float, float]:
-    """Exact probabilities of both events for diagonal covariance and a block set.
-
-    Returns ``(p_componentwise, p_at_least_one)`` where the first is
-    ``prod_i (1 - (1 - q_i)**n)`` and the second ``1 - (1 - prod_i q_i)**n``
-    with ``q_i`` the scaled per-coordinate upper tails.
-    """
-    log_cw, log_alo = exact_block_diagonal_log(sigma_diag, corner, a_n, n)
-    return math.exp(log_cw), math.exp(log_alo)
 
 
 def exact_block_reports(sigma_diag, corner, entry, seed: int) -> tuple[EstimateReport, EstimateReport]:

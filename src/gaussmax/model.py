@@ -27,7 +27,6 @@ __all__ = [
     "sample_gaussian",
     "sample_mixture",
     "gaussian_log_density",
-    "mills_bounds",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -267,17 +266,3 @@ def gaussian_log_density(model: GaussianModel, x) -> float | np.ndarray:
     out = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * model.covariance.log_det - 0.5 * quad
     return float(out[0]) if single else out
 
-
-def mills_bounds(t: float) -> tuple[float, float]:
-    """Two-sided bounds on the standard normal upper tail at ``t > 0``.
-
-    Returns ``(lower, upper)`` with
-    ``phi(t) (1/t - 1/t**3) <= P(Z > t) <= phi(t) / t``.
-    The lower bound is vacuous (negative) for t < 1 but still valid.
-    """
-    if t <= 0.0:
-        raise ValueError(f"mills_bounds requires t > 0, got {t}")
-    phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    lower = phi * (1.0 / t - 1.0 / t**3)
-    upper = phi / t
-    return lower, upper

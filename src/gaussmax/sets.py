@@ -4,7 +4,8 @@ Four shapes cover the battery: upper orthants anchored at a corner,
 halfspaces, finite intersections of halfspaces, and ellipsoids.  All are
 closed, so boundary points count as inside.  Each shape knows how to
 
-* report a signed slack (nonnegative inside, negative outside),
+* report a signed slack (nonnegative inside, negative outside), which
+  ``contains`` reads as a plain ``bool``,
 * project points onto itself in the Euclidean metric,
 * rescale itself by a positive diagonal matrix so that membership of a
   scaled point in the scaled set matches the original pair,
@@ -21,7 +22,6 @@ problem (``secular_root``).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,7 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Membership",
     "ConvexSet",
     "Block",
     "Halfspace",
@@ -51,24 +50,6 @@ INFEASIBLE_SLACK = 1e-9
 # Chebyshev-centre radius (normalized slack) at or below which the
 # interior counts as empty.
 INTERIOR_RADIUS_FLOOR = 1e-9
-
-
-class Membership(enum.Enum):
-    """Two-state membership flag with a numeric indicator view.
-
-    ``indicator`` is 0 inside the set and ``-inf`` outside, matching the
-    extended-value convention used by the rate functions.
-    """
-
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-
-    @property
-    def indicator(self) -> float:
-        return 0.0 if self is Membership.INSIDE else -math.inf
-
-    def __bool__(self) -> bool:
-        return self is Membership.INSIDE
 
 
 def _readonly(a) -> np.ndarray:
@@ -251,9 +232,9 @@ class ConvexSet:
         """Signed slack of a single point; >= 0 exactly when inside."""
         return float(self.slack_many(self._check_points(x))[0])
 
-    def contains(self, x) -> Membership:
+    def contains(self, x) -> bool:
         """Closed membership test (boundary counts as inside)."""
-        return Membership.INSIDE if self.min_slack(x) >= 0.0 else Membership.OUTSIDE
+        return self.min_slack(x) >= 0.0
 
     def contains_many(self, points) -> np.ndarray:
         """Boolean membership for an (m, d) batch."""
@@ -265,7 +246,7 @@ class ConvexSet:
 
     def is_atypical(self) -> bool:
         """True when the origin lies outside the set."""
-        return not bool(self.contains(np.zeros(self.dimension)))
+        return not self.contains(np.zeros(self.dimension))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,8 @@ reuse the projection code they help to test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import gaussmax as gm
@@ -129,3 +131,9 @@ def secular_argmin(weight, center, ellipsoid: gm.Ellipsoid) -> np.ndarray:
     while excess(hi) > 0.0:
         hi *= 2.0
     return point(brentq(excess, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500))
+
+
+def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, float]:
+    """Exact ``(p_componentwise, p_at_least_one)`` for a diagonal block, in linear space."""
+    log_cw, log_alo = gm.exact_block_diagonal_log(sigma_diag, corner, a_n, n)
+    return math.exp(log_cw), math.exp(log_alo)

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 import gaussmax as gm
 from gaussmax import cli
-from helpers import random_spd
+from helpers import exact_block_pair, random_spd
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -203,11 +203,11 @@ def test_c05_monte_carlo_within_four_standard_errors(capsys):
         base = rng.uniform(0.8, 1.2, size=d)
         target_cw = float(10.0 ** rng.uniform(-1.3, -1.0))
         scale = brentq(
-            lambda s: gm.exact_block_diagonal(sigma_diag, s * base, a_n, n)[0] - target_cw,
+            lambda s: exact_block_pair(sigma_diag, s * base, a_n, n)[0] - target_cw,
             1e-3, 5.0, xtol=1e-12,
         )
         corner = scale * base
-        p_cw, p_alo = gm.exact_block_diagonal(sigma_diag, corner, a_n, n)
+        p_cw, p_alo = exact_block_pair(sigma_diag, corner, a_n, n)
         assert 1e-3 <= p_alo <= p_cw <= 1e-1
         model = gm.GaussianModel(
             mean=np.zeros(d), covariance=gm.build_covariance(np.diag(sigma_diag))
@@ -334,7 +334,7 @@ def test_c09_tail_combination_extended_precision(capsys):
     for q in (1e-3, 1e-15, 1e-100, 1e-300):
         t = float(-ndtri(q))
         ours_union = gm.union_combine(q, n)
-        p_cw, p_alo = gm.exact_block_diagonal([1.0, 1.0], (t, t_fixed), 1.0, n)
+        p_cw, p_alo = exact_block_pair([1.0, 1.0], (t, t_fixed), 1.0, n)
         with mp.workdps(400):
             ref_union = 1 - (1 - mpf(q)) ** n
             q1 = mp.ncdf(-mpf(t))

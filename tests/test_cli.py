@@ -606,6 +606,39 @@ seed: 3
         assert payload["config_digest"] == parse_config(BLOCK_YAML).digest()
 
 
+class TestSeedRange:
+    """A seed is one Philox key word: ``0 <= seed < 2**64``, from a flag or a config."""
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 1])
+    def test_out_of_range_is_two(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        out = str(tmp_path / "flag")
+        assert cli.main(["estimate", "--config", str(cfg), "--out", out, "--seed", str(seed)]) == 2
+        flag_error = capsys.readouterr().err
+        text = HALFSPACE_YAML.replace("seed: 910", f"seed: {seed}")
+        cfg = write_config(tmp_path, text, "seeded.yaml")
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 2
+        assert capsys.readouterr().err == flag_error
+        assert flag_error.startswith("config error: seed must be")
+
+    def test_largest_seed_runs_the_same_either_way(self, tmp_path):
+        seed = 2**64 - 1
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        flag_out = tmp_path / "flag"
+        assert cli.main(
+            ["estimate", "--config", str(cfg), "--out", str(flag_out), "--seed", str(seed)]
+        ) == 0
+        text = HALFSPACE_YAML.replace("seed: 910", f"seed: {seed}")
+        cfg = write_config(tmp_path, text, "seeded.yaml")
+        cfg_out = tmp_path / "cfg"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(cfg_out)]) == 0
+        by_flag = json.loads((flag_out / "estimate.json").read_text())
+        by_config = json.loads((cfg_out / "estimate.json").read_text())
+        assert by_flag["seed"] == by_config["seed"] == seed
+        del by_flag["config_digest"], by_config["config_digest"]
+        assert by_flag == by_config
+
+
 def test_import_does_not_load_scipy_optimize():
     # A fresh interpreter, since the test suite itself imports scipy.optimize.
     src = str(Path(gm.__file__).resolve().parents[1])

@@ -17,7 +17,6 @@ class TestScalingLimit:
     def test_identity_factory(self):
         limit = gm.ScalingLimit.identity(3)
         np.testing.assert_array_equal(limit.diagonal, np.ones(3))
-        np.testing.assert_array_equal(limit.matrix, np.eye(3))
         assert limit.dimension == 3
 
     def test_max_entry_must_be_one(self):
@@ -32,7 +31,7 @@ class TestScalingLimit:
 
     def test_valid_non_identity(self):
         limit = gm.ScalingLimit(np.array([1.0, 0.25]))
-        np.testing.assert_array_equal(limit.matrix, np.diag([1.0, 0.25]))
+        np.testing.assert_array_equal(limit.diagonal, [1.0, 0.25])
 
 
 class TestScalingLadder:
@@ -45,7 +44,6 @@ class TestScalingLadder:
             np.testing.assert_allclose(
                 entry.scale_diag, math.sqrt(entry.speed) * np.ones(2), rtol=1e-15
             )
-            np.testing.assert_array_equal(entry.matrix, np.diag(entry.scale_diag))
 
     def test_scale_diag_tracks_limit(self):
         limit = gm.ScalingLimit(np.array([1.0, 0.5]))
@@ -214,7 +212,7 @@ class TestExactSolver:
         target = gm.Halfspace(np.array([scale, scale]), 2.0 * scale)
         point = gm.dominating_point(target, IDENTITY2, gm.ScalingLimit.identity(2))
         assert point.margin_alpha == 1.0
-        assert not gm.check_margin(point)[1]
+        assert not point.margin_alpha > 1.0
 
     def test_ellipsoids_match_secular_root(self):
         rng = np.random.default_rng(167)
@@ -375,26 +373,23 @@ class TestRates:
             target = gm.Block(rng.uniform(0.5, 3.0, size=d))
             point = gm.dominating_point(target, cov, gm.ScalingLimit.identity(d))
             assert point.rate_componentwise == pytest.approx(
-                0.5 + gm.rate_single(point.x_star, cov), abs=1e-9
+                0.5 + point.rate_single, abs=1e-9
             )
-            assert gm.rate_componentwise(point) == point.rate_componentwise
 
     def test_margin_pass_example(self):
         point = gm.dominating_point(
             gm.Block(np.array([2.0, 2.0])), IDENTITY2, gm.ScalingLimit.identity(2)
         )
-        alpha, ok = gm.check_margin(point)
-        assert alpha == pytest.approx(4.0, abs=1e-9)
-        assert ok
+        assert point.margin_alpha == pytest.approx(4.0, abs=1e-9)
+        assert point.margin_alpha > 1.0
 
     def test_margin_fail_example(self):
         # x* = (1, 1), quad = 2, alpha = 1: not strictly above threshold.
         point = gm.dominating_point(
             gm.Halfspace(np.array([1.0, 1.0]), 2.0), IDENTITY2, gm.ScalingLimit.identity(2)
         )
-        alpha, ok = gm.check_margin(point)
-        assert alpha == pytest.approx(1.0, abs=1e-9)
-        assert not ok
+        assert point.margin_alpha == pytest.approx(1.0, abs=1e-9)
+        assert not point.margin_alpha > 1.0
 
 
 class TestVerifyOptimality:

@@ -10,6 +10,7 @@ from scipy import integrate
 
 import gaussmax as gm
 from gaussmax import estimate
+from helpers import exact_block_pair
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
@@ -83,7 +84,7 @@ class TestUnionCombine:
 class TestExactBlockDiagonal:
     def test_worked_example(self):
         a_n = math.sqrt(2.0 * math.log(1e6))
-        cw, alo = gm.exact_block_diagonal([1.0, 1.0], [1.2, 1.2], a_n, 10**6)
+        cw, alo = exact_block_pair([1.0, 1.0], [1.2, 1.2], a_n, 10**6)
         ref_cw, ref_alo = mp_block_pair([1.0, 1.0], [1.2, 1.2], a_n, 10**6)
         assert cw == pytest.approx(float(ref_cw), rel=1e-12)
         assert alo == pytest.approx(float(ref_alo), rel=1e-12)
@@ -91,11 +92,11 @@ class TestExactBlockDiagonal:
         assert cw / alo == pytest.approx(1e6, rel=2e-2)
 
     def test_one_dimension_events_coincide(self):
-        cw, alo = gm.exact_block_diagonal([2.0], [1.5], 3.0, 500)
+        cw, alo = exact_block_pair([2.0], [1.5], 3.0, 500)
         assert cw == alo
 
     def test_single_draw_events_coincide(self):
-        cw, alo = gm.exact_block_diagonal([1.0, 0.5], [1.0, 0.7], 2.0, 1)
+        cw, alo = exact_block_pair([1.0, 0.5], [1.0, 0.7], 2.0, 1)
         assert cw == pytest.approx(alo, rel=1e-14)
 
     def test_log_path_below_double_range(self):
@@ -110,15 +111,15 @@ class TestExactBlockDiagonal:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal([1.0, -1.0], [1.0, 1.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0, -1.0], [1.0, 1.0], 1.0, 10)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal([1.0], [0.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0], [0.0], 1.0, 10)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal([1.0], [1.0], 0.0, 10)
+            gm.exact_block_diagonal_log([1.0], [1.0], 0.0, 10)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal([1.0], [1.0], 1.0, 0)
+            gm.exact_block_diagonal_log([1.0], [1.0], 1.0, 0)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal([1.0, 1.0], [1.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0, 1.0], [1.0], 1.0, 10)
 
 
 class TestCrudeMonteCarlo:
@@ -135,7 +136,7 @@ class TestCrudeMonteCarlo:
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(11)
         )[0]
-        exact, _ = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
+        exact, _ = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         assert abs(report.p_hat - exact) <= 4.0 * report.std_error
         assert report.method is gm.Method.CRUDE_COMPONENTWISE
         assert report.n == 5
@@ -146,7 +147,7 @@ class TestCrudeMonteCarlo:
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(12)
         )[1]
-        _, exact = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
+        _, exact = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         assert abs(report.p_hat - exact) <= 4.0 * report.std_error
         assert report.method is gm.Method.CRUDE_AT_LEAST_ONE
 
@@ -402,7 +403,7 @@ class TestExactBlockReports:
         (entry,) = gm.ScalingLadder(limit, (1000,)).entries()
         cw_row, alo_row = gm.exact_block_reports([1.0, 1.0], [1.2, 1.2], entry, seed=5)
         a_n = math.sqrt(2.0 * math.log(1000.0))
-        cw, alo = gm.exact_block_diagonal([1.0, 1.0], [1.2, 1.2], a_n, 1000)
+        cw, alo = exact_block_pair([1.0, 1.0], [1.2, 1.2], a_n, 1000)
         assert cw_row.p_hat == pytest.approx(cw, rel=1e-12)
         assert alo_row.p_hat == pytest.approx(alo, rel=1e-12)
         assert cw_row.method is gm.Method.EXACT_BLOCK_DIAGONAL
@@ -419,7 +420,7 @@ class TestExactBlockReports:
         (entry,) = gm.ScalingLadder(limit, (100,)).entries()
         cw_row, _ = gm.exact_block_reports([1.0, 1.0], [1.0, 1.0], entry, seed=0)
         a_n = math.sqrt(2.0 * math.log(100.0))
-        cw, _ = gm.exact_block_diagonal([1.0, 1.0], [a_n, 0.5 * a_n], 1.0, 100)
+        cw, _ = exact_block_pair([1.0, 1.0], [a_n, 0.5 * a_n], 1.0, 100)
         assert cw_row.p_hat == pytest.approx(cw, rel=1e-12)
 
 
@@ -473,14 +474,14 @@ class TestConspiracyRate:
         p, ratio = gm.conspiracy_rate(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, trials, gm.RandomStream(63)
         )
-        cw, alo = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
+        cw, alo = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         exact_gap = cw - alo
         se = math.sqrt(exact_gap * (1.0 - exact_gap) / trials)
         assert abs(p - exact_gap) <= 3.0 * se
 
     def test_ratio_uses_provided_exact_union(self):
         entry = (5, np.ones(2))
-        cw, alo = gm.exact_block_diagonal([1.0, 1.0], [1.0, 1.0], 1.0, 5)
+        cw, alo = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         p, ratio = gm.conspiracy_rate(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 40_000,
             gm.RandomStream(63), exact_union=alo,

@@ -1,10 +1,10 @@
-"""Covariance factorization, seeded sampling, densities, and tail bounds."""
+"""Covariance factorization, seeded sampling, and densities."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 import gaussmax as gm
 from helpers import random_spd
@@ -229,36 +229,3 @@ class TestLogDensity:
         singles = np.array([gm.gaussian_log_density(model, p) for p in pts])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
-
-class TestMillsBounds:
-    def test_known_values_at_two(self):
-        lower, upper = gm.mills_bounds(2.0)
-        assert abs(lower - 0.020246612442445522) < 1e-15
-        assert abs(upper - 0.02699548325659403) < 1e-15
-        truth = stats.norm.sf(2.0)
-        assert lower <= truth <= upper
-
-    def test_tightness_at_eight(self):
-        lower, upper = gm.mills_bounds(8.0)
-        assert upper / lower <= 1.016
-
-    def test_sandwich_battery_against_quadrature(self):
-        # Tail probability written as phi(t) * integral of exp(-t*s - s^2/2),
-        # which keeps the quadrature well scaled even deep in the tail.
-        for t in np.linspace(1.2, 10.0, 25):
-            lower, upper = gm.mills_bounds(float(t))
-            factor, err = integrate.quad(
-                lambda s: math.exp(-t * s - 0.5 * s * s), 0.0, np.inf,
-                epsabs=1e-14, epsrel=1e-12,
-            )
-            assert err < 1e-10 * factor
-            phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-            truth = phi * factor
-            assert lower <= truth * (1.0 + 1e-9)
-            assert truth <= upper * (1.0 + 1e-9)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            gm.mills_bounds(0.0)
-        with pytest.raises(ValueError):
-            gm.mills_bounds(-1.0)

@@ -1,0 +1,43 @@
+"""The README's library quick start runs and shows the values its comments state."""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _stated(code: str, pattern: str) -> str:
+    """The value a comment in the quick start states, by a regex with one group."""
+    match = re.search(pattern, code, re.MULTILINE)
+    assert match, f"quick start no longer states {pattern!r}"
+    return match.group(1)
+
+
+def test_quick_start_values():
+    code = _quick_start()
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    point = namespace["point"]
+
+    x_star = json.loads(_stated(code, r"^point\.x_star\s+# (\[[^\]]*\])"))
+    alpha = float(_stated(code, r"^point\.margin_alpha\s+# (-?[\d.]+)"))
+    rate = float(_stated(code, r"^point\.rate_componentwise\s+# (-?[\d.]+)"))
+    slope = _stated(code, r"^# (-?\d\.\d+): the at-least-one slope")
+    assert (x_star, alpha, rate, slope) == ([1.2, 1.2], 1.44, -0.94, "-0.9643")
+
+    np.testing.assert_allclose(point.x_star, x_star, rtol=0, atol=1e-12)
+    assert point.margin_alpha == pytest.approx(alpha, abs=1e-12)
+    assert point.rate_componentwise == pytest.approx(rate, abs=1e-12)
+    decimals = len(slope.split(".")[1])
+    assert f"{namespace['slope']:.{decimals}f}" == slope
+    assert namespace["report"].p_hat > 0.0

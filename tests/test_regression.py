@@ -1,14 +1,16 @@
-"""Recorded outputs of `verify` and `estimate`, one config per rung plan.
+"""Recorded outputs of all four commands, one config per rung plan.
 
 Each directory under ``fixtures/regression`` holds a config and the
-``verify_ladder.csv``, ``verify_summary.json`` and ``estimate.json`` it
-produced: exact block rows (``exact-block``), importance-sampled rows on
-a halfspace (``is-halfspace``) and crude rows only on a mixture
-(``crude-mixture``).  Every config's crude rows hit, so a change to the
-rung plan, to the row order or to which substream feeds which estimator
-fails here.  Methods, block sizes, seeds and every other string or
-integer must match exactly; floats to a relative 1e-12, which allows a
-last-bit change in a formula but no change of draws.
+``dominate.json``, ``rate.json``, ``verify_ladder.csv``,
+``verify_summary.json`` and ``estimate.json`` it produced: exact block
+rows (``exact-block``), importance-sampled rows on a halfspace
+(``is-halfspace``) and crude rows only on a mixture (``crude-mixture``,
+which also records the per-component solutions).  Every config's crude
+rows hit, so a change to the rung plan, to the row order or to which
+substream feeds which estimator fails here.  Methods, block sizes,
+seeds and every other string or integer must match exactly; floats to a
+relative 1e-12, which allows a last-bit change in a formula but no
+change of draws.
 """
 
 import csv
@@ -57,12 +59,12 @@ def test_three_plan_branches_are_recorded():
 def test_outputs_match_recording(case, tmp_path):
     recorded = FIXTURES / case
     config = str(recorded / "config.yaml")
-    assert cli.main(["verify", "--config", config, "--out", str(tmp_path)]) == 0
-    assert cli.main(["estimate", "--config", config, "--out", str(tmp_path)]) == 0
+    for command in ("dominate", "rate", "verify", "estimate"):
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 0
     got_header = (tmp_path / "verify_ladder.csv").read_text().splitlines()[0]
     assert got_header == (recorded / "verify_ladder.csv").read_text().splitlines()[0]
     _same(_csv_rows(tmp_path / "verify_ladder.csv"), _csv_rows(recorded / "verify_ladder.csv"))
-    for name in ("verify_summary.json", "estimate.json"):
+    for name in ("dominate.json", "rate.json", "verify_summary.json", "estimate.json"):
         got = json.loads((tmp_path / name).read_text(encoding="utf-8"))
         want = json.loads((recorded / name).read_text(encoding="utf-8"))
         _same(got, want, name)
