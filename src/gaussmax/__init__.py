@@ -60,6 +60,7 @@ from .estimate import (
     Method,
     SlopeFit,
     conspiracy_rate,
+    crude_skip,
     exact_block_diagonal_log,
     exact_block_reports,
     exact_single_log,
@@ -114,6 +115,7 @@ __all__ = [
     "EstimateReport",
     "SlopeFit",
     "plan_rung",
+    "crude_skip",
     "mc_crude",
     "is_single",
     "union_combine",

@@ -32,6 +32,7 @@ from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
     EstimateReport,
     Method,
+    crude_skip,
     exact_block_reports,
     exact_single_log,
     is_single,
@@ -344,6 +345,13 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             "ladder": [{"n": e.n, "speed": e.speed} for e in entries],
         }
     )
+    skipped = [
+        crude_skip(model, target, e, config.trials)
+        for e, plan in zip(entries, plans)
+        if Method.CRUDE_COMPONENTWISE not in plan
+    ]
+    if skipped:
+        summary["crude_skipped"] = skipped
     warnings = _solve_warnings(solved, alpha)
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"

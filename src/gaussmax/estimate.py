@@ -14,8 +14,11 @@ once and yields the componentwise hits, the at-least-one hits and the
 conspiracies (maximum inside, no single vector inside) together.
 
 ``plan_rung`` is the one place that decides which of these a ladder
-rung runs (exact rows or importance sampling, then crude rows within a
-scalar budget); the command line only runs what it lists.
+rung runs (exact rows or importance sampling, then crude rows unless
+``crude_skip`` gives a reason not to); the command line only runs what
+it lists.  A rung skips its crude pass when it exceeds a scalar budget,
+or when its exact componentwise probability bounds the expected hits of
+both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in fixed-size chunks, chunk ``i`` from ``stream.substream(i)``.  Chunks
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .dominate import LadderEntry
-from .model import GaussianMixture, GaussianModel, RandomStream, sample_mixture
+from .model import GaussianMixture, GaussianModel, RandomStream, sample_mixture_into
 from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "EstimateReport",
     "SlopeFit",
     "plan_rung",
+    "crude_skip",
     "mc_crude",
     "is_single",
     "union_combine",
@@ -62,6 +66,12 @@ CHUNK_SCALARS = 4_000_000
 # A rung gets crude rows only while n * trials * dimension stays within
 # this many scalars; larger rungs rely on their exact or IS rows.
 CRUDE_SCALAR_BUDGET = 200_000_000
+
+# A rung with exact rows skips its crude pass when they put the expected
+# componentwise hits, an upper bound on the at-least-one hits too, at or
+# below this.  By Markov's inequality it is also the largest chance that
+# a skipped row would have seen any hit.
+CRUDE_MIN_EXPECTED_HITS = 0.01
 
 
 class Method(str, enum.Enum):
@@ -123,6 +133,40 @@ def _is_diagonal(sigma: np.ndarray) -> bool:
     return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
 
 
+def _exact_block(model, target: ConvexSet, diag: np.ndarray) -> bool:
+    """Whether the exact block formulas cover this rung."""
+    return (
+        isinstance(model, GaussianModel)
+        and isinstance(target, Block)
+        and _is_diagonal(model.covariance.sigma)
+        and np.all(model.mean == 0.0)
+        and np.all(diag * target.corner > 0.0)
+    )
+
+
+def crude_skip(model, target: ConvexSet, entry, trials: int) -> dict | None:
+    """Why a ladder rung runs no crude pass, or None when it runs one.
+
+    ``{"n", "reason": "scalar_budget", "scalars"}`` when ``n * trials *
+    dimension`` exceeds ``CRUDE_SCALAR_BUDGET``;  ``{"n", "reason":
+    "expected_hits", "expected_hits"}`` when the rung has exact rows and
+    ``trials * p_componentwise <= CRUDE_MIN_EXPECTED_HITS``.  On a block
+    the at-least-one event implies the componentwise one, so the bound
+    covers both crude rows.  The comparison is made in log space, so a
+    probability below double range still skips.
+    """
+    n, diag, _ = _resolve_entry(entry)
+    scalars = n * trials * model.dimension
+    if scalars > CRUDE_SCALAR_BUDGET:
+        return {"n": n, "reason": "scalar_budget", "scalars": scalars}
+    if _exact_block(model, target, diag):
+        sigma_diag = np.diag(model.covariance.sigma)
+        log_cw, _ = exact_block_diagonal_log(sigma_diag, diag * target.corner, 1.0, n)
+        if log_cw + math.log(trials) <= math.log(CRUDE_MIN_EXPECTED_HITS):
+            return {"n": n, "reason": "expected_hits", "expected_hits": trials * math.exp(log_cw)}
+    return None
+
+
 def plan_rung(model, target: ConvexSet, entry, trials: int) -> tuple[Method, ...]:
     """The estimators one ladder rung runs, in the order their rows are written.
 
@@ -130,20 +174,17 @@ def plan_rung(model, target: ConvexSet, entry, trials: int) -> tuple[Method, ...
     ``EXACT_BLOCK_DIAGONAL`` (its exact componentwise and union_combined
     rows); any other Gaussian gets ``IMPORTANCE_SAMPLED_SINGLE`` (one
     union_combined row).  The crude pair, one ``mc_crude`` pass, follows
-    while ``n * trials * dimension`` fits the budget, so an over-budget
-    mixture rung runs nothing.
+    unless ``crude_skip`` names a reason: the rung is over the scalar
+    budget, or its exact rows expect at most ``CRUDE_MIN_EXPECTED_HITS``
+    crude hits.  A rung without exact rows keeps its pair within the
+    budget, so an over-budget mixture rung runs nothing.
     """
-    n, diag, _ = _resolve_entry(entry)
+    _, diag, _ = _resolve_entry(entry)
     plan = []
     if isinstance(model, GaussianModel):
-        exact = (
-            isinstance(target, Block)
-            and _is_diagonal(model.covariance.sigma)
-            and np.all(model.mean == 0.0)
-            and np.all(diag * target.corner > 0.0)
-        )
+        exact = _exact_block(model, target, diag)
         plan.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
-    if n * trials * model.dimension <= CRUDE_SCALAR_BUDGET:
+    if crude_skip(model, target, entry, trials) is None:
         plan += [Method.CRUDE_COMPONENTWISE, Method.CRUDE_AT_LEAST_ONE]
     return tuple(plan)
 
@@ -156,8 +197,8 @@ def _map_chunks(task, total: int, chunk: int, executor) -> list:
     return list(executor.map(lambda job: task(*job), jobs))
 
 
-def _buffer_source(*shapes):
-    """Per-thread scratch arrays of the given shapes, reused by every chunk a thread runs.
+def _per_thread(make):
+    """Per-thread scratch arrays from ``make()``, reused by every chunk a thread runs.
 
     Fresh arrays for each chunk would make every chunk fault its pages in
     again; these live as long as the call that made the source.
@@ -166,7 +207,7 @@ def _buffer_source(*shapes):
 
     def buffers() -> list[np.ndarray]:
         if not hasattr(local, "arrays"):
-            local.arrays = [np.empty(shape) for shape in shapes]
+            local.arrays = make()
         return local.arrays
 
     return buffers
@@ -189,17 +230,26 @@ def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomSt
     scaled = target.scale(diag)
     chunk = max(1, CHUNK_SCALARS // (n * d))
     rows = min(chunk, trials)
-    buffers = _buffer_source((rows * n, d), (rows * n, d), (rows, d))
+    mixture = isinstance(model, GaussianMixture)
+
+    def make() -> list[np.ndarray]:
+        arrays = [np.empty((rows * n, d)), np.empty((rows * n, d)), np.empty((rows, d))]
+        if mixture:
+            masks = np.empty((len(model.components) - 1, rows * n, d), bool)
+            arrays += [np.empty((rows * n, d)), masks]
+        return arrays
+
+    buffers = _per_thread(make)
 
     def count(index: int, take: int) -> tuple[int, int, int]:
         sub = stream.substream(index)
-        z, x, top = buffers()
-        top = top[:take]
-        if isinstance(model, GaussianMixture):
-            x = sample_mixture(model, take * n, sub)
+        z, x, top, *scratch = buffers()
+        z, x, top = z[: take * n], x[: take * n], top[:take]
+        if mixture:
+            y, masks = scratch
+            sample_mixture_into(model, sub, x, z, y[: take * n], masks[:, : take * n])
         else:
-            chol = model.covariance.chol_lower
-            x = _gaussian_into(model.mean, chol, sub, z[: take * n], x[: take * n])
+            _gaussian_into(model.mean, model.covariance.chol_lower, sub, z, x)
         any_in = scaled.contains_many(x).reshape(take, n).any(axis=1)
         # Column by column: a strided maximum per coordinate is about ten
         # times faster than reducing the middle axis of (take, n, d).
@@ -271,7 +321,7 @@ def is_single(
     chol = model.covariance.chol_lower
     chunk = max(1, CHUNK_SCALARS // d)
     rows = min(chunk, samples)
-    buffers = _buffer_source((rows, d), (rows, d))
+    buffers = _per_thread(lambda: [np.empty((rows, d)), np.empty((rows, d))])
 
     def weigh(index: int, take: int) -> tuple[float, float, int]:
         z, x = (b[:take] for b in buffers())

@@ -26,6 +26,7 @@ __all__ = [
     "build_covariance",
     "sample_gaussian",
     "sample_mixture",
+    "sample_mixture_into",
     "gaussian_log_density",
 ]
 
@@ -236,17 +237,47 @@ def sample_mixture(mixture: GaussianMixture, count: int, stream: RandomStream) -
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = stream.substream(0).generator().random(count)
+    out = np.empty((count, mixture.dimension))
+    masks = np.empty((len(mixture.components) - 1, *out.shape), dtype=bool)
+    return sample_mixture_into(mixture, stream, out, np.empty_like(out), np.empty_like(out), masks)
+
+
+def sample_mixture_into(
+    mixture: GaussianMixture,
+    stream: RandomStream,
+    out: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    masks: np.ndarray,
+) -> np.ndarray:
+    """``sample_mixture(mixture, len(out), stream)`` drawn into ``out``, bit for bit.
+
+    ``z`` and ``y`` are C-contiguous scratch arrays shaped like ``out``,
+    ``masks`` a boolean ``(components - 1, *out.shape)`` scratch array.
+    The selection uniforms are drawn into ``y``'s storage and become one
+    mask per component after the first (``edges[j-1] <= u < edges[j]``,
+    the inverse-CDF pick).  ``out`` then takes the first component's
+    transform of every row, and ``y`` each later picked component's,
+    which ``out`` takes where its mask is set.
+    """
+    count = len(out)
+    u = y.reshape(-1)[:count]
+    stream.substream(0).generator().random(out=u)
+    # masks[j] is first u >= edges[j], then the picks of component j + 1.
     edges = np.cumsum(mixture.weights)
-    edges[-1] = 1.0
-    picks = np.searchsorted(edges, u, side="right")
-    picks = np.minimum(picks, len(mixture.components) - 1)
-    z = stream.substream(1).generator().standard_normal((count, mixture.dimension))
-    out = np.empty_like(z)
-    for j, comp in enumerate(mixture.components):
-        mask = picks == j
-        if np.any(mask):
-            out[mask] = comp.mean + z[mask] @ comp.covariance.chol_lower.T
+    for mask, edge in zip(masks, edges):
+        np.greater_equal(u[:, None], edge, out=mask)
+    for j in range(len(masks) - 1):
+        masks[j] ^= masks[j + 1]
+    stream.substream(1).generator().standard_normal(out=z)
+    first, *rest = mixture.components
+    np.matmul(z, first.covariance.chol_lower.T, out=out)
+    out += first.mean
+    for comp, mask in zip(rest, masks):
+        if mask.any():
+            np.matmul(z, comp.covariance.chol_lower.T, out=y)
+            y += comp.mean
+            np.copyto(out, y, where=mask)
     return out
 
 

@@ -137,3 +137,25 @@ def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, flo
     """Exact ``(p_componentwise, p_at_least_one)`` for a diagonal block, in linear space."""
     log_cw, log_alo = gm.exact_block_diagonal_log(sigma_diag, corner, a_n, n)
     return math.exp(log_cw), math.exp(log_alo)
+
+
+def fancy_index_mixture(
+    mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture draws by inverse-CDF picks and fancy-indexed transforms; returns ``(draws, picks)``.
+
+    The uniforms from ``stream.substream(0)`` pick components with
+    ``searchsorted``; the normals from ``stream.substream(1)`` of the picked
+    rows are transformed per component and scattered back.
+    """
+    u = stream.substream(0).generator().random(count)
+    edges = np.cumsum(mixture.weights)
+    edges[-1] = 1.0
+    picks = np.minimum(np.searchsorted(edges, u, side="right"), len(mixture.components) - 1)
+    z = stream.substream(1).generator().standard_normal((count, mixture.dimension))
+    out = np.empty_like(z)
+    for j, comp in enumerate(mixture.components):
+        mask = picks == j
+        if np.any(mask):
+            out[mask] = comp.mean + z[mask] @ comp.covariance.chol_lower.T
+    return out, picks

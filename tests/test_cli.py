@@ -330,20 +330,20 @@ class TestVerifyCommand:
         lines = csv_text.strip().split("\n")
         assert lines[0] == cli.CSV_HEADER
         rows = [line.split(",") for line in lines[1:]]
-        # Every rung contributes exact componentwise and union rows plus the
-        # two crude estimators (all rungs fit the sampling budget here).
+        # Every rung contributes exact componentwise and union rows; the two
+        # crude estimators follow where the exact rows expect more than 0.01
+        # hits in 2000 trials (0.36 at n = 100, 0.033 at n = 1000, 0.0034 at
+        # n = 10000).
         methods_by_n = {}
         for row in rows:
             methods_by_n.setdefault(int(row[0]), []).append(row[2])
-        assert set(methods_by_n) == {100, 1000, 10000}
-        for n, methods in methods_by_n.items():
-            assert methods == [
-                "exact_block_diagonal",
-                "union_combined",
-                "crude_componentwise",
-                "crude_at_least_one",
-            ]
+        exact = ["exact_block_diagonal", "union_combined"]
+        crude = ["crude_componentwise", "crude_at_least_one"]
+        assert methods_by_n == {100: exact + crude, 1000: exact + crude, 10000: exact}
         summary = json.loads((out / "verify_summary.json").read_text())
+        assert [(s["n"], s["reason"]) for s in summary["crude_skipped"]] == [
+            (10000, "expected_hits")
+        ]
         assert summary["predicted_rate"] == pytest.approx(-0.94, abs=1e-9)
         fits = summary["slope_fits"]
         assert fits["exact_block_diagonal"]["r_squared"] > 0.99
@@ -403,6 +403,39 @@ class TestVerifyCommand:
         assert len(crude) == 2
         assert all(float(r[3]) > 0.0 for r in crude)
 
+    def test_skipped_crude_pass_is_recorded_from_the_exact_row(self, tmp_path):
+        cfg = write_config(tmp_path, BLOCK_YAML)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            args = ["verify", "--config", str(cfg), "--out", str(out), "--workers", workers]
+            assert cli.main(args) == 0
+            summary = (out / "verify_summary.json").read_text().splitlines()
+            kept = [line for line in summary if '"workers"' not in line]
+            outputs.append(((out / "verify_ladder.csv").read_bytes(), kept))
+        assert outputs[1] == outputs[0]
+        rows = [line.split(",") for line in outputs[0][0].decode().splitlines()[1:]]
+        assert [r[2] for r in rows if r[0] == "10000"] == ["exact_block_diagonal", "union_combined"]
+        log_cw = next(float(r[5]) for r in rows if r[0] == "10000" and r[2] == "exact_block_diagonal")
+        summary = json.loads((tmp_path / "w1" / "verify_summary.json").read_text())
+        assert summary["crude_skipped"] == [
+            {"n": 10000, "reason": "expected_hits", "expected_hits": 2000 * math.exp(log_cw)}
+        ]
+        assert summary["crude_skipped"][0]["expected_hits"] == pytest.approx(3.4e-3, rel=0.02)
+
+    def test_over_budget_gaussian_rung_is_recorded(self, tmp_path):
+        text = HALFSPACE_YAML.replace("ladder: [100, 1000, 10000]", "ladder: [100, 1000, 100000]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "verify_ladder.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows if r[0] == "100000"] == ["union_combined"]
+        assert len([r for r in rows if r[2].startswith("crude_")]) == 4
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["crude_skipped"] == [
+            {"n": 100000, "reason": "scalar_budget", "scalars": 100000 * 2000 * 2}
+        ]
+
     def test_halfspace_uses_importance_sampling_rows(self, tmp_path):
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         out = tmp_path / "artifacts"
@@ -413,6 +446,7 @@ class TestVerifyCommand:
         assert "exact_block_diagonal" not in methods
         summary = json.loads((out / "verify_summary.json").read_text())
         assert "equivalence_gap" not in summary
+        assert "crude_skipped" not in summary
         fit = summary["slope_fits"]["union_combined"]
         assert fit["r_squared"] > 0.95
         assert len(fit["points"]) == 3
@@ -446,6 +480,9 @@ class TestVerifyCommand:
         assert summary["warnings"] == [
             "ladder entry n=1000000 does not fit the crude sampling budget",
             "ladder entry n=10000000 does not fit the crude sampling budget",
+        ]
+        assert summary["crude_skipped"] == [
+            {"n": n, "reason": "scalar_budget", "scalars": n * 2000 * 2} for n in (10**6, 10**7)
         ]
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "estimate.json").read_text())

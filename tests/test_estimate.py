@@ -252,6 +252,35 @@ class TestFusedCrude:
         np.testing.assert_array_equal(drawn, gm.sample_gaussian(model, 1001, stream))
 
 
+    def test_mixture_chunks_match_unbuffered_draws_on_threads(self, monkeypatch):
+        # 50 trials per chunk: 2010 trials are forty full chunks and a tail
+        # of ten, so each thread's buffers serve chunks of both sizes.
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
+        mixture = gm.GaussianMixture(
+            np.array([0.4, 0.6]),
+            (
+                gm.GaussianModel(np.array([0.5, 0.3]), gm.build_covariance(np.eye(2))),
+                self.MODEL,
+            ),
+        )
+        n, trials, chunk = 20, 2010, 50
+        entry = (n, np.full(2, math.sqrt(2.0 * math.log(n))))
+        stream = gm.RandomStream(12)
+        scaled = self.TARGET.scale(entry[1])
+        cw = alo = 0
+        for i, start in enumerate(range(0, trials, chunk)):
+            take = min(chunk, trials - start)
+            x = gm.sample_mixture(mixture, take * n, stream.substream(i))
+            cw += int(scaled.contains_many(x.reshape(take, n, 2).max(axis=1)).sum())
+            alo += int(scaled.contains_many(x).reshape(take, n).any(axis=1).sum())
+        inline = gm.mc_crude(mixture, self.TARGET, entry, trials, stream)
+        with ThreadPoolExecutor(3) as pool:
+            pooled = gm.mc_crude(mixture, self.TARGET, entry, trials, stream, pool)
+        assert pooled == inline
+        assert [round(r.p_hat * trials) for r in inline] == [cw, alo]
+        assert alo > 0
+
+
 class TestPlanRung:
     ENTRY = gm.ScalingLadder(gm.ScalingLimit.identity(2), (1000,)).entries()[0]
     CRUDE = (gm.Method.CRUDE_COMPONENTWISE, gm.Method.CRUDE_AT_LEAST_ONE)
@@ -295,6 +324,52 @@ class TestPlanRung:
         assert self.ENTRY.n * trials * 2 == estimate.CRUDE_SCALAR_BUDGET
         assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials) == (self.IS, *self.CRUDE)
         assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials + 1) == (self.IS,)
+
+    def test_exact_rung_skips_its_pair_at_few_expected_hits(self):
+        target = gm.Block(np.array([1.2, 1.2]))
+        corner = self.ENTRY.scale_diag * target.corner
+        p_cw = math.exp(gm.exact_block_diagonal_log(np.ones(2), corner, 1.0, self.ENTRY.n)[0])
+        bound = estimate.CRUDE_MIN_EXPECTED_HITS
+        under = math.floor(bound / p_cw)
+        # 599 trials expect 0.00999 hits, 600 trials 0.01001.
+        assert under * p_cw < bound * (1 - 1e-4) and (under + 1) * p_cw > bound * (1 + 1e-4)
+        exact = gm.Method.EXACT_BLOCK_DIAGONAL
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under) == (exact,)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under + 1) == (exact, *self.CRUDE)
+        skip = gm.crude_skip(STANDARD2, target, self.ENTRY, under)
+        assert skip == {"n": 1000, "reason": "expected_hits", "expected_hits": under * p_cw}
+        assert gm.crude_skip(STANDARD2, target, self.ENTRY, under + 1) is None
+
+    def test_skip_survives_underflow(self):
+        # p_componentwise is about exp(-1.2e4), far below double range.
+        target = gm.Block(np.array([30.0, 30.0]))
+        skip = gm.crude_skip(STANDARD2, target, self.ENTRY, 100)
+        assert skip == {"n": 1000, "reason": "expected_hits", "expected_hits": 0.0}
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, 100) == (gm.Method.EXACT_BLOCK_DIAGONAL,)
+
+    def test_rungs_without_exact_rows_keep_their_pair(self):
+        # Both single-vector probabilities are below 1e-300, but neither
+        # rung has an exact componentwise bound.
+        far = gm.Halfspace(np.array([1.0, 1.0]), 100.0)
+        assert gm.exact_single_log(STANDARD2, far, self.ENTRY) < math.log(1e-300)
+        assert gm.plan_rung(STANDARD2, far, self.ENTRY, 100) == (self.IS, *self.CRUDE)
+        assert gm.crude_skip(STANDARD2, far, self.ENTRY, 100) is None
+        cov = STANDARD2.covariance
+        mixture = gm.GaussianMixture(
+            np.array([0.5, 0.5]),
+            (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([-1.0, -1.0]), cov)),
+        )
+        block = gm.Block(np.array([30.0, 30.0]))
+        assert gm.plan_rung(mixture, block, self.ENTRY, 100) == self.CRUDE
+        assert gm.crude_skip(mixture, block, self.ENTRY, 100) is None
+
+    def test_skip_reports_the_scalar_budget(self):
+        trials = estimate.CRUDE_SCALAR_BUDGET // (self.ENTRY.n * 2) + 1
+        want = {"n": 1000, "reason": "scalar_budget", "scalars": 1000 * trials * 2}
+        halfspace = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
+        assert gm.crude_skip(STANDARD2, halfspace, self.ENTRY, trials) == want
+        assert gm.crude_skip(STANDARD2, gm.Block(np.array([0.1, 0.1])), self.ENTRY, trials) == want
+        assert gm.crude_skip(STANDARD2, halfspace, self.ENTRY, trials - 1) is None
 
     def test_exact_single_log(self):
         from scipy.stats import norm

@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 import gaussmax as gm
-from helpers import random_spd
+from gaussmax import model
+from helpers import fancy_index_mixture, random_spd
 
 
 class TestBuildCovariance:
@@ -193,6 +194,57 @@ class TestMixture:
         a = gm.sample_mixture(mixture, 128, gm.RandomStream(77))
         b = gm.sample_mixture(mixture, 128, gm.RandomStream(77))
         np.testing.assert_array_equal(a, b)
+
+
+class TestMixtureDraw:
+    """``sample_mixture`` and the buffered draw against the fancy-index oracle."""
+
+    @staticmethod
+    def _mixture(weights, d, seed):
+        rng = np.random.default_rng(seed)
+        comps = tuple(
+            gm.GaussianModel(rng.normal(size=d), gm.build_covariance(random_spd(rng, d)))
+            for _ in weights
+        )
+        return gm.GaussianMixture(np.asarray(weights), comps)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0,), (0.3, 0.7), (0.2, 0.0, 0.8), (0.0, 0.5, 0.5), (0.25, 0.35, 0.4)],
+        ids=["k1", "k2", "k3-zero-middle", "k3-zero-first", "k3"],
+    )
+    @pytest.mark.parametrize("count", [1, 7, 1001, 4099])
+    def test_matches_fancy_index_oracle(self, weights, d, count):
+        mixture = self._mixture(weights, d, seed=count + d)
+        stream = gm.RandomStream(4242, count)
+        want, picks = fancy_index_mixture(mixture, count, stream)
+        # A component picked by one row of several is transformed there by a
+        # one-row product, which numpy rounds differently from a matrix
+        # product; every other row must match bit for bit.
+        sizes = np.bincount(picks, minlength=len(weights))
+        lone = (sizes[picks] == 1) & (count > 1)
+        big = 5000
+        out, z, y = np.full((big, d), np.nan), np.empty((big, d)), np.empty((big, d))
+        masks = np.empty((len(weights) - 1, big, d), dtype=bool)
+        buffered = model.sample_mixture_into(
+            mixture, stream, out[:count], z[:count], y[:count], masks[:, :count]
+        )
+        assert np.isnan(out[count:]).all()
+        for got in (gm.sample_mixture(mixture, count, stream), buffered):
+            np.testing.assert_array_equal(got[~lone].view(np.uint64), want[~lone].view(np.uint64))
+            np.testing.assert_allclose(got[lone], want[lone], rtol=1e-13, atol=1e-13)
+
+    def test_oracle_cases_include_lone_and_shared_picks(self):
+        # The parametrization above checks both kinds of row.
+        lone = shared = 0
+        for count in (7, 1001):
+            mixture = self._mixture((0.3, 0.7), 5, seed=count + 5)
+            _, picks = fancy_index_mixture(mixture, count, gm.RandomStream(4242, count))
+            sizes = np.bincount(picks)
+            lone += int(np.sum(sizes == 1))
+            shared += int(np.sum(sizes > 1))
+        assert lone >= 1 and shared >= 2
 
 
 class TestLogDensity:
