@@ -32,7 +32,6 @@ from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
     EstimateReport,
     Method,
-    crude_skip,
     exact_block_reports,
     exact_single_log,
     is_single,
@@ -105,8 +104,9 @@ def _envelope(config: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def _solve_warnings(solved, alpha: float) -> list[str]:
+def _solve_warnings(solved) -> list[str]:
     """Warnings every command carries: the margin, and each failed KKT certificate."""
+    alpha = solved.margin_alpha
     warnings = []
     if alpha <= 1.0:
         warnings.append(MARGIN_WARNING)
@@ -115,7 +115,7 @@ def _solve_warnings(solved, alpha: float) -> list[str]:
     if isinstance(solved, DominatingPoint):
         points = [("x*", solved)]
     else:
-        points = [(f"component {c.index} x*", c) for c in solved.per_component]
+        points = [(f"component {c.component} x*", c) for c in solved.per_component]
     for label, point in points:
         if not point.optimality_certificate:
             warnings.append(
@@ -125,50 +125,25 @@ def _solve_warnings(solved, alpha: float) -> list[str]:
 
 
 def _solve(config: ExperimentConfig):
-    """Dominating point (Gaussian) or mixture rate, plus shared summary fields."""
+    """``(model, target, solved)``: a DominatingPoint, or a MixtureRate for a mixture."""
     model = config.build_model()
     target = config.build_set()
     limit = config.build_limit()
     if isinstance(model, GaussianMixture):
-        mix = rate_mixture(target, model, limit)
-        best = mix.per_component[mix.argmin_component - 1]
-        alpha = 0.5 * best.quad_value
-        return model, target, mix, best.x_star, alpha, mix.rate
-    point = dominating_point(target, model.covariance, limit)
-    return model, target, point, point.x_star, point.margin_alpha, point.rate_componentwise
+        return model, target, rate_mixture(target, model, limit)
+    return model, target, dominating_point(target, model.covariance, limit)
 
 
 def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
-    model, target, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved = _solve(config)
     payload = _envelope(config, seed)
-    payload["margin_alpha"] = alpha
-    payload["margin_pass"] = alpha > 1.0
-    payload["rate_componentwise"] = rate
-    warnings = _solve_warnings(solved, alpha)
-    if isinstance(solved, DominatingPoint):
-        payload.update(asdict(solved))
-    else:
-        payload.update(
-            {
-                "x_star": x_star,
-                "argmin_component": solved.argmin_component,
-                "per_component": [
-                    {
-                        "component": c.index,
-                        "x_star": c.x_star,
-                        "quad_value": c.quad_value,
-                        "iterations": c.iterations,
-                        "optimality_certificate": c.optimality_certificate,
-                        "kkt_residual": c.kkt_residual,
-                    }
-                    for c in solved.per_component
-                ],
-            }
-        )
+    payload["margin_pass"] = solved.margin_alpha > 1.0
+    payload.update(asdict(solved))
+    warnings = _solve_warnings(solved)
     if isinstance(target, Polyhedron) and target.dimension == 2:
         try:
             corner = corner_pairwise(target.constraints, target.offsets)
-            discrepancy = float(np.linalg.norm(np.asarray(x_star) - corner))
+            discrepancy = float(np.linalg.norm(solved.x_star - corner))
             payload["corner_pairwise"] = corner
             payload["corner_discrepancy"] = discrepancy
             if discrepancy > 1e-6:
@@ -185,16 +160,16 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
 
 
 def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
-    model, target, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved = _solve(config)
     ladder = config.build_ladder()
     payload = _envelope(config, seed)
     payload.update(
         {
             "speed_definition": "2*log(n)",
             "ladder": [{"n": e.n, "speed": e.speed} for e in ladder.entries()],
-            "margin_alpha": alpha,
-            "rate_componentwise": rate,
-            "warnings": _solve_warnings(solved, alpha),
+            "margin_alpha": solved.margin_alpha,
+            "rate_componentwise": solved.rate_componentwise,
+            "warnings": _solve_warnings(solved),
         }
     )
     if isinstance(solved, DominatingPoint):
@@ -203,7 +178,7 @@ def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
     else:
         payload["argmin_component"] = solved.argmin_component
         payload["per_component"] = [
-            {"component": c.index, "quad_value": c.quad_value}
+            {"component": c.component, "quad_value": c.quad_value}
             for c in solved.per_component
         ]
     _write_json(outdir / "rate.json", payload)
@@ -211,14 +186,14 @@ def run_rate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
 
 
 def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: bool) -> dict:
-    model, target, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved = _solve(config)
     entries = config.build_ladder().entries()
     payload = _envelope(config, seed)
-    warnings = _solve_warnings(solved, alpha)
+    warnings = _solve_warnings(solved)
     root = RandomStream(seed)
 
     if isinstance(model, GaussianMixture):
-        planned = [e for e in entries if plan_rung(model, target, e, config.trials)]
+        planned = [e for e in entries if plan_rung(model, target, e, config.trials)[0]]
         if planned:
             entry = planned[-1]
             payload.update({"n": entry.n, "speed": entry.speed})
@@ -233,7 +208,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
 
     entry = entries[-1]
     scaled = target.scale(entry.scale_diag)
-    shift = np.zeros(model.dimension) if zero_shift else entry.scale_diag * np.asarray(x_star)
+    shift = np.zeros(model.dimension) if zero_shift else entry.scale_diag * solved.x_star
     stream = root.substream(800)
     is_report = is_single(
         model, scaled, shift, config.is_samples, stream, n=1, scaling_norm_sq=entry.speed
@@ -280,7 +255,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             relative["union_combined_vs_exact"] = (
                 abs(union_report.p_hat - p_alo_exact) / p_alo_exact
             )
-        if Method.EXACT_BLOCK_DIAGONAL in plan_rung(model, target, entry, config.trials):
+        if Method.EXACT_BLOCK_DIAGONAL in plan_rung(model, target, entry, config.trials)[0]:
             cw, _ = exact_block_reports(np.diag(model.covariance.sigma), target.corner, entry, seed)
             exact["p_componentwise"] = cw.p_hat
         payload["exact"] = exact
@@ -299,11 +274,10 @@ _AT_LEAST_ONE_METHODS = {Method.UNION_COMBINED, Method.CRUDE_AT_LEAST_ONE}
 
 
 def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) -> dict:
-    model, target, solved, x_star, alpha, rate = _solve(config)
+    model, target, solved = _solve(config)
     entries = config.build_ladder().entries()
-    plans = [plan_rung(model, target, e, config.trials) for e in entries]
+    methods, skips = zip(*(plan_rung(model, target, e, config.trials) for e in entries))
     root = RandomStream(seed)
-    x_star = np.asarray(x_star, dtype=float)
 
     def entry_rows(i, entry, plan, pool) -> list[EstimateReport]:
         rows: list[EstimateReport] = []
@@ -314,7 +288,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
                 rows.extend(exact_block_reports(sigma_diag, target.corner, entry, seed))
             elif method is Method.IMPORTANCE_SAMPLED_SINGLE:
                 q = is_single(
-                    model, target.scale(entry.scale_diag), entry.scale_diag * x_star,
+                    model, target.scale(entry.scale_diag), entry.scale_diag * solved.x_star,
                     config.is_samples, root.substream(16 * i + 3),
                     n=1, scaling_norm_sq=entry.speed, executor=pool,
                 )
@@ -331,7 +305,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     # Workers share out the sampling chunks of one rung at a time; chunk
     # results combine in chunk order, so the rows do not depend on them.
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, plans))]
+        rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
     reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)
 
@@ -339,26 +313,22 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     summary.update(
         {
             "speed_definition": "2*log(n)",
-            "predicted_rate": rate,
-            "margin_alpha": alpha,
+            "predicted_rate": solved.rate_componentwise,
+            "margin_alpha": solved.margin_alpha,
             "workers": workers,
             "ladder": [{"n": e.n, "speed": e.speed} for e in entries],
         }
     )
-    skipped = [
-        crude_skip(model, target, e, config.trials)
-        for e, plan in zip(entries, plans)
-        if Method.CRUDE_COMPONENTWISE not in plan
-    ]
+    skipped = [skip for skip in skips if skip]
     if skipped:
         summary["crude_skipped"] = skipped
-    warnings = _solve_warnings(solved, alpha)
+    warnings = _solve_warnings(solved)
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"
-        for e, plan in zip(entries, plans)
+        for e, plan in zip(entries, methods)
         if not plan
     ]
-    product_rate = 0.5 * target.dimension - alpha
+    product_rate = 0.5 * target.dimension - solved.margin_alpha
 
     fits = {}
     for method in dict.fromkeys(r.method for r in reports):
@@ -370,7 +340,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
         if not pts:
             continue
         try:
-            fit = slope_fit(pts, rate)
+            fit = slope_fit(pts, solved.rate_componentwise)
         except ValueError as exc:
             fits[method.value] = {"error": str(exc), "points": pts}
             continue
@@ -386,7 +356,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
 
     # An exact rung's rows open with its componentwise and at-least-one pair.
     exact_pairs = [
-        rows[:2] for rows, plan in zip(rungs, plans) if Method.EXACT_BLOCK_DIAGONAL in plan
+        rows[:2] for rows, plan in zip(rungs, methods) if Method.EXACT_BLOCK_DIAGONAL in plan
     ]
     if exact_pairs:
         gap_entries = []

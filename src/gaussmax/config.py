@@ -5,8 +5,8 @@ scalars ``ladder``, ``trials``, ``is_samples``, ``seed``, ``outputs``.
 Parsing canonicalizes every number, normalizes the scaling diagonal so
 its largest entry is exactly 1 (recording the factor), and validates
 eagerly what can be checked without solving: positive definiteness,
-dimension agreement, an atypical set, and mixture means outside the set.
-The margin condition depends on the dominating point and is checked
+dimension agreement, an atypical set, and model or mixture means outside
+the set.  The margin condition depends on the dominating point and is checked
 lazily by the runners, which downgrade it to a warning.
 
 ``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly;
@@ -306,6 +306,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"config validation failed: mixture mean inside set (component {j})"
                 )
+    elif built_set.contains(built_model.mean):
+        # Not a rare event: an importance-sampled q-hat can exceed 1.
+        raise ConfigError("config validation failed: model mean inside set")
     return config
 
 

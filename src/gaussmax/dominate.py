@@ -158,9 +158,9 @@ class DominatingPoint:
 
 @dataclass(frozen=True, eq=False)
 class ComponentSolution:
-    """Recentered solution for one mixture component (1-based index)."""
+    """Recentered solution for one mixture component (1-based ``component``)."""
 
-    index: int
+    component: int
     x_star: np.ndarray
     quad_value: float
     iterations: int
@@ -170,11 +170,13 @@ class ComponentSolution:
 
 @dataclass(frozen=True, eq=False)
 class MixtureRate:
-    """Mixture decay rate: best component wins by the largest-term rule."""
+    """Largest-term mixture rate: ``x_star`` and ``margin_alpha`` are the argmin component's."""
 
-    rate: float
+    rate_componentwise: float
     argmin_component: int
     per_component: tuple
+    x_star: np.ndarray
+    margin_alpha: float
 
 
 def _weight_matrix(covariance: CovarianceModel, limit: ScalingLimit) -> np.ndarray:
@@ -405,7 +407,7 @@ def rate_mixture(
             raise MeanInsideSet(j) from None
         solutions.append(
             ComponentSolution(
-                index=j,
+                component=j,
                 x_star=_readonly(x),
                 quad_value=val,
                 iterations=iterations,
@@ -413,11 +415,14 @@ def rate_mixture(
                 kkt_residual=residual,
             )
         )
-    best = min(range(len(solutions)), key=lambda k: solutions[k].quad_value)
+    best = min(solutions, key=lambda c: c.quad_value)
+    alpha = 0.5 * best.quad_value
     return MixtureRate(
-        rate=0.5 - 0.5 * solutions[best].quad_value,
-        argmin_component=solutions[best].index,
+        rate_componentwise=0.5 - alpha,
+        argmin_component=best.component,
         per_component=tuple(solutions),
+        x_star=best.x_star,
+        margin_alpha=alpha,
     )
 
 

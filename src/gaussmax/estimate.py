@@ -11,13 +11,15 @@ probabilities into an empirical decay rate.
 
 Both crude estimators come from one pass: each chunk of trials is drawn
 once and yields the componentwise hits, the at-least-one hits and the
-conspiracies (maximum inside, no single vector inside) together.
+conspiracies (maximum inside, no single vector inside) together.  The
+crude pass and the importance sampler share one chunk driver, the only
+code here that tells a Gaussian draw from a mixture draw.
 
 ``plan_rung`` is the one place that decides which of these a ladder
-rung runs (exact rows or importance sampling, then crude rows unless
-``crude_skip`` gives a reason not to); the command line only runs what
-it lists.  A rung skips its crude pass when it exceeds a scalar budget,
-or when its exact componentwise probability bounds the expected hits of
+rung runs (exact rows or importance sampling, then crude rows) and, when
+it drops the crude pair, returns why; the command line only runs what it
+lists.  A rung skips its crude pass when it exceeds a scalar budget, or
+when its exact componentwise probability bounds the expected hits of
 both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
@@ -39,7 +41,8 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .dominate import LadderEntry
-from .model import GaussianMixture, GaussianModel, RandomStream, sample_mixture_into
+from .model import GaussianMixture, GaussianModel, RandomStream
+from .model import sample_gaussian_into, sample_mixture_into
 from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "EstimateReport",
     "SlopeFit",
     "plan_rung",
-    "crude_skip",
     "mc_crude",
     "is_single",
     "union_combine",
@@ -133,92 +135,81 @@ def _is_diagonal(sigma: np.ndarray) -> bool:
     return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
 
 
-def _exact_block(model, target: ConvexSet, diag: np.ndarray) -> bool:
-    """Whether the exact block formulas cover this rung."""
-    return (
+def plan_rung(
+    model, target: ConvexSet, entry, trials: int
+) -> tuple[tuple[Method, ...], dict | None]:
+    """``(methods, skip)``: the estimators one ladder rung runs, and why it runs no crude pair.
+
+    ``methods`` is in row order.  A block with a positive corner under a
+    centred diagonal Gaussian gets ``EXACT_BLOCK_DIAGONAL`` (its exact
+    componentwise and union_combined rows); any other Gaussian gets
+    ``IMPORTANCE_SAMPLED_SINGLE`` (one union_combined row).  The crude
+    pair, one ``mc_crude`` pass, follows when ``skip`` is None.  Else
+    ``skip`` is ``{"n", "reason": "scalar_budget", "scalars"}`` when ``n *
+    trials * dimension`` exceeds ``CRUDE_SCALAR_BUDGET``, or ``{"n",
+    "reason": "expected_hits", "expected_hits"}`` when the rung has exact
+    rows and ``trials * p_componentwise <= CRUDE_MIN_EXPECTED_HITS``,
+    compared in log space so that underflow still skips.  On a block the
+    at-least-one event implies the componentwise one, so the bound covers
+    both crude rows.  A rung without exact rows keeps its pair within the
+    budget, so an over-budget mixture rung runs nothing.
+    """
+    n, diag, _ = _resolve_entry(entry)
+    exact = (
         isinstance(model, GaussianModel)
         and isinstance(target, Block)
         and _is_diagonal(model.covariance.sigma)
         and np.all(model.mean == 0.0)
         and np.all(diag * target.corner > 0.0)
     )
-
-
-def crude_skip(model, target: ConvexSet, entry, trials: int) -> dict | None:
-    """Why a ladder rung runs no crude pass, or None when it runs one.
-
-    ``{"n", "reason": "scalar_budget", "scalars"}`` when ``n * trials *
-    dimension`` exceeds ``CRUDE_SCALAR_BUDGET``;  ``{"n", "reason":
-    "expected_hits", "expected_hits"}`` when the rung has exact rows and
-    ``trials * p_componentwise <= CRUDE_MIN_EXPECTED_HITS``.  On a block
-    the at-least-one event implies the componentwise one, so the bound
-    covers both crude rows.  The comparison is made in log space, so a
-    probability below double range still skips.
-    """
-    n, diag, _ = _resolve_entry(entry)
+    methods = []
+    if isinstance(model, GaussianModel):
+        methods.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
+    skip = None
     scalars = n * trials * model.dimension
     if scalars > CRUDE_SCALAR_BUDGET:
-        return {"n": n, "reason": "scalar_budget", "scalars": scalars}
-    if _exact_block(model, target, diag):
+        skip = {"n": n, "reason": "scalar_budget", "scalars": scalars}
+    elif exact:
         sigma_diag = np.diag(model.covariance.sigma)
         log_cw, _ = exact_block_diagonal_log(sigma_diag, diag * target.corner, 1.0, n)
         if log_cw + math.log(trials) <= math.log(CRUDE_MIN_EXPECTED_HITS):
-            return {"n": n, "reason": "expected_hits", "expected_hits": trials * math.exp(log_cw)}
-    return None
+            skip = {"n": n, "reason": "expected_hits", "expected_hits": trials * math.exp(log_cw)}
+    if skip is None:
+        methods += [Method.CRUDE_COMPONENTWISE, Method.CRUDE_AT_LEAST_ONE]
+    return tuple(methods), skip
 
 
-def plan_rung(model, target: ConvexSet, entry, trials: int) -> tuple[Method, ...]:
-    """The estimators one ladder rung runs, in the order their rows are written.
+def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, executor, body) -> list:
+    """``body(x)`` on each chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
 
-    A block with a positive corner under a centred diagonal Gaussian gets
-    ``EXACT_BLOCK_DIAGONAL`` (its exact componentwise and union_combined
-    rows); any other Gaussian gets ``IMPORTANCE_SAMPLED_SINGLE`` (one
-    union_combined row).  The crude pair, one ``mc_crude`` pass, follows
-    unless ``crude_skip`` names a reason: the rung is over the scalar
-    budget, or its exact rows expect at most ``CRUDE_MIN_EXPECTED_HITS``
-    crude hits.  A rung without exact rows keeps its pair within the
-    budget, so an over-budget mixture rung runs nothing.
+    Chunk ``i`` holds at most ``CHUNK_SCALARS // (unit_rows * d)`` units,
+    drawn from ``model`` (a Gaussian or a mixture) with
+    ``stream.substream(i)``.  Chunks run on ``executor`` when given
+    (anything with an ordered ``map``), inline otherwise.  Each thread
+    keeps its scratch arrays for all its chunks, so pages fault in once.
     """
-    _, diag, _ = _resolve_entry(entry)
-    plan = []
-    if isinstance(model, GaussianModel):
-        exact = _exact_block(model, target, diag)
-        plan.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
-    if crude_skip(model, target, entry, trials) is None:
-        plan += [Method.CRUDE_COMPONENTWISE, Method.CRUDE_AT_LEAST_ONE]
-    return tuple(plan)
-
-
-def _map_chunks(task, total: int, chunk: int, executor) -> list:
-    """``task(index, take)`` over the chunks of ``total`` items, results in chunk order."""
-    jobs = [(i, min(chunk, total - start)) for i, start in enumerate(range(0, total, chunk))]
-    if executor is None:
-        return [task(*job) for job in jobs]
-    return list(executor.map(lambda job: task(*job), jobs))
-
-
-def _per_thread(make):
-    """Per-thread scratch arrays from ``make()``, reused by every chunk a thread runs.
-
-    Fresh arrays for each chunk would make every chunk fault its pages in
-    again; these live as long as the call that made the source.
-    """
+    d = model.dimension
+    chunk = max(1, CHUNK_SCALARS // (unit_rows * d))
+    rows = min(chunk, units) * unit_rows
+    mixture = isinstance(model, GaussianMixture)
     local = threading.local()
 
-    def buffers() -> list[np.ndarray]:
+    def draw(index: int):
         if not hasattr(local, "arrays"):
-            local.arrays = make()
-        return local.arrays
+            local.arrays = [np.empty((rows, d)) for _ in range(3 if mixture else 2)]
+            if mixture:
+                local.arrays.append(np.empty((len(model.components) - 1, rows, d), bool))
+        take = min(chunk, units - index * chunk) * unit_rows
+        # The row axis is second to last in every array, masks included.
+        x, z, *scratch = (a[..., :take, :] for a in local.arrays)
+        if mixture:
+            sample_mixture_into(model, stream.substream(index), x, z, *scratch)
+        else:
+            sample_gaussian_into(model, stream.substream(index), x, z)
+        return body(x)
 
-    return buffers
-
-
-def _gaussian_into(mean, chol, stream: RandomStream, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``mean + z @ chol.T`` drawn into ``x``; bit-identical to ``sample_gaussian``."""
-    stream.generator().standard_normal(out=z)
-    np.matmul(z, chol.T, out=x)
-    x += mean
-    return x
+    jobs = range(-(-units // chunk))
+    return list(map(draw, jobs) if executor is None else executor.map(draw, jobs))
 
 
 def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomStream, executor):
@@ -228,38 +219,19 @@ def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomSt
         raise ValueError(f"trials must be >= 1, got {trials}")
     d = model.dimension
     scaled = target.scale(diag)
-    chunk = max(1, CHUNK_SCALARS // (n * d))
-    rows = min(chunk, trials)
-    mixture = isinstance(model, GaussianMixture)
 
-    def make() -> list[np.ndarray]:
-        arrays = [np.empty((rows * n, d)), np.empty((rows * n, d)), np.empty((rows, d))]
-        if mixture:
-            masks = np.empty((len(model.components) - 1, rows * n, d), bool)
-            arrays += [np.empty((rows * n, d)), masks]
-        return arrays
-
-    buffers = _per_thread(make)
-
-    def count(index: int, take: int) -> tuple[int, int, int]:
-        sub = stream.substream(index)
-        z, x, top, *scratch = buffers()
-        z, x, top = z[: take * n], x[: take * n], top[:take]
-        if mixture:
-            y, masks = scratch
-            sample_mixture_into(model, sub, x, z, y[: take * n], masks[:, : take * n])
-        else:
-            _gaussian_into(model.mean, model.covariance.chol_lower, sub, z, x)
-        any_in = scaled.contains_many(x).reshape(take, n).any(axis=1)
+    def count(x: np.ndarray) -> tuple[int, int, int]:
+        any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
         # Column by column: a strided maximum per coordinate is about ten
         # times faster than reducing the middle axis of (take, n, d).
-        blocks = x.reshape(take, n, d)
+        blocks = x.reshape(-1, n, d)
+        top = np.empty((len(blocks), d))
         for j in range(d):
             np.max(blocks[:, :, j], axis=1, out=top[:, j])
         top_in = scaled.contains_many(top)
         return int(top_in.sum()), int(any_in.sum()), int((top_in & ~any_in).sum())
 
-    counts = _map_chunks(count, trials, chunk, executor)
+    counts = _draw_chunks(model, trials, n, stream, executor, count)
     return n, speed, tuple(map(sum, zip(*counts)))
 
 
@@ -317,20 +289,14 @@ def is_single(
     if shift.shape != (d,):
         raise ValueError(f"shift must have shape ({d},)")
     theta = model.covariance.sigma_inv @ shift
-    shifted_mean = model.mean + shift
-    chol = model.covariance.chol_lower
-    chunk = max(1, CHUNK_SCALARS // d)
-    rows = min(chunk, samples)
-    buffers = _per_thread(lambda: [np.empty((rows, d)), np.empty((rows, d))])
+    shifted = GaussianModel(model.mean + shift, model.covariance)
 
-    def weigh(index: int, take: int) -> tuple[float, float, int]:
-        z, x = (b[:take] for b in buffers())
-        _gaussian_into(shifted_mean, chol, stream.substream(index), z, x)
+    def weigh(x: np.ndarray) -> tuple[float, float, int]:
         hit = target.contains_many(x)
         w = np.exp(-(x[hit] - model.mean - 0.5 * shift) @ theta)
         return float(w.sum()), float((w * w).sum()), int(hit.sum())
 
-    sums, sq_sums, hits = zip(*_map_chunks(weigh, samples, chunk, executor))
+    sums, sq_sums, hits = zip(*_draw_chunks(shifted, samples, 1, stream, executor, weigh))
     hit_count = sum(hits)
     if hit_count == 0:
         return EstimateReport(

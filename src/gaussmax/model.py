@@ -25,6 +25,7 @@ __all__ = [
     "GaussianMixture",
     "build_covariance",
     "sample_gaussian",
+    "sample_gaussian_into",
     "sample_mixture",
     "sample_mixture_into",
     "gaussian_log_density",
@@ -222,9 +223,21 @@ def sample_gaussian(model: GaussianModel, count: int, stream: RandomStream) -> n
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = stream.generator()
-    z = rng.standard_normal((count, model.dimension))
-    return model.mean + z @ model.covariance.chol_lower.T
+    out = np.empty((count, model.dimension))
+    return sample_gaussian_into(model, stream, out, np.empty_like(out))
+
+
+def sample_gaussian_into(
+    model: GaussianModel, stream: RandomStream, out: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``sample_gaussian(model, len(out), stream)`` drawn into ``out``, bit for bit.
+
+    ``z`` is a C-contiguous scratch array shaped like ``out``.
+    """
+    stream.generator().standard_normal(out=z)
+    np.matmul(z, model.covariance.chol_lower.T, out=out)
+    out += model.mean
+    return out
 
 
 def sample_mixture(mixture: GaussianMixture, count: int, stream: RandomStream) -> np.ndarray:

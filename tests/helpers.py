@@ -139,6 +139,12 @@ def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, flo
     return math.exp(log_cw), math.exp(log_alo)
 
 
+def fresh_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) -> np.ndarray:
+    """``mean + z @ C.T`` with ``z`` freshly allocated from ``stream``'s generator."""
+    z = stream.generator().standard_normal((count, model.dimension))
+    return model.mean + z @ model.covariance.chol_lower.T
+
+
 def fancy_index_mixture(
     mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:

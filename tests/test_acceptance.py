@@ -292,15 +292,15 @@ def test_c07_mixture_rate_largest_term(capsys):
         worst_rel = max(worst_rel, abs(comp.quad_value - grid) / abs(grid))
     brute = 0.5 - 0.5 * min(c.quad_value for c in mix.per_component)
     ok = (
-        mix.rate == pytest.approx(-3.5, abs=1e-8)
+        mix.rate_componentwise == pytest.approx(-3.5, abs=1e-8)
         and mix.argmin_component == 2
         and worst_rel <= 1e-3
-        and mix.rate == brute
+        and mix.rate_componentwise == brute
     )
     _verdict(
         capsys, 7,
         ok,
-        f"rate {mix.rate:.6f} vs -3.5, argmin component {mix.argmin_component}, "
+        f"rate {mix.rate_componentwise:.6f} vs -3.5, argmin component {mix.argmin_component}, "
         f"worst per-component grid gap {worst_rel:.2e}, largest-term min exact",
     )
 

@@ -560,10 +560,10 @@ class TestCertificateWarnings:
             assert warning in json.loads((out / name).read_text())["warnings"], name
 
     def test_mixture_components_are_named(self):
-        good = SimpleNamespace(index=1, optimality_certificate=True, kkt_residual=1e-15)
-        bad = SimpleNamespace(index=2, optimality_certificate=False, kkt_residual=3.25e-4)
-        solved = SimpleNamespace(per_component=(good, bad))
-        assert cli._solve_warnings(solved, 4.0) == [
+        good = SimpleNamespace(component=1, optimality_certificate=True, kkt_residual=1e-15)
+        bad = SimpleNamespace(component=2, optimality_certificate=False, kkt_residual=3.25e-4)
+        solved = SimpleNamespace(per_component=(good, bad), margin_alpha=4.0)
+        assert cli._solve_warnings(solved) == [
             "component 2 x* fails its KKT certificate (kkt_residual 0.000325)"
         ]
 
@@ -574,6 +574,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "atypical set required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["3", "4"])
+    def test_gaussian_mean_inside_set_is_two(self, tmp_path, capsys, seed):
+        # Not a rare event: on these seeds an IS q-hat exceeds 1, which
+        # used to crash the union_combined row with a ValueError.
+        text = BLOCK_YAML.replace("mean: [0.0, 0.0]", "mean: [3.0, 3.0]")
+        text = text.replace("corner: [1.2, 1.2]", "corner: [0.5, 0.5]")
+        text = text.replace("ladder: [100, 1000, 10000]", "ladder: [2, 3, 4]")
+        text = text.replace("trials: 2000", "trials: 200")
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "o")
+        assert cli.main(["verify", "--config", str(cfg), "--seed", seed, "--out", out]) == 2
+        assert "model mean inside set" in capsys.readouterr().err
 
     def test_unknown_key_is_two(self, tmp_path):
         cfg = write_config(tmp_path, BLOCK_YAML + "bogus: 1\n")

@@ -479,19 +479,34 @@ class TestMixtureRate:
         result = gm.rate_mixture(
             gm.Block(np.array([2.0, 2.0])), self._mixture(), gm.ScalingLimit.identity(2)
         )
-        assert result.rate == pytest.approx(-3.5, abs=1e-8)
+        assert result.rate_componentwise == pytest.approx(-3.5, abs=1e-8)
         assert result.argmin_component == 2
-        assert [c.index for c in result.per_component] == [1, 2]
+        assert [c.component for c in result.per_component] == [1, 2]
         assert result.per_component[0].quad_value == pytest.approx(18.0, abs=1e-7)
         assert result.per_component[1].quad_value == pytest.approx(8.0, abs=1e-8)
         np.testing.assert_allclose(result.per_component[1].x_star, [2.0, 2.0], atol=1e-8)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["argmin-last", "argmin-first"])
+    def test_margin_and_x_star_are_the_argmin_components(self, order):
+        # On a ball the two recentered minimizers differ, so x* tells them apart.
+        comps = self._mixture().components
+        mixture = gm.GaussianMixture(np.array([0.5, 0.5]), tuple(comps[k] for k in order))
+        target = gm.Ellipsoid(np.array([3.0, 2.0]), np.eye(2), 0.5)
+        result = gm.rate_mixture(target, mixture, gm.ScalingLimit(np.array([1.0, 0.7])))
+        best = min(result.per_component, key=lambda c: c.quad_value)
+        other = max(result.per_component, key=lambda c: c.quad_value)
+        assert result.argmin_component == best.component == order.index(1) + 1
+        assert result.margin_alpha == 0.5 * best.quad_value
+        assert result.rate_componentwise == 0.5 - result.margin_alpha
+        np.testing.assert_array_equal(result.x_star, best.x_star)
+        assert np.linalg.norm(result.x_star - other.x_star) > 1e-3
 
     def test_weights_do_not_enter_rate(self):
         target = gm.Block(np.array([2.0, 2.0]))
         limit = gm.ScalingLimit.identity(2)
         a = gm.rate_mixture(target, self._mixture((0.3, 0.7)), limit)
         b = gm.rate_mixture(target, self._mixture((0.9, 0.1)), limit)
-        assert a.rate == b.rate
+        assert a.rate_componentwise == b.rate_componentwise
         assert a.argmin_component == b.argmin_component
 
     def test_mean_inside_set_rejected(self):
@@ -523,7 +538,7 @@ class TestMixtureRate:
         mixture = gm.GaussianMixture(np.array([1.0]), (gm.GaussianModel(np.zeros(2), cov),))
         result = gm.rate_mixture(target, mixture, limit)
         point = gm.dominating_point(target, cov, limit)
-        assert result.rate == pytest.approx(point.rate_componentwise, abs=1e-9)
+        assert result.rate_componentwise == pytest.approx(point.rate_componentwise, abs=1e-9)
         assert result.argmin_component == 1
 
 

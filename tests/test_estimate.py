@@ -243,15 +243,6 @@ class TestFusedCrude:
         assert pooled == inline
         assert inline[1].p_hat > 0.0
 
-    def test_buffered_draw_matches_sample_gaussian(self):
-        cov = gm.build_covariance(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]]))
-        model = gm.GaussianModel(np.array([0.5, -1.0, 2.0]), cov)
-        stream = gm.RandomStream(8, 3)
-        z, x = np.empty((1500, 3)), np.empty((1500, 3))
-        drawn = estimate._gaussian_into(model.mean, cov.chol_lower, stream, z[:1001], x[:1001])
-        np.testing.assert_array_equal(drawn, gm.sample_gaussian(model, 1001, stream))
-
-
     def test_mixture_chunks_match_unbuffered_draws_on_threads(self, monkeypatch):
         # 50 trials per chunk: 2010 trials are forty full chunks and a tail
         # of ten, so each thread's buffers serve chunks of both sizes.
@@ -288,7 +279,7 @@ class TestPlanRung:
 
     def test_centred_diagonal_block_gets_exact_rows(self):
         model = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.diag([1.0, 2.0])))
-        plan = gm.plan_rung(model, gm.Block(np.array([1.0, 1.2])), self.ENTRY, 100)
+        plan = gm.plan_rung(model, gm.Block(np.array([1.0, 1.2])), self.ENTRY, 100)[0]
         assert plan == (gm.Method.EXACT_BLOCK_DIAGONAL, *self.CRUDE)
 
     @pytest.mark.parametrize(
@@ -306,7 +297,7 @@ class TestPlanRung:
         ids=["correlated-block", "nonzero-mean-block", "halfspace", "polyhedron", "ellipsoid"],
     )
     def test_other_gaussian_rungs_get_importance_sampling(self, model, target):
-        assert gm.plan_rung(model, target, self.ENTRY, 100) == (self.IS, *self.CRUDE)
+        assert gm.plan_rung(model, target, self.ENTRY, 100)[0] == (self.IS, *self.CRUDE)
 
     def test_mixture_gets_crude_rows_only(self):
         cov = STANDARD2.covariance
@@ -315,15 +306,15 @@ class TestPlanRung:
             (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([-1.0, -1.0]), cov)),
         )
         target = gm.Block(np.array([2.0, 2.0]))
-        assert gm.plan_rung(mixture, target, self.ENTRY, 100) == self.CRUDE
-        assert gm.plan_rung(mixture, target, self.ENTRY, 10**6) == ()
+        assert gm.plan_rung(mixture, target, self.ENTRY, 100)[0] == self.CRUDE
+        assert gm.plan_rung(mixture, target, self.ENTRY, 10**6)[0] == ()
 
     def test_budget_boundary_is_inclusive(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
         trials = estimate.CRUDE_SCALAR_BUDGET // (self.ENTRY.n * 2)
         assert self.ENTRY.n * trials * 2 == estimate.CRUDE_SCALAR_BUDGET
-        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials) == (self.IS, *self.CRUDE)
-        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials + 1) == (self.IS,)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials)[0] == (self.IS, *self.CRUDE)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, trials + 1)[0] == (self.IS,)
 
     def test_exact_rung_skips_its_pair_at_few_expected_hits(self):
         target = gm.Block(np.array([1.2, 1.2]))
@@ -334,42 +325,44 @@ class TestPlanRung:
         # 599 trials expect 0.00999 hits, 600 trials 0.01001.
         assert under * p_cw < bound * (1 - 1e-4) and (under + 1) * p_cw > bound * (1 + 1e-4)
         exact = gm.Method.EXACT_BLOCK_DIAGONAL
-        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under) == (exact,)
-        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under + 1) == (exact, *self.CRUDE)
-        skip = gm.crude_skip(STANDARD2, target, self.ENTRY, under)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under)[0] == (exact,)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under + 1)[0] == (exact, *self.CRUDE)
+        skip = gm.plan_rung(STANDARD2, target, self.ENTRY, under)[1]
         assert skip == {"n": 1000, "reason": "expected_hits", "expected_hits": under * p_cw}
-        assert gm.crude_skip(STANDARD2, target, self.ENTRY, under + 1) is None
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, under + 1)[1] is None
 
     def test_skip_survives_underflow(self):
         # p_componentwise is about exp(-1.2e4), far below double range.
         target = gm.Block(np.array([30.0, 30.0]))
-        skip = gm.crude_skip(STANDARD2, target, self.ENTRY, 100)
+        skip = gm.plan_rung(STANDARD2, target, self.ENTRY, 100)[1]
         assert skip == {"n": 1000, "reason": "expected_hits", "expected_hits": 0.0}
-        assert gm.plan_rung(STANDARD2, target, self.ENTRY, 100) == (gm.Method.EXACT_BLOCK_DIAGONAL,)
+        exact = gm.Method.EXACT_BLOCK_DIAGONAL
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, 100)[0] == (exact,)
 
     def test_rungs_without_exact_rows_keep_their_pair(self):
         # Both single-vector probabilities are below 1e-300, but neither
         # rung has an exact componentwise bound.
         far = gm.Halfspace(np.array([1.0, 1.0]), 100.0)
         assert gm.exact_single_log(STANDARD2, far, self.ENTRY) < math.log(1e-300)
-        assert gm.plan_rung(STANDARD2, far, self.ENTRY, 100) == (self.IS, *self.CRUDE)
-        assert gm.crude_skip(STANDARD2, far, self.ENTRY, 100) is None
+        assert gm.plan_rung(STANDARD2, far, self.ENTRY, 100)[0] == (self.IS, *self.CRUDE)
+        assert gm.plan_rung(STANDARD2, far, self.ENTRY, 100)[1] is None
         cov = STANDARD2.covariance
         mixture = gm.GaussianMixture(
             np.array([0.5, 0.5]),
             (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([-1.0, -1.0]), cov)),
         )
         block = gm.Block(np.array([30.0, 30.0]))
-        assert gm.plan_rung(mixture, block, self.ENTRY, 100) == self.CRUDE
-        assert gm.crude_skip(mixture, block, self.ENTRY, 100) is None
+        assert gm.plan_rung(mixture, block, self.ENTRY, 100)[0] == self.CRUDE
+        assert gm.plan_rung(mixture, block, self.ENTRY, 100)[1] is None
 
     def test_skip_reports_the_scalar_budget(self):
         trials = estimate.CRUDE_SCALAR_BUDGET // (self.ENTRY.n * 2) + 1
         want = {"n": 1000, "reason": "scalar_budget", "scalars": 1000 * trials * 2}
         halfspace = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
-        assert gm.crude_skip(STANDARD2, halfspace, self.ENTRY, trials) == want
-        assert gm.crude_skip(STANDARD2, gm.Block(np.array([0.1, 0.1])), self.ENTRY, trials) == want
-        assert gm.crude_skip(STANDARD2, halfspace, self.ENTRY, trials - 1) is None
+        assert gm.plan_rung(STANDARD2, halfspace, self.ENTRY, trials)[1] == want
+        block = gm.Block(np.array([0.1, 0.1]))
+        assert gm.plan_rung(STANDARD2, block, self.ENTRY, trials)[1] == want
+        assert gm.plan_rung(STANDARD2, halfspace, self.ENTRY, trials - 1)[1] is None
 
     def test_exact_single_log(self):
         from scipy.stats import norm

@@ -8,7 +8,7 @@ from scipy import stats
 
 import gaussmax as gm
 from gaussmax import model
-from helpers import fancy_index_mixture, random_spd
+from helpers import fancy_index_mixture, fresh_gaussian, random_spd
 
 
 class TestBuildCovariance:
@@ -134,6 +134,23 @@ class TestGaussianSampling:
         model = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
         with pytest.raises(ValueError):
             gm.sample_gaussian(model, 0, gm.RandomStream(1))
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_buffered_draw_matches_fresh_oracle(self, d):
+        # One pair of larger buffers serves draws of several sizes in turn;
+        # each must match the oracle bit for bit and leave the tail alone.
+        rng = np.random.default_rng(d)
+        gauss = gm.GaussianModel(rng.normal(size=d), gm.build_covariance(random_spd(rng, d)))
+        big = 1500
+        out, z = np.full((big, d), np.nan), np.empty((big, d))
+        for count in (1001, 1, 7, 1001):
+            stream = gm.RandomStream(8, count)
+            out[:] = np.nan
+            drawn = model.sample_gaussian_into(gauss, stream, out[:count], z[:count])
+            want = fresh_gaussian(gauss, count, stream)
+            assert np.isnan(out[count:]).all()
+            for got in (drawn, gm.sample_gaussian(gauss, count, stream)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMixture:

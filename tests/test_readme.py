@@ -1,11 +1,15 @@
-"""The README's library quick start runs and shows the values its comments state."""
+"""The README's library quick start runs and shows the values its comments state,
+and its flag list names exactly the flags the command line parser takes."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from gaussmax.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +45,35 @@ def test_quick_start_values():
     decimals = len(slope.split(".")[1])
     assert f"{namespace['slope']:.{decimals}f}" == slope
     assert namespace["report"].p_hat > 0.0
+
+
+def _readme_flags() -> set:
+    """``(command, flag)`` pairs of the "Common flags" paragraph; command None for all."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    return {(cmd or None, flag) for cmd, flag in re.findall(r"`(?:(\w+) )?(--[\w-]+)", paragraph)}
+
+
+def _parser_flags() -> set:
+    """The same pairs from ``build_parser()``; a flag every subcommand takes gets None."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    per_command = {
+        name: {
+            flag
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        for name, sub in commands.choices.items()
+    }
+    common = set.intersection(*per_command.values())
+    own = {(name, f) for name, flags in per_command.items() for f in flags - common}
+    return {(None, f) for f in common} | own
+
+
+def test_flag_list_matches_parser():
+    readme, parser = _readme_flags(), _parser_flags()
+    assert readme - parser == set(), "README names flags the parser does not take"
+    assert parser - readme == set(), "the parser takes flags the README does not name"
+    assert (None, "--config") in readme and ("verify", "--workers") in readme

@@ -4,8 +4,10 @@ Each directory under ``fixtures/regression`` holds a config and the
 ``dominate.json``, ``rate.json``, ``verify_ladder.csv``,
 ``verify_summary.json`` and ``estimate.json`` it produced: exact block
 rows (``exact-block``), importance-sampled rows on a halfspace
-(``is-halfspace``) and crude rows only on a mixture (``crude-mixture``,
-which also records the per-component solutions).  Every config's crude
+(``is-halfspace``) and on a 2-D polyhedron (``is-polyhedron``, which
+also records the pairwise corner check), and crude rows only on a
+mixture (``crude-mixture``, which also records the per-component
+solutions).  Every config's crude
 rows hit, so a change to the rung plan, to the row order or to which
 substream feeds which estimator fails here.  Methods, block sizes,
 seeds and every other string or integer must match exactly; floats to a
@@ -52,7 +54,7 @@ def _csv_rows(path: Path) -> list[dict]:
 
 
 def test_three_plan_branches_are_recorded():
-    assert CASES == ["crude-mixture", "exact-block", "is-halfspace"]
+    assert CASES == ["crude-mixture", "exact-block", "is-halfspace", "is-polyhedron"]
 
 
 @pytest.mark.parametrize("case", CASES)
