@@ -32,6 +32,7 @@ from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
     EstimateReport,
     Method,
+    _is_single_shifts,
     exact_block_reports,
     exact_single_log,
     is_single,
@@ -209,17 +210,19 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     entry = entries[-1]
     scaled = target.scale(entry.scale_diag)
     shift = np.zeros(model.dimension) if zero_shift else entry.scale_diag * solved.x_star
-    stream = root.substream(800)
-    is_report = is_single(
-        model, scaled, shift, config.is_samples, stream, n=1, scaling_norm_sq=entry.speed
-    )
-    crude_report = is_single(
-        model, scaled, np.zeros(model.dimension), config.is_samples, stream,
-        n=1, scaling_norm_sq=entry.speed,
+    # The crude counterpart is the zero shift, weighed on the same draws.
+    (is_report, crude_report), (is_hits, _) = _is_single_shifts(
+        model, scaled, (shift, np.zeros(model.dimension)), config.is_samples,
+        root.substream(800), n=1, scaling_norm_sq=entry.speed,
     )
     union_report = union_combined_report(is_report, entry.n, entry.speed)
-    if is_report.degenerate_weights:
+    if is_report.degenerate_weights and is_hits == 0:
         warnings.append("importance sampler produced no hits (degenerate weights)")
+    elif is_report.degenerate_weights:
+        warnings.append(
+            f"importance weights of {is_hits} hits summed to zero or overflowed"
+            " (degenerate weights)"
+        )
 
     var_is = is_report.std_error**2 * is_report.trials
     var_crude = crude_report.p_hat * (1.0 - crude_report.p_hat)

@@ -13,7 +13,10 @@ Both crude estimators come from one pass: each chunk of trials is drawn
 once and yields the componentwise hits, the at-least-one hits and the
 conspiracies (maximum inside, no single vector inside) together.  The
 crude pass and the importance sampler share one chunk driver, the only
-code here that tells a Gaussian draw from a mixture draw.
+code here that tells a Gaussian draw from a mixture draw.  The importance
+sampler likewise weighs one draw for several shifts: ``estimate``'s
+shifted row and its crude (zero-shift) counterpart come from the same
+chunks, each drawn once.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -180,13 +183,15 @@ def plan_rung(
 
 
 def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, executor, body) -> list:
-    """``body(x)`` on each chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
+    """``body(x, free)`` per chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
 
     Chunk ``i`` holds at most ``CHUNK_SCALARS // (unit_rows * d)`` units,
     drawn from ``model`` (a Gaussian or a mixture) with
-    ``stream.substream(i)``.  Chunks run on ``executor`` when given
-    (anything with an ordered ``map``), inline otherwise.  Each thread
-    keeps its scratch arrays for all its chunks, so pages fault in once.
+    ``stream.substream(i)`` into ``x``; ``free`` is a scratch array
+    shaped like ``x`` whose contents the body may overwrite.  Chunks run
+    on ``executor`` when given (anything with an ordered ``map``), inline
+    otherwise.  Each thread keeps its scratch arrays for all its chunks,
+    so pages fault in once.
     """
     d = model.dimension
     chunk = max(1, CHUNK_SCALARS // (unit_rows * d))
@@ -206,7 +211,7 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
             sample_mixture_into(model, stream.substream(index), x, z, *scratch)
         else:
             sample_gaussian_into(model, stream.substream(index), x, z)
-        return body(x)
+        return body(x, z)
 
     jobs = range(-(-units // chunk))
     return list(map(draw, jobs) if executor is None else executor.map(draw, jobs))
@@ -220,7 +225,7 @@ def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomSt
     d = model.dimension
     scaled = target.scale(diag)
 
-    def count(x: np.ndarray) -> tuple[int, int, int]:
+    def count(x: np.ndarray, _free) -> tuple[int, int, int]:
         any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
         # Column by column: a strided maximum per coordinate is about ten
         # times faster than reducing the middle axis of (take, n, d).
@@ -260,6 +265,74 @@ def mc_crude(
     )
 
 
+def _is_single_shifts(
+    model: GaussianModel,
+    target: ConvexSet,
+    shifts,
+    samples: int,
+    stream: RandomStream,
+    *,
+    n: int = 1,
+    scaling_norm_sq: float = math.nan,
+    executor=None,
+) -> tuple[tuple[EstimateReport, ...], tuple[int, ...]]:
+    """``is_single`` for each of ``shifts`` from one draw; ``(reports, hits)`` in shift order.
+
+    Each chunk is drawn once from the centred model; every shift then
+    adds ``mean + shift`` to the draw in the chunk's free scratch array.
+    Adding the zero mean is exact, so each report equals the one
+    ``is_single`` gives for its shift alone on the same stream, bit for
+    bit.  ``hits`` counts the samples that landed in ``target``.  The
+    kernel is private so that wrappers of the public functions (such as
+    ``benchmarks/tracer.py``) see the IS time as ``is_single``'s own.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not isinstance(model, GaussianModel):
+        raise TypeError("importance sampling requires a single Gaussian model")
+    d = model.dimension
+    shifts = [np.asarray(shift, dtype=float) for shift in shifts]
+    if any(shift.shape != (d,) for shift in shifts):
+        raise ValueError(f"shift must have shape ({d},)")
+    mean = model.mean
+    passes = [(shift, mean + shift, model.covariance.sigma_inv @ shift) for shift in shifts]
+    centred = GaussianModel(np.zeros(d), model.covariance)
+
+    def weigh(y: np.ndarray, x: np.ndarray) -> list[tuple[float, float, int]]:
+        sums = []
+        for shift, centre, theta in passes:
+            np.add(y, centre, out=x)
+            hit = target.contains_many(x)
+            # Likelihood ratio exp(-<theta, x - mean - shift/2>) over the hits.
+            lifted = np.compress(hit, x, axis=0)
+            lifted -= mean
+            lifted -= 0.5 * shift
+            w = lifted @ theta
+            np.exp(np.negative(w, out=w), out=w)
+            sums.append((float(w.sum()), float((w * w).sum()), len(w)))
+        return sums
+
+    per_chunk = _draw_chunks(centred, samples, 1, stream, executor, weigh)
+    reports, hits = [], []
+    for chunks in zip(*per_chunk):
+        sums, sq_sums, counts = zip(*chunks)
+        hits.append(sum(counts))
+        p = math.fsum(sums) / samples
+        # No hits, or hits whose weights underflow to zero or overflow.
+        if not 0.0 < p < math.inf:
+            reports.append(EstimateReport(
+                0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
+                stream.seed, n, scaling_norm_sq, degenerate_weights=True,
+            ))
+            continue
+        variance = max(math.fsum(sq_sums) / samples - p * p, 0.0)
+        reports.append(EstimateReport(
+            p, math.sqrt(variance / samples), math.log(p), samples,
+            Method.IMPORTANCE_SAMPLED_SINGLE, stream.seed, n, scaling_norm_sq,
+        ))
+    return tuple(reports), tuple(hits)
+
+
 def is_single(
     model: GaussianModel,
     target: ConvexSet,
@@ -276,43 +349,17 @@ def is_single(
     Samples ``x' ~ Gaussian(mean + shift, sigma)`` and averages the
     likelihood ratio ``exp(-<shift, sigma_inv (x' - shift/2 - mean)>)``
     over hits.  A zero shift reproduces crude Monte Carlo exactly.  If
-    no sample lands in the target the report carries ``p_hat = 0`` with
+    no sample lands in the target, or the weights of the hits sum to
+    zero or overflow, the report carries ``p_hat = 0`` with
     ``degenerate_weights`` set instead of raising.  Chunks run on
     ``executor`` when given, inline otherwise, with the same result.
+    This is ``_is_single_shifts`` with one shift.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not isinstance(model, GaussianModel):
-        raise TypeError("importance sampling requires a single Gaussian model")
-    d = model.dimension
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (d,):
-        raise ValueError(f"shift must have shape ({d},)")
-    theta = model.covariance.sigma_inv @ shift
-    shifted = GaussianModel(model.mean + shift, model.covariance)
-
-    def weigh(x: np.ndarray) -> tuple[float, float, int]:
-        hit = target.contains_many(x)
-        w = np.exp(-(x[hit] - model.mean - 0.5 * shift) @ theta)
-        return float(w.sum()), float((w * w).sum()), int(hit.sum())
-
-    sums, sq_sums, hits = zip(*_draw_chunks(shifted, samples, 1, stream, executor, weigh))
-    hit_count = sum(hits)
-    if hit_count == 0:
-        return EstimateReport(
-            0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-            stream.seed, n, scaling_norm_sq, degenerate_weights=True,
-        )
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    p = total / samples
-    variance = max(total_sq / samples - p * p, 0.0)
-    se = math.sqrt(variance / samples)
-    log_p = math.log(p) if p > 0.0 else -math.inf
-    return EstimateReport(
-        p, se, log_p, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-        stream.seed, n, scaling_norm_sq,
+    reports, _ = _is_single_shifts(
+        model, target, (shift,), samples, stream,
+        n=n, scaling_norm_sq=scaling_norm_sq, executor=executor,
     )
+    return reports[0]
 
 
 def union_combine(q: float, n: int) -> float:

@@ -353,7 +353,10 @@ class Polyhedron(ConvexSet):
         return self.constraints.shape[1]
 
     def slack_many(self, points):
-        return (points @ self.constraints.T - self.offsets).min(axis=1)
+        # Constraint-major: the reduction runs over contiguous rows of points.
+        slack = self.constraints @ points.T
+        slack -= self.offsets[:, None]
+        return np.minimum.reduce(slack, axis=0)
 
     def inequalities(self):
         return self.constraints, self.offsets

@@ -311,6 +311,39 @@ class TestEstimateCommand:
         assert payload["importance_sampled"]["log_p_hat"] == "-inf"
         assert any("degenerate" in w for w in payload["warnings"])
 
+    def test_underflowing_weights_warn_on_their_own(self, tmp_path):
+        # At n = 10000 the shift is (42.9, 0): about half the samples hit,
+        # but each weight is below exp(-900) and underflows to zero.
+        text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]").replace(
+            "offset: 2.4", "offset: 10.0"
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        assert payload["degenerate_weights"] is True
+        assert payload["importance_sampled"]["p_hat"] == 0.0
+        assert payload["exact"]["q_single"] == 0.0
+        warning = next(w for w in payload["warnings"] if "degenerate" in w)
+        assert "no hits" not in warning
+        assert "summed to zero or overflowed" in warning
+
+    def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
+        # Both IS rows of estimate weigh the same draws: 5000 samples of
+        # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws.
+        monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
+        calls = []
+        draw = gm.estimate.sample_gaussian_into
+
+        def counting(model, stream, out, z):
+            calls.append(len(out))
+            return draw(model, stream, out, z)
+
+        monkeypatch.setattr(gm.estimate, "sample_gaussian_into", counting)
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert calls == [500] * 10
+
     def test_mixture_estimate_reports_crude_pair(self, tmp_path):
         cfg = write_config(tmp_path, MIXTURE_YAML)
         out = tmp_path / "artifacts"

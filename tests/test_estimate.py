@@ -1,5 +1,6 @@
 """Monte Carlo, importance sampling, exact references, and slope fits."""
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ from scipy import integrate
 
 import gaussmax as gm
 from gaussmax import estimate
-from helpers import exact_block_pair
+from helpers import exact_block_pair, fresh_gaussian
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
@@ -437,6 +438,83 @@ class TestImportanceSampling:
         mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
         with pytest.raises(TypeError):
             gm.is_single(mixture, target, np.zeros(2), 10, gm.RandomStream(1))
+
+
+CORRELATED3 = gm.GaussianModel(
+    np.array([0.4, -0.3, 0.2]),
+    gm.build_covariance(np.array([[1.0, 0.5, 0.2], [0.5, 1.5, -0.3], [0.2, -0.3, 0.8]])),
+)
+
+
+def separate_is_pass(model, target, shift, samples, stream, chunk_rows):
+    """``(p_hat, std_error, hits)`` of one shift's IS pass with a draw of its own.
+
+    Chunk ``i`` comes fresh from ``Gaussian(mean + shift)`` on
+    ``stream.substream(i)``; weights come from boolean-indexed hits.
+    """
+    shifted = gm.GaussianModel(model.mean + shift, model.covariance)
+    theta = model.covariance.sigma_inv @ shift
+    sums, squares, hits = [], [], 0
+    for i, start in enumerate(range(0, samples, chunk_rows)):
+        x = fresh_gaussian(shifted, min(chunk_rows, samples - start), stream.substream(i))
+        hit = target.contains_many(x)
+        w = np.exp(-(x[hit] - model.mean - 0.5 * shift) @ theta)
+        sums.append(float(w.sum()))
+        squares.append(float((w * w).sum()))
+        hits += int(hit.sum())
+    p = math.fsum(sums) / samples
+    return p, math.sqrt(max(math.fsum(squares) / samples - p * p, 0.0) / samples), hits
+
+
+class TestSharedShifts:
+    TARGET = gm.Polyhedron(np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3]]), np.array([2.0, 1.5]))
+    SHIFTS = (np.array([1.5, 0.8, 0.1]), np.zeros(3), np.array([-0.2, 0.3, 0.6]))
+
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_one_draw_equals_separate_passes(self, monkeypatch, workers):
+        # 3000 samples of dimension 3 at 999 scalars a chunk: 10 chunks.
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
+        args = (CORRELATED3, self.TARGET)
+        kwargs = {"n": 4, "scaling_norm_sq": 2.5}
+        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+            shared, hits = estimate._is_single_shifts(
+                *args, self.SHIFTS, 3000, gm.RandomStream(48), executor=pool, **kwargs
+            )
+            separate = tuple(
+                gm.is_single(*args, shift, 3000, gm.RandomStream(48), executor=pool, **kwargs)
+                for shift in self.SHIFTS
+            )
+        assert shared == separate
+        for report, count, shift in zip(shared, hits, self.SHIFTS):
+            oracle = separate_is_pass(*args, shift, 3000, gm.RandomStream(48), 333)
+            assert (report.p_hat, report.std_error, count) == oracle
+        assert all(h > 0 for h in hits)
+        assert not any(r.degenerate_weights for r in shared)
+        # The zero shift weighs crude hits: its weighted sum is the hit count.
+        assert round(shared[1].p_hat * 3000) == hits[1]
+
+    def test_zero_shift_pair_is_equal(self):
+        zeros = (np.zeros(3), np.zeros(3))
+        (a, b), (hits_a, hits_b) = estimate._is_single_shifts(
+            CORRELATED3, self.TARGET, zeros, 2000, gm.RandomStream(49)
+        )
+        assert a == b
+        assert hits_a == hits_b
+
+    def test_underflowing_weights_are_degenerate(self):
+        # About half the shifted samples hit, but every weight is below
+        # exp(-800) and underflows: the report must not read as a zero.
+        target = gm.Halfspace(np.array([1.0, 0.0]), 40.0)
+        (report,), (hits,) = estimate._is_single_shifts(
+            STANDARD2, target, (np.array([40.0, 0.0]),), 4000, gm.RandomStream(1)
+        )
+        assert 1800 < hits < 2200
+        assert report.degenerate_weights
+        assert report.p_hat == 0.0
+        assert report.log_p_hat == -math.inf
+        assert gm.exact_single_log(STANDARD2, target, (1, np.ones(2))) < -800.0
+        single = gm.is_single(STANDARD2, target, np.array([40.0, 0.0]), 4000, gm.RandomStream(1))
+        assert single == report
 
 
 class TestUnionCombinedReport:

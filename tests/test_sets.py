@@ -89,6 +89,24 @@ class TestHalfspace:
 
 
 class TestPolyhedron:
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("rows", [1, 3, 12])
+    def test_slack_many_matches_the_point_major_form(self, d, rows):
+        # Both forms are BLAS products, whose kernels may round the rows
+        # past their last full block differently: agreement is to the
+        # rounding of the terms, and the memberships are the same.
+        rng = np.random.default_rng(1000 * d + rows)
+        poly = gm.Polyhedron(rng.standard_normal((rows, d)), rng.standard_normal(rows))
+        buffer = rng.standard_normal((1003, d))
+        # The samplers pass a leading-row slice of a larger scratch array.
+        for points in (buffer, buffer[:517], buffer[:1]):
+            old = (points @ poly.constraints.T - poly.offsets).min(axis=1)
+            new = poly.slack_many(points)
+            assert new.shape == (len(points),)
+            terms = np.abs(points) @ np.abs(poly.constraints.T) + np.abs(poly.offsets)
+            assert np.all(np.abs(new - old) <= 4.0 * np.finfo(float).eps * terms.max(axis=1))
+            assert np.array_equal(new >= 0.0, old >= 0.0)
+
     def test_membership_example(self):
         assert EXAMPLE_POLY.contains([1.5, 1.5])
         assert EXAMPLE_POLY.contains([3.0, 3.0])
