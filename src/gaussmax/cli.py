@@ -209,12 +209,15 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
 
     entry = entries[-1]
     scaled = target.scale(entry.scale_diag)
-    shift = np.zeros(model.dimension) if zero_shift else entry.scale_diag * solved.x_star
-    # The crude counterpart is the zero shift, weighed on the same draws.
-    (is_report, crude_report), (is_hits, _) = _is_single_shifts(
-        model, scaled, (shift, np.zeros(model.dimension)), config.is_samples,
+    zeros = np.zeros(model.dimension)
+    shift = zeros if zero_shift else entry.scale_diag * solved.x_star
+    # The crude counterpart is the zero shift, weighed on the same draws;
+    # under --zero-shift it is the importance-sampled row itself.
+    reports, (is_hits, *_) = _is_single_shifts(
+        model, scaled, (shift,) if zero_shift else (shift, zeros), config.is_samples,
         root.substream(800), n=1, scaling_norm_sq=entry.speed,
     )
+    is_report, crude_report = reports[0], reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
     if is_report.degenerate_weights and is_hits == 0:
         warnings.append("importance sampler produced no hits (degenerate weights)")

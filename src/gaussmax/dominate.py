@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatch,
@@ -187,6 +186,18 @@ def _weight_matrix(covariance: CovarianceModel, limit: ScalingLimit) -> np.ndarr
     return 0.5 * (m + m.T)
 
 
+def _pencil_eigh(weight, shape):
+    """``omega, V`` with ``W V = S V diag(omega)`` and ``V^T S V = I``, omega ascending.
+
+    ``S = C C^T`` turns the pencil into the symmetric ``C^-1 W C^-T``, whose
+    eigenvectors ``U`` map back as ``V = C^-T U`` (the reduction LAPACK's
+    sygv makes).
+    """
+    chol_inv = np.linalg.inv(np.linalg.cholesky(shape))
+    omega, u = np.linalg.eigh(chol_inv @ weight @ chol_inv.T)
+    return omega, chol_inv.T @ u
+
+
 def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     """Exact minimizer of ``(x - center)^T W (x - center)`` over the ellipsoid.
 
@@ -194,7 +205,7 @@ def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     ``target.center + V s``, ``s = s0 / (1 + lam / omega)``, where ``lam``
     makes ``|s| = radius``; the center lies outside, so ``lam > 0``.
     """
-    omega, basis = eigh(weight, target.shape)
+    omega, basis = _pencil_eigh(weight, target.shape)
     s0 = basis.T @ target.shape @ (center - target.center)
     rates = 1.0 / omega
     lam, steps = secular_root((s0**2)[None, :], rates, target.radius**2)
@@ -302,7 +313,8 @@ def dominating_point(
     EmptyInterior
         If a linear set is infeasible (no point meets every inequality).
     ConvergenceFailure
-        If rounding makes the active-set solve cycle.
+        If rounding makes the active-set solve cycle, or one of its
+        least-squares SVDs fails.
     """
     if not target.is_atypical():
         raise NotAtypical("atypical set required: the origin lies inside the target set")

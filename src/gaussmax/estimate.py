@@ -36,12 +36,12 @@ regardless of how callers schedule the work.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .dominate import LadderEntry
 from .model import GaussianMixture, GaussianModel, RandomStream
@@ -77,6 +77,10 @@ CRUDE_SCALAR_BUDGET = 200_000_000
 # below this.  By Markov's inequality it is also the largest chance that
 # a skipped row would have seen any hit.
 CRUDE_MIN_EXPECTED_HITS = 0.01
+
+_EPS = np.finfo(float).eps
+_SQRT1_2 = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class Method(str, enum.Enum):
@@ -389,6 +393,33 @@ def _log_union_combine(log_q: float, n: int) -> float:
     return math.log(n) + log_q
 
 
+@functools.partial(np.vectorize, otypes=[float])
+def _log_ndtr(a: float) -> float:
+    """``log Phi(a)`` per element, to a few ulps relative on the whole line.
+
+    From -1 up (scipy.special.log_ndtr's split), ``log1p(-Phi(-a))``, which
+    keeps its relative accuracy as the value nears zero; down to -20,
+    ``log Phi(a)``, with ``Phi(a)`` from ``erfc``, which is relatively
+    accurate in the lower tail; below, where ``Phi(a)`` underflows by -38,
+    the Mills ratio's asymptotic series ``Phi(a) = phi(a) / -a * sum_k
+    (-1)^k (2k - 1)!! / a^(2k)``, summed until a term falls below machine
+    epsilon.  NaN is returned before any comparison can flag it invalid.
+    """
+    if math.isnan(a):
+        return a
+    if a >= -1.0:
+        return math.log1p(-0.5 * math.erfc(a * _SQRT1_2))
+    if a > -20.0:
+        return math.log(0.5 * math.erfc(-a * _SQRT1_2))
+    inv_a2 = 1.0 / (a * a)
+    total, term, k = 1.0, 1.0, 0
+    while abs(term) > _EPS:
+        k += 1
+        term *= -(2 * k - 1) * inv_a2
+        total += term
+    return -0.5 * a * a - math.log(-a) - _HALF_LOG_2PI + math.log(total)
+
+
 def union_combined_report(single: EstimateReport, n: int, scaling_norm_sq: float) -> EstimateReport:
     """Lift a single-vector estimate to the at-least-one event over n draws.
 
@@ -425,7 +456,7 @@ def exact_block_diagonal_log(sigma_diag, corner, a_n: float, n: int) -> tuple[fl
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t = a_n * cr / np.sqrt(sd)
-    log_q = log_ndtr(-t)
+    log_q = _log_ndtr(-t)
     log_cw = math.fsum(_log_union_combine(float(lq), n) for lq in log_q)
     log_alo = _log_union_combine(math.fsum(float(lq) for lq in log_q), n)
     return log_cw, log_alo
@@ -455,11 +486,11 @@ def exact_single_log(model: GaussianModel, target: ConvexSet, entry) -> float | 
     if isinstance(target, Block) and _is_diagonal(model.covariance.sigma):
         corner = diag * target.corner - model.mean
         sd = np.sqrt(np.diag(model.covariance.sigma))
-        return float(np.sum(log_ndtr(-corner / sd)))
+        return float(np.sum(_log_ndtr(-corner / sd)))
     if isinstance(target, Halfspace):
         normal = target.normal / diag
         spread = math.sqrt(float(normal @ model.covariance.sigma @ normal))
-        return float(log_ndtr(-(target.offset - float(normal @ model.mean)) / spread))
+        return float(_log_ndtr(-(target.offset - float(normal @ model.mean)) / spread))
     return None
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -144,7 +143,11 @@ def build_covariance(sigma) -> CovarianceModel:
             f"covariance has a Cholesky pivot <= {PIVOT_FLOOR:g} (min {pivots.min():.3e})"
         )
     d = s.shape[0]
-    whitener = solve_triangular(chol, np.eye(d), lower=True)
+    # The LU solve behind inv can leave rounding above the diagonal when it
+    # pivots; tril keeps C^-1 triangular.  Column-major, the layout a LAPACK
+    # triangular solve returns, so products with it keep the rounding the
+    # recorded artifacts carry.
+    whitener = np.asfortranarray(np.tril(np.linalg.inv(chol)))
     sigma_inv = whitener.T @ whitener
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceFailure,
@@ -88,25 +87,6 @@ def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
 
 
 _EPS = np.finfo(float).eps
-_GELSD, _GELSD_LWORK = get_lapack_funcs(("gelsd", "gelsd_lwork"), (np.zeros(1),))
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a vector ``b``.
-
-    Calls the same LAPACK driver (gelsd) with the same cutoff directly:
-    at the solver's sizes numpy's wrapper costs about 60 us a call, the
-    solve itself under 10.
-    """
-    m, n = a.shape
-    rhs = np.zeros(max(m, n))
-    rhs[:m] = b
-    rcond = _EPS * max(m, n)
-    work, iwork, _ = _GELSD_LWORK(m, n, 1, rcond)
-    x, _, _, info = _GELSD(a, rhs, int(work), iwork, rcond)
-    if info != 0:
-        raise ConvergenceFailure(f"least-squares SVD did not converge (gelsd info {info})")
-    return x[:n]
 
 
 def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -133,7 +113,7 @@ def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
         while True:
             steps += 1
             trial = np.zeros(n)
-            trial[passive] = _lstsq(e[:, passive], f)
+            trial[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
             if trial[passive].min() > 0.0:
                 u = trial
                 break
@@ -154,7 +134,9 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
     1974, ch. 23), then ``x`` is re-solved on the passive rows.  Returns
     ``x``, the row multipliers and the least-squares solve count; ``x`` is
     ``center`` when no row is passive (``center`` in the set to rounding).
-    Raises ``EmptyInterior`` if no point meets every row.
+    Raises ``EmptyInterior`` if no point meets every row, and
+    ``ConvergenceFailure`` if a least-squares SVD fails or the active set
+    cycles.
     """
     norms = np.linalg.norm(g, axis=1)
     shifted = offsets - rows @ center
@@ -167,14 +149,18 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
     e = np.vstack([(g / norms[:, None]).T, h / scale])
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
-    u, steps = _nnls(e, f)
-    passive = u > 0.0
-    if not passive.any():
-        return center.copy(), u, steps
-    # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
-    # passive rows P; lstsq because dependent active rows make it singular.
-    active = rows[passive]
-    x = center + w_inv @ active.T @ _lstsq(active @ w_inv @ active.T, shifted[passive])
+    try:
+        u, steps = _nnls(e, f)
+        passive = u > 0.0
+        if not passive.any():
+            return center.copy(), u, steps
+        # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
+        # passive rows P; lstsq because dependent active rows make it singular.
+        active = rows[passive]
+        gram = active @ w_inv @ active.T
+        x = center + w_inv @ active.T @ np.linalg.lstsq(gram, shifted[passive], rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"active-set least squares failed: {exc}") from None
     # On an empty set NNLS finds a Farkas certificate, whose rows x cannot meet.
     violation = float(((offsets - rows @ x) / np.linalg.norm(rows, axis=1)).max())
     if violation > INFEASIBLE_SLACK * float(np.linalg.norm(x - center)):

@@ -284,17 +284,30 @@ class TestEstimateCommand:
         if payload["crude_resolved"]:
             assert payload["variance_reduction_factor"] > 1.0
 
-    def test_zero_shift_reduces_to_crude(self, tmp_path):
+    def test_zero_shift_reduces_to_crude(self, tmp_path, monkeypatch):
+        # The zero shift is both rows, so the kernel weighs it once; the
+        # rows equal the crude row a shifted run draws on the same stream.
         text = BLOCK_YAML.replace("ladder: [100, 1000, 10000]", "ladder: [2, 5]")
         cfg = write_config(tmp_path, text)
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "is")]) == 0
+        shifted = json.loads((tmp_path / "is" / "estimate.json").read_text())
+        calls = []
+        kernel = cli._is_single_shifts
+
+        def counting(model, target, shifts, *args, **kwargs):
+            calls.append(len(shifts))
+            return kernel(model, target, shifts, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_is_single_shifts", counting)
         out = tmp_path / "artifacts"
         assert (
             cli.main(["estimate", "--config", str(cfg), "--out", str(out), "--zero-shift"]) == 0
         )
+        assert calls == [1]
         payload = json.loads((out / "estimate.json").read_text())
         assert payload["zero_shift"] is True
         assert payload["shift"] == [0.0, 0.0]
-        assert payload["importance_sampled"] == payload["crude_single"]
+        assert payload["importance_sampled"] == payload["crude_single"] == shifted["crude_single"]
 
     def test_degenerate_weights_flagged(self, tmp_path):
         text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [9.0, 9.0]").replace(
@@ -647,6 +660,16 @@ seed: 3
         assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_failed_least_squares_svd_is_three(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        cfg = write_config(tmp_path, POLY_YAML)
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "solver error" in err and "SVD did not converge" in err
+
     def test_origin_on_boundary_to_rounding_is_three(self, tmp_path, capsys):
         # The origin is outside by 1e-15, so the config validates, but the
         # solve finds it on the boundary to working precision.
@@ -727,6 +750,38 @@ def test_import_does_not_load_scipy_optimize():
     src = str(Path(gm.__file__).resolve().parents[1])
     code = "import gaussmax, sys; assert 'scipy.optimize' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=120)
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    # numpy and the standard library cover every command's linear algebra
+    # and Gaussian tails, so no command pays for importing scipy.
+    ellipsoid = MIXTURE_YAML.replace(
+        "kind: block\n  corner: [2.0, 2.0]",
+        "kind: ellipsoid\n  center: [2.0, 2.2]\n  shape: [[1.0, 0.25], [0.25, 0.8]]\n  radius: 0.7",
+    )
+    assert "ellipsoid" in ellipsoid
+    configs = [
+        write_config(tmp_path, text, f"{name}.yaml")
+        for name, text in [
+            ("block", BLOCK_YAML), ("halfspace", HALFSPACE_YAML),
+            ("polyhedron", POLY_YAML), ("mixture", ellipsoid),
+        ]
+    ]
+    runs = [
+        [command, "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
+        for cfg in configs
+        for command in ("dominate", "rate", "estimate", "verify")
+    ]
+    src = str(Path(gm.__file__).resolve().parents[1])
+    code = (
+        "import sys; import gaussmax; from gaussmax import cli; "
+        f"assert all(cli.main(argv) == 0 for argv in {runs!r}); "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=300)
+    for cfg in configs:
+        assert (tmp_path / cfg.stem / "verify_summary.json").exists()
 
 
 def test_polyhedron_commands_do_not_load_scipy_optimize(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gaussmax as gm
-from gaussmax.dominate import KKT_TOL, _argmin, _kkt_residual, _weight_matrix
+from gaussmax.dominate import KKT_TOL, _argmin, _kkt_residual, _pencil_eigh, _weight_matrix
 from helpers import least_distance_argmin, random_spd, secular_argmin
 
 IDENTITY2 = gm.build_covariance(np.eye(2))
@@ -213,6 +213,22 @@ class TestExactSolver:
         point = gm.dominating_point(target, IDENTITY2, gm.ScalingLimit.identity(2))
         assert point.margin_alpha == 1.0
         assert not point.margin_alpha > 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_pencil_reduction_against_scipy(self, d):
+        from scipy.linalg import eigh
+
+        rng = np.random.default_rng(181 + d)
+        for low, high in ((0.3, 2.5), (1e-3, 1e3)):
+            weight, shape = random_spd(rng, d, low, high), random_spd(rng, d, low, high)
+            omega, basis = _pencil_eigh(weight, shape)
+            np.testing.assert_allclose(basis.T @ shape @ basis, np.eye(d), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                basis.T @ weight @ basis, np.diag(omega), rtol=0, atol=1e-12 * omega.max()
+            )
+            np.testing.assert_allclose(
+                omega, eigh(weight, shape, eigvals_only=True), rtol=1e-12, atol=0
+            )
 
     def test_ellipsoids_match_secular_root(self):
         rng = np.random.default_rng(167)

@@ -123,6 +123,43 @@ class TestExactBlockDiagonal:
             gm.exact_block_diagonal_log([1.0, 1.0], [1.0], 1.0, 10)
 
 
+class TestLogNdtr:
+    """The stdlib ``log Phi`` against scipy's, which only the tests import."""
+
+    def test_matches_scipy_on_a_grid(self):
+        from scipy.special import log_ndtr
+
+        # Branch points of this and scipy's implementations, and their neighbours.
+        edges = [-20.0, -1.0, 6.0, 1.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0]
+        grid = np.concatenate(
+            [
+                -np.logspace(-3.0, 5.0, 4001),
+                np.logspace(-3.0, math.log10(40.0), 2001),
+                np.linspace(-40.0, 40.0, 8001),
+                *[np.nextafter(e, [-np.inf, np.inf]) for e in edges],
+                edges,
+                [-1e5, 40.0, -0.0, np.inf, -np.inf, np.nan],
+            ]
+        )
+        got = estimate._log_ndtr(grid)
+        assert got.shape == grid.shape
+        # Above a = 37.5 the values are subnormal: they carry fewer bits than
+        # 1e-13 resolves, and scipy's erfc flushes some of them to -0.0.
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(got, log_ndtr(grid), rtol=1e-13, atol=tiny)
+        assert np.isnan(got[-1]) and got[-2] == -np.inf and got[-3] == 0.0
+
+    @pytest.mark.parametrize(
+        "a", [-1e5, -20.0, -1.0, -0.7071067811865476, 0.0, 6.0, 40.0, np.inf, -np.inf, np.nan]
+    )
+    def test_scalar_input(self, a):
+        from scipy.special import log_ndtr
+
+        got = estimate._log_ndtr(a)
+        assert np.shape(got) == ()
+        np.testing.assert_allclose(float(got), float(log_ndtr(a)), rtol=1e-13, atol=0.0)
+
+
 class TestCrudeMonteCarlo:
     def test_determinism(self):
         entry = (5, np.ones(2))

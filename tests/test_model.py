@@ -37,6 +37,12 @@ class TestBuildCovariance:
             assert np.max(np.abs(cov.sigma_inv @ sigma - eye)) < 1e-10
             assert np.max(np.abs(cov.chol_lower @ cov.chol_lower.T - sigma)) < 1e-10
 
+    def test_whitener_is_lower_triangular(self):
+        # |C[1, 0]| = 2 exceeds C[0, 0] = 1, so an LU inverse of C pivots.
+        cov = gm.build_covariance(np.array([[1.0, 2.0], [2.0, 10.0]]))
+        assert not np.triu(cov.whitener, 1).any()
+        np.testing.assert_allclose(cov.whitener @ cov.chol_lower, np.eye(2), atol=1e-15)
+
     def test_quad_inv_matches_direct(self):
         rng = np.random.default_rng(29)
         sigma = random_spd(rng, 3)
