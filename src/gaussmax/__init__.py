@@ -48,7 +48,6 @@ from .dominate import (
     MixtureRate,
     ScalingLadder,
     ScalingLimit,
-    closest_point_equivalence,
     corner_full_rank,
     corner_pairwise,
     dominating_point,
@@ -109,7 +108,6 @@ __all__ = [
     "corner_pairwise",
     "rate_mixture",
     "verify_optimality",
-    "closest_point_equivalence",
     "Method",
     "EstimateReport",
     "SlopeFit",

@@ -338,12 +338,10 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
 
     fits = {}
     for method in dict.fromkeys(r.method for r in reports):
-        pts = [
-            (r.scaling_norm_sq, r.log_p_hat)
-            for r in reports
-            if r.method is method and math.isfinite(r.log_p_hat)
-        ]
+        rows = [r for r in reports if r.method is method]
+        pts = [(r.scaling_norm_sq, r.log_p_hat) for r in rows if math.isfinite(r.log_p_hat)]
         if not pts:
+            warnings.append(f"{method.value}: 0 of {len(rows)} rungs resolved, no slope fit")
             continue
         try:
             fit = slope_fit(pts, solved.rate_componentwise)

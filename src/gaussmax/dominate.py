@@ -22,8 +22,8 @@ The minimizer is computed exactly, one method per shape:
 
 Both solves return KKT multipliers, and the optimality certificate
 checks dual sign, primal slack, stationarity and complementary slackness
-against stated scales.  ``verify_optimality`` keeps an independent,
-sampled first-order check.
+against stated scales.  ``verify_optimality`` applies the same check to
+any point, with multipliers it fits at that point alone.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyInterior,
     MeanInsideSet,
     NotAtypical,
     RankDeficient,
     SingularPair,
 )
-from .model import CovarianceModel, GaussianMixture, RandomStream
-from .sets import ConvexSet, Ellipsoid, _readonly, least_distance, secular_root
+from .model import CovarianceModel, GaussianMixture
+from .sets import ConvexSet, Ellipsoid, _nnls, _readonly, least_distance, secular_root
 
 __all__ = [
     "ScalingLimit",
@@ -56,23 +55,11 @@ __all__ = [
     "corner_pairwise",
     "rate_mixture",
     "verify_optimality",
-    "closest_point_equivalence",
 ]
 
 # Largest scaled KKT violation the certificate accepts; the exact solves
 # land near 1e-15.
 KKT_TOL = 1e-9
-
-KKT_DIRECTION_TOL = 1e-8
-# Cloud points closer to the candidate than this (relative to its size)
-# are re-projections of the candidate itself; normalizing them would
-# turn projection noise into arbitrary directions.
-DIRECTION_NORM_FLOOR = 1e-8
-
-# Fixed streams so certificates and probes are reproducible library
-# behavior, not dependent on caller-provided seeds.
-_CERT_STREAM = RandomStream(927022841)
-_PROBE_STREAM = RandomStream(404811253)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,28 +260,6 @@ def _solve(target, covariance, limit, center):
     return x, float(diff @ weight @ diff), residual, steps
 
 
-def _feasible_cloud(target: ConvexSet, x_star: np.ndarray, count: int, rng) -> np.ndarray:
-    """Random in-set points: jittered anchors pushed through the projection."""
-    d = target.dimension
-    anchors = [np.asarray(x_star, dtype=float)]
-    try:
-        anchors.append(target.interior_point())
-    except EmptyInterior:
-        pass
-    bases = np.stack(anchors)[np.arange(count) % len(anchors)]
-    spread = np.array([0.25, 1.0, 4.0, 16.0])[np.arange(count) % 4]
-    return target.project_many(bases + rng.standard_normal((count, d)) * spread[:, None])
-
-
-def _directions_pass(x: np.ndarray, grad: np.ndarray, cloud: np.ndarray) -> bool:
-    dirs = cloud - x
-    norms = np.linalg.norm(dirs, axis=1)
-    keep = norms > DIRECTION_NORM_FLOOR * (1.0 + float(np.linalg.norm(x)))
-    if not np.any(keep):
-        return True
-    return bool(np.all(dirs[keep] @ grad >= -KKT_DIRECTION_TOL * norms[keep]))
-
-
 def dominating_point(
     target: ConvexSet, covariance: CovarianceModel, limit: ScalingLimit
 ) -> DominatingPoint:
@@ -333,22 +298,29 @@ def dominating_point(
 
 
 def verify_optimality(
-    point,
-    target: ConvexSet,
-    covariance: CovarianceModel,
-    limit: ScalingLimit,
-    direction_samples: int = 10_000,
+    point, target: ConvexSet, covariance: CovarianceModel, limit: ScalingLimit
 ) -> bool:
-    """First-order check ``<A sigma_inv A x, y - x> >= -tol |y - x|``.
+    """Exact first-order (KKT) check that ``x`` minimizes ``Q_A`` over the set.
 
-    ``point`` may be a DominatingPoint or a bare vector; directions run
-    to random in-set points, so a pass certifies the KKT inequality on
-    the sampled cone.
+    ``point`` may be a DominatingPoint or a bare vector.  Rows whose scaled
+    slack ``g_i / |J_i|`` is at most ``KKT_TOL |x|`` count as active; their
+    multipliers are the nonnegative least-squares fit of
+    ``J_active^T lam = 2 A sigma_inv A x`` and the others are zero.  The
+    problem is convex, so a scaled KKT residual of at most ``KKT_TOL``
+    certifies ``x`` against every feasible direction; an infeasible ``x``
+    fails on primal slack, and a point with no active row (an interior
+    point, where the gradient is nonzero) fails outright.
     """
     x = point.x_star if isinstance(point, DominatingPoint) else np.asarray(point, dtype=float)
     weight = _weight_matrix(covariance, limit)
-    cloud = _feasible_cloud(target, x, direction_samples, _CERT_STREAM.generator())
-    return _directions_pass(x, weight @ x, cloud)
+    jac, values = _constraints(target, x)
+    # Multiplied out, since an ellipsoid's gradient vanishes at its center.
+    active = values <= KKT_TOL * math.sqrt(x @ x) * np.linalg.norm(jac, axis=1)
+    if not active.any():
+        return False
+    multipliers = np.zeros(len(values))
+    multipliers[active] = _nnls(jac[active].T, 2.0 * weight @ x)[0]
+    return _kkt_residual(target, weight, np.zeros_like(x), x, multipliers) <= KKT_TOL
 
 
 def corner_full_rank(rows, offsets) -> np.ndarray:
@@ -436,33 +408,3 @@ def rate_mixture(
         x_star=best.x_star,
         margin_alpha=alpha,
     )
-
-
-def closest_point_equivalence(
-    target: ConvexSet, covariance: CovarianceModel, probe_points: int = 512
-) -> tuple[bool, bool]:
-    """Sampled check of the shortcut "dominating point = closest point".
-
-    Probes random in-set points ``z``, plus the solved minimizer itself,
-    for ``sigma_inv z > 0`` (strictly, componentwise).  Returns
-    ``(hypothesis_holds, points_agree)`` where ``points_agree`` compares
-    the identity-limit minimizer with the Euclidean projection of the
-    origin.
-
-    For upper orthants with a nonnegative corner a probe pass forces
-    agreement: strict positivity at the minimizer pins every coordinate
-    to the corner, which is also the closest point.  For curved or
-    rotated sets a probe pass is sampled evidence only; the shortcut can
-    fail even when positivity holds everywhere on the set (an off-axis
-    ball deep in the positive orthant is the canonical example), so
-    treat the flag as a diagnostic there.  A failed probe predicts
-    nothing either way.
-    """
-    limit = ScalingLimit.identity(target.dimension)
-    point = dominating_point(target, covariance, limit)
-    cloud = _feasible_cloud(target, point.x_star, probe_points, _PROBE_STREAM.generator())
-    probes = np.vstack([cloud, point.x_star[None, :]])
-    hypothesis = bool(np.all(probes @ covariance.sigma_inv.T > 0.0))
-    closest = target.project(np.zeros(target.dimension))
-    agree = bool(np.linalg.norm(point.x_star - closest) <= 1e-6)
-    return hypothesis, agree

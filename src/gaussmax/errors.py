@@ -30,7 +30,7 @@ class ConvergenceFailure(GaussMaxError, RuntimeError):
 
 
 class EmptyInterior(GaussMaxError, ValueError):
-    """No strictly interior point could be produced for the set, or the set is empty."""
+    """The target set is empty: no point meets every inequality."""
 
 
 class NotAtypical(GaussMaxError, ValueError):

@@ -118,32 +118,13 @@ class SlopeFit:
     relative_gap: float
 
 
-def _resolve_entry(entry) -> tuple[int, np.ndarray, float]:
-    """Accept a LadderEntry or a raw ``(n, A_n)`` pair."""
-    if isinstance(entry, LadderEntry):
-        return entry.n, np.asarray(entry.scale_diag, dtype=float), entry.speed
-    n, matrix = entry
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
-    diag = np.asarray(matrix, dtype=float)
-    if diag.ndim == 2:
-        off = diag - np.diag(np.diag(diag))
-        if np.abs(off).max(initial=0.0) != 0.0:
-            raise ValueError("scaling matrix must be diagonal")
-        diag = np.diag(diag)
-    if np.any(diag <= 0.0):
-        raise ValueError("scaling diagonal entries must be positive")
-    return n, diag, float(diag.max()) ** 2
-
-
 def _is_diagonal(sigma: np.ndarray) -> bool:
     off = sigma - np.diag(np.diag(sigma))
     return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
 
 
 def plan_rung(
-    model, target: ConvexSet, entry, trials: int
+    model, target: ConvexSet, entry: LadderEntry, trials: int
 ) -> tuple[tuple[Method, ...], dict | None]:
     """``(methods, skip)``: the estimators one ladder rung runs, and why it runs no crude pair.
 
@@ -161,7 +142,7 @@ def plan_rung(
     both crude rows.  A rung without exact rows keeps its pair within the
     budget, so an over-budget mixture rung runs nothing.
     """
-    n, diag, _ = _resolve_entry(entry)
+    n, diag = entry.n, entry.scale_diag
     exact = (
         isinstance(model, GaussianModel)
         and isinstance(target, Block)
@@ -221,13 +202,14 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
     return list(map(draw, jobs) if executor is None else executor.map(draw, jobs))
 
 
-def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomStream, executor):
-    """Chunked crude pass; returns ``(n, speed, (componentwise, at_least_one, conspiracies))``."""
-    n, diag, speed = _resolve_entry(entry)
+def _crude_counts(
+    model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream, executor
+) -> tuple[int, int, int]:
+    """Chunked crude pass; returns ``(componentwise, at_least_one, conspiracies)`` hit counts."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    d = model.dimension
-    scaled = target.scale(diag)
+    n, d = entry.n, model.dimension
+    scaled = target.scale(entry.scale_diag)
 
     def count(x: np.ndarray, _free) -> tuple[int, int, int]:
         any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
@@ -241,7 +223,7 @@ def _crude_counts(model, target: ConvexSet, entry, trials: int, stream: RandomSt
         return int(top_in.sum()), int(any_in.sum()), int((top_in & ~any_in).sum())
 
     counts = _draw_chunks(model, trials, n, stream, executor, count)
-    return n, speed, tuple(map(sum, zip(*counts)))
+    return tuple(map(sum, zip(*counts)))
 
 
 def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, speed: float):
@@ -252,7 +234,7 @@ def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, spe
 
 
 def mc_crude(
-    model, target: ConvexSet, entry, trials: int, stream: RandomStream, executor=None
+    model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream, executor=None
 ) -> tuple[EstimateReport, EstimateReport]:
     """Crude Monte Carlo of both events from one set of draws.
 
@@ -262,10 +244,10 @@ def mc_crude(
     run on ``executor`` when given (anything with an ordered ``map``),
     inline otherwise; the reports do not depend on which.
     """
-    n, speed, (cw, alo, _) = _crude_counts(model, target, entry, trials, stream, executor)
+    cw, alo, _ = _crude_counts(model, target, entry, trials, stream, executor)
     return (
-        _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, speed),
-        _crude_report(alo, trials, Method.CRUDE_AT_LEAST_ONE, stream.seed, n, speed),
+        _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, entry.n, entry.speed),
+        _crude_report(alo, trials, Method.CRUDE_AT_LEAST_ONE, stream.seed, entry.n, entry.speed),
     )
 
 
@@ -462,13 +444,15 @@ def exact_block_diagonal_log(sigma_diag, corner, a_n: float, n: int) -> tuple[fl
     return log_cw, log_alo
 
 
-def exact_block_reports(sigma_diag, corner, entry, seed: int) -> tuple[EstimateReport, EstimateReport]:
+def exact_block_reports(
+    sigma_diag, corner, entry: LadderEntry, seed: int
+) -> tuple[EstimateReport, EstimateReport]:
     """Exact ladder rows: componentwise product and combined at-least-one.
 
     Both carry zero standard error and zero trials; ``log_p_hat`` comes
     from the log-space path so it stays finite when ``p_hat`` underflows.
     """
-    n, diag, speed = _resolve_entry(entry)
+    n, diag, speed = entry.n, entry.scale_diag, entry.speed
     scaled_corner = diag * np.atleast_1d(np.asarray(corner, dtype=float))
     log_cw, log_alo = exact_block_diagonal_log(sigma_diag, scaled_corner, 1.0, n)
     cw = EstimateReport(
@@ -480,9 +464,9 @@ def exact_block_reports(sigma_diag, corner, entry, seed: int) -> tuple[EstimateR
     return cw, alo
 
 
-def exact_single_log(model: GaussianModel, target: ConvexSet, entry) -> float | None:
+def exact_single_log(model: GaussianModel, target: ConvexSet, entry: LadderEntry) -> float | None:
     """Exact log of the single-vector probability: diagonal blocks and halfspaces, else None."""
-    _, diag, _ = _resolve_entry(entry)
+    diag = entry.scale_diag
     if isinstance(target, Block) and _is_diagonal(model.covariance.sigma):
         corner = diag * target.corner - model.mean
         sd = np.sqrt(np.diag(model.covariance.sigma))
@@ -530,7 +514,8 @@ def slope_fit(points, predicted_rate: float) -> SlopeFit:
 
 
 def conspiracy_rate(
-    model, target: ConvexSet, entry, trials: int, stream: RandomStream, exact_union: float | None = None
+    model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream,
+    exact_union: float | None = None,
 ) -> tuple[float, float]:
     """Estimate how often the maximum lands in the set with no single vector inside.
 
@@ -538,7 +523,7 @@ def conspiracy_rate(
     the exact at-least-one probability when provided and by the in-run
     estimate otherwise.  In dimension one the event is impossible.
     """
-    _, _, (_, union_hits, conspiracies) = _crude_counts(model, target, entry, trials, stream, None)
+    _, union_hits, conspiracies = _crude_counts(model, target, entry, trials, stream, None)
     p_conspiracy = conspiracies / trials
     denom = exact_union if exact_union is not None else union_hits / trials
     if p_conspiracy == 0.0:

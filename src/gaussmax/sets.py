@@ -1,4 +1,4 @@
-"""Closed convex target sets: membership, projection, scaling, interior points.
+"""Closed convex target sets: membership and scaling, plus the solver's exact kernels.
 
 Four shapes cover the battery: upper orthants anchored at a corner,
 halfspaces, finite intersections of halfspaces, and ellipsoids.  All are
@@ -6,18 +6,16 @@ closed, so boundary points count as inside.  Each shape knows how to
 
 * report a signed slack (nonnegative inside, negative outside), which
   ``contains`` reads as a plain ``bool``,
-* project points onto itself in the Euclidean metric,
 * rescale itself by a positive diagonal matrix so that membership of a
-  scaled point in the scaled set matches the original pair,
-* produce a strictly interior point.
+  scaled point in the scaled set matches the original pair.
 
 The linear shapes (blocks, halfspaces, polyhedra) also list their
 inequalities ``rows @ x >= offsets`` for the dominating-point solver.
 
-Projection is exact, through the two solves the dominating-point solver
-shares: polyhedra solve a least-distance program (``least_distance``)
-and ellipsoids bisect on the multiplier of the boundary-projection
-problem (``secular_root``).
+The module also holds the two exact kernels that solver uses: a
+least-distance program for linear sets (``least_distance``, on the
+active-set NNLS ``_nnls``) and a bisection for the multiplier of an
+ellipsoid's secular equation (``secular_root``).
 """
 
 from __future__ import annotations
@@ -45,10 +43,6 @@ __all__ = [
 # A re-solved least-distance point violating a row by more than this, scaled
 # as the KKT certificate scales primal slack, proves the set empty.
 INFEASIBLE_SLACK = 1e-9
-
-# Chebyshev-centre radius (normalized slack) at or below which the
-# interior counts as empty.
-INTERIOR_RADIUS_FLOOR = 1e-9
 
 
 def _readonly(a) -> np.ndarray:
@@ -197,13 +191,7 @@ class ConvexSet:
     def slack_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def project_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def scale(self, diag) -> "ConvexSet":
-        raise NotImplementedError
-
-    def interior_point(self) -> np.ndarray:
         raise NotImplementedError
 
     def _check_points(self, points) -> np.ndarray:
@@ -225,10 +213,6 @@ class ConvexSet:
     def contains_many(self, points) -> np.ndarray:
         """Boolean membership for an (m, d) batch."""
         return self.slack_many(self._check_points(points)) >= 0.0
-
-    def project(self, x) -> np.ndarray:
-        """Euclidean projection of a single point onto the set."""
-        return self.project_many(self._check_points(x))[0]
 
     def is_atypical(self) -> bool:
         """True when the origin lies outside the set."""
@@ -262,15 +246,9 @@ class Block(ConvexSet):
     def inequalities(self):
         return np.eye(self.dimension), self.corner
 
-    def project_many(self, points):
-        return np.maximum(points, self.corner)
-
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)
         return Block(d * self.corner)
-
-    def interior_point(self):
-        return self.corner + 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,19 +277,9 @@ class Halfspace(ConvexSet):
     def inequalities(self):
         return self.normal[None, :], np.array([self.offset])
 
-    def project_many(self, points):
-        b = self.normal
-        deficit = np.maximum(self.offset - points @ b, 0.0)
-        return points + (deficit / float(b @ b))[:, None] * b
-
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)
         return Halfspace(self.normal / d, self.offset)
-
-    def interior_point(self):
-        b = self.normal
-        nrm = math.sqrt(float(b @ b))
-        return (self.offset / (nrm * nrm)) * b + b / nrm
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,44 +315,9 @@ class Polyhedron(ConvexSet):
     def inequalities(self):
         return self.constraints, self.offsets
 
-    def project_many(self, points):
-        """Exact projection of each outside point: a least-distance solve."""
-        pts = np.array(points, dtype=float, copy=True)
-        rows, eye = self.constraints, np.eye(self.dimension)
-        for k in np.flatnonzero(self.slack_many(pts) < 0.0):
-            pts[k] = least_distance(rows, self.offsets, rows, eye, pts[k])[0]
-        return pts
-
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)
         return Polyhedron(self.constraints / d, self.offsets)
-
-    def interior_point(self):
-        """Chebyshev centre (Boyd & Vandenberghe 2004, sec. 8.5.1) within a box.
-
-        Maximizes ``r`` with every normalized row slack and every face slack
-        of the box ``anchor +- 4 (1 + |anchor|)``, ``anchor`` the projection
-        of the origin, at least ``r``.  ``scipy.optimize`` loads only here.
-        """
-        from scipy.optimize import linprog
-
-        d = self.dimension
-        anchor = self.project(np.zeros(d))
-        radius = 4.0 * (1.0 + float(np.linalg.norm(anchor)))
-        norms = np.linalg.norm(self.constraints, axis=1)
-        # Variables (x, r): -b x / |b| + r <= -c / |b| per row, -+x + r <= radius -+ anchor.
-        a_ub = np.vstack([-self.constraints / norms[:, None], -np.eye(d), np.eye(d)])
-        b_ub = np.concatenate([-self.offsets / norms, radius - anchor, radius + anchor])
-        a_ub = np.hstack([a_ub, np.ones((len(b_ub), 1))])
-        result = linprog(np.r_[np.zeros(d), -1.0], a_ub, b_ub, bounds=(None, None), method="highs")
-        if result.status != 0:
-            raise EmptyInterior(f"Chebyshev-centre program failed: {result.message}")
-        # Judge the point returned, not the solver's r, which carries its tolerance.
-        x = result.x[:d]
-        r = float(((self.constraints @ x - self.offsets) / norms).min())
-        if r <= INTERIOR_RADIUS_FLOOR:
-            raise EmptyInterior(f"no interior point (best normalized slack {r:.3e})")
-        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,43 +355,19 @@ class Ellipsoid(ConvexSet):
         return self.center.shape[0]
 
     def _quad(self, points):
-        """Eigenbasis coordinates ``w`` of ``points - center`` and the shape quadratic."""
+        """The shape quadratic of ``points - center``, summed in the eigenbasis."""
         w = (points - self.center) @ self._evecs
         # Column by column, as in Block.slack_many: about twice as fast as
         # summing the short axis, and for d < 8 the same sequential order.
         quad = w[:, 0] ** 2 * self._evals[0]
         for j in range(1, self.dimension):
             quad += w[:, j] ** 2 * self._evals[j]
-        return w, quad
+        return quad
 
     def slack_many(self, points):
-        return self.radius**2 - self._quad(points)[1]
-
-    def project_many(self, points):
-        """Boundary projection via bisection on the multiplier.
-
-        For an outside point the projection is
-        ``center + (I + lam * shape)^-1 (x - center)`` with ``lam > 0``
-        chosen so the image lands on the boundary; the boundary quadratic
-        is strictly decreasing in ``lam``, so bisection is safe.
-        """
-        pts = np.array(points, dtype=float, copy=True)
-        evals = self._evals
-        r2 = self.radius**2
-        w, quad = self._quad(pts)
-        outside = quad > r2
-        if not np.any(outside):
-            return pts
-        wo = w[outside]
-        lam, _ = secular_root(evals * wo**2, evals, r2)
-        mapped = (wo / (1.0 + lam[:, None] * evals)) @ self._evecs.T
-        pts[outside] = self.center + mapped
-        return pts
+        return self.radius**2 - self._quad(points)
 
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)
         inv = 1.0 / d
         return Ellipsoid(d * self.center, inv[:, None] * self.shape * inv[None, :], self.radius)
-
-    def interior_point(self):
-        return self.center.copy()

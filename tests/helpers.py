@@ -1,9 +1,4 @@
-"""Shared test utilities: independent oracles and random problem factories.
-
-Feasible-point generators here are deliberately shape-specific
-constructions (rejection or direct parameterization), so they do not
-reuse the projection code they help to test.
-"""
+"""Shared test utilities: independent oracles and random problem factories."""
 
 from __future__ import annotations
 
@@ -19,47 +14,6 @@ def random_spd(rng: np.random.Generator, d: int, low: float = 0.3, high: float =
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     evals = rng.uniform(low, high, size=d)
     return (q * evals) @ q.T
-
-
-def feasible_samples(target: gm.ConvexSet, count: int, rng: np.random.Generator) -> np.ndarray:
-    """In-set points built without the package projection routines."""
-    d = target.dimension
-    if isinstance(target, gm.Block):
-        return target.corner + np.abs(rng.standard_normal((count, d))) * rng.uniform(
-            0.0, 3.0, size=(count, 1)
-        )
-    if isinstance(target, gm.Halfspace):
-        b = target.normal
-        nrm2 = float(b @ b)
-        base = (target.offset / nrm2) * b
-        tangential = rng.standard_normal((count, d))
-        tangential -= np.outer(tangential @ b / nrm2, b)
-        along = np.abs(rng.standard_normal(count)) * rng.uniform(0.0, 3.0, size=count)
-        return base + tangential + along[:, None] * (b / np.sqrt(nrm2))
-    if isinstance(target, gm.Ellipsoid):
-        evals, evecs = np.linalg.eigh(np.asarray(target.shape))
-        half_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-        w = rng.standard_normal((count, d))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        radii = target.radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / d)
-        return target.center + (radii[:, None] * w) @ half_inv.T
-    if isinstance(target, gm.Polyhedron):
-        # Rejection from a generous box; membership is a direct linear test.
-        anchor = target.interior_point()
-        width = 6.0 * (1.0 + np.abs(anchor).max())
-        out = []
-        attempts = 0
-        while sum(len(o) for o in out) < count and attempts < 2000:
-            batch = anchor + rng.uniform(-width, width, size=(4 * count, d))
-            keep = batch[target.contains_many(batch)]
-            if len(keep):
-                out.append(keep)
-            attempts += 1
-        pts = np.concatenate(out)[:count]
-        if len(pts) < count:
-            raise RuntimeError("rejection sampling failed to fill the quota")
-        return pts
-    raise TypeError(f"unsupported set type {type(target)!r}")
 
 
 def grid_quadratic_minimum(

@@ -542,8 +542,13 @@ class TestVerifyCommand:
         rows = (out / "verify_ladder.csv").read_text().splitlines()[1:]
         assert sorted({int(r.split(",")[0]) for r in rows}) == [5, 20]
         summary = json.loads((out / "verify_summary.json").read_text())
+        # The scaled corner sits 3.6 and 4.9 standard deviations out at n = 5
+        # and 20, so no crude row hits and neither method gets a slope fit.
+        assert summary["slope_fits"] == {}
         assert summary["warnings"] == [
-            "ladder entry n=1000000 does not fit the crude sampling budget"
+            "ladder entry n=1000000 does not fit the crude sampling budget",
+            "crude_componentwise: 0 of 2 rungs resolved, no slope fit",
+            "crude_at_least_one: 0 of 2 rungs resolved, no slope fit",
         ]
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "estimate.json").read_text())["n"] == 20
@@ -754,7 +759,8 @@ def test_import_does_not_load_scipy_optimize():
 
 def test_commands_do_not_load_scipy(tmp_path):
     # numpy and the standard library cover every command's linear algebra
-    # and Gaussian tails, so no command pays for importing scipy.
+    # and Gaussian tails, and the optimality check, so none of them needs
+    # scipy: the fresh interpreter below cannot import it at all.
     ellipsoid = MIXTURE_YAML.replace(
         "kind: block\n  corner: [2.0, 2.0]",
         "kind: ellipsoid\n  center: [2.0, 2.2]\n  shape: [[1.0, 0.25], [0.25, 0.8]]\n  radius: 0.7",
@@ -773,19 +779,28 @@ def test_commands_do_not_load_scipy(tmp_path):
         for command in ("dominate", "rate", "estimate", "verify")
     ]
     src = str(Path(gm.__file__).resolve().parents[1])
-    code = (
-        "import sys; import gaussmax; from gaussmax import cli; "
-        f"assert all(cli.main(argv) == 0 for argv in {runs!r}); "
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-        "assert not loaded, loaded"
-    )
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import gaussmax as gm
+from gaussmax import cli
+assert all(cli.main(argv) == 0 for argv in {runs!r})
+cov = gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))
+limit = gm.ScalingLimit.identity(2)
+for target in (
+    gm.Polyhedron([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [4.0, 3.0, 4.0]),
+    gm.Ellipsoid([2.0, 2.2], [[1.0, 0.25], [0.25, 0.8]], 0.7),
+):
+    assert gm.verify_optimality(gm.dominating_point(target, cov, limit), target, cov, limit)
+"""
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src, timeout=300)
     for cfg in configs:
         assert (tmp_path / cfg.stem / "verify_summary.json").exists()
 
 
 def test_polyhedron_commands_do_not_load_scipy_optimize(tmp_path):
-    # Only Polyhedron.interior_point imports scipy.optimize; no command calls it.
+    # dominate and verify on a polyhedron solve their programs with numpy alone.
     src = str(Path(gm.__file__).resolve().parents[1])
     code = (
         "import sys; from pathlib import Path; from gaussmax import cli; "

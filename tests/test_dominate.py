@@ -409,26 +409,50 @@ class TestRates:
 
 
 class TestVerifyOptimality:
+    POLY = gm.Polyhedron(np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]), np.array([4.0, 3.0, 4.0]))
+
     def test_passes_at_optimum(self):
-        limit = gm.ScalingLimit.identity(2)
-        for target in (
-            gm.Block(np.array([2.0, 2.0])),
-            gm.Ellipsoid(np.array([3.0, 3.0]), np.eye(2), 1.0),
-        ):
-            point = gm.dominating_point(target, IDENTITY2, limit)
-            assert gm.verify_optimality(point, target, IDENTITY2, limit, 2000)
+        identity = gm.ScalingLimit.identity(2)
+        cases = [
+            (gm.Block(np.array([2.0, 2.0])), IDENTITY2, identity),
+            (gm.Ellipsoid(np.array([3.0, 3.0]), np.eye(2), 1.0), IDENTITY2, identity),
+            (gm.Halfspace(np.array([2.0, -1.0]), 2.0), CORRELATED2, identity),
+            (self.POLY, CORRELATED2, gm.ScalingLimit(np.array([1.0, 0.6]))),
+            (
+                gm.Ellipsoid(np.array([3.0, 2.5]), np.array([[1.0, 0.2], [0.2, 1.5]]), 1.0),
+                CORRELATED2,
+                gm.ScalingLimit(np.array([0.7, 1.0])),
+            ),
+        ]
+        for target, cov, limit in cases:
+            point = gm.dominating_point(target, cov, limit)
+            assert gm.verify_optimality(point, target, cov, limit)
 
     def test_fails_off_optimum(self):
-        target = gm.Block(np.array([2.0, 2.0]))
+        # Off-optimum points on each shape's boundary fail stationarity, an
+        # interior point has no active row to balance the gradient, and
+        # points outside the set fail on primal slack.
         limit = gm.ScalingLimit.identity(2)
-        assert not gm.verify_optimality(
-            np.array([2.5, 2.0]), target, IDENTITY2, limit, 2000
-        )
+        block = gm.Block(np.array([2.0, 2.0]))
+        ball = gm.Ellipsoid(np.array([3.0, 3.0]), np.eye(2), 1.0)
+        feasible = [
+            (block, [2.5, 2.0]),
+            (gm.Halfspace(np.array([1.0, 1.0]), 2.0), [1.5, 0.5]),
+            (self.POLY, [1.0, 2.0]),
+            (self.POLY, [3.0, 3.0]),
+            (ball, [2.0, 3.0]),
+            (ball, [3.0, 3.0]),
+        ]
+        infeasible = [(block, [1.0, 1.0]), (block, [1.9, 1.9])]
+        for cases, inside in ((feasible, True), (infeasible, False)):
+            for target, x in cases:
+                assert target.contains(x) is inside
+                assert not gm.verify_optimality(np.array(x), target, IDENTITY2, limit), x
 
     def test_accepts_bare_vector(self):
         target = gm.Block(np.array([2.0, 2.0]))
         limit = gm.ScalingLimit.identity(2)
-        assert gm.verify_optimality(np.array([2.0, 2.0]), target, IDENTITY2, limit, 2000)
+        assert gm.verify_optimality(np.array([2.0, 2.0]), target, IDENTITY2, limit)
 
 
 class TestWhitenedEquivalence:
@@ -459,9 +483,10 @@ class TestWhitenedEquivalence:
                 mapped = gm.Ellipsoid(
                     cov.whitener @ center, lower.T @ np.eye(d) @ lower, 1.0
                 )
-            point = gm.dominating_point(target, cov, gm.ScalingLimit.identity(d))
+            identity = gm.ScalingLimit.identity(d)
+            point = gm.dominating_point(target, cov, identity)
             whitened = cov.whitener @ point.x_star
-            closest = mapped.project(np.zeros(d))
+            closest = gm.dominating_point(mapped, gm.build_covariance(np.eye(d)), identity).x_star
             assert np.linalg.norm(whitened - closest) < 1e-6
 
 
@@ -559,82 +584,24 @@ class TestMixtureRate:
 
 
 class TestClosestPointEquivalence:
-    def test_identity_covariance_agrees(self):
-        hypothesis, agree = gm.closest_point_equivalence(
-            gm.Block(np.array([2.0, 2.0])), IDENTITY2
-        )
-        assert hypothesis and agree
+    """Whether the dominating point under sigma is the closest point, the minimizer under I."""
+
+    SIGMA = gm.build_covariance(np.array([[1.0, 0.9], [0.9, 1.0]]))
+
+    def _points(self, target):
+        limit = gm.ScalingLimit.identity(2)
+        x_star = gm.dominating_point(target, self.SIGMA, limit).x_star
+        return x_star, gm.dominating_point(target, IDENTITY2, limit).x_star
 
     def test_eigenvector_normal_coincides_despite_failed_hypothesis(self):
         # The normal (1, -1) is an eigenvector of the covariance, so the
         # quadratic minimizer and the closest point coincide even though
-        # the positivity probe fails (a failed probe predicts nothing).
-        cov = gm.build_covariance(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        hypothesis, agree = gm.closest_point_equivalence(
-            gm.Halfspace(np.array([1.0, -1.0]), 2.0), cov
-        )
-        assert not hypothesis
-        assert agree
+        # sigma_inv x* is not componentwise positive.
+        x_star, closest = self._points(gm.Halfspace(np.array([1.0, -1.0]), 2.0))
+        np.testing.assert_allclose(x_star, closest, atol=1e-12)
+        assert not np.all(self.SIGMA.sigma_inv @ x_star > 0.0)
 
     def test_genuine_gap_instance(self):
-        cov = gm.build_covariance(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        hypothesis, agree = gm.closest_point_equivalence(
-            gm.Halfspace(np.array([2.0, -1.0]), 2.0), cov
-        )
-        assert not hypothesis
-        assert not agree
-
-    def test_implication_battery_positive_corner_blocks(self):
-        # On an upper orthant with positive corner a probe pass forces
-        # agreement: the minimizer itself is probed, and strict positivity
-        # there makes every block constraint active, so the minimizer is
-        # the corner, which is also the closest point.
-        rng = np.random.default_rng(151)
-        passes = 0
-        for _ in range(25):
-            d = int(rng.integers(2, 5))
-            cov = gm.build_covariance(random_spd(rng, d))
-            target = gm.Block(rng.uniform(0.3, 2.5, size=d))
-            hypothesis, agree = gm.closest_point_equivalence(target, cov)
-            if hypothesis:
-                assert agree
-                passes += 1
-        assert passes >= 1
-
-    def test_nonnegative_inverse_guarantees_probe_pass(self):
-        # Entrywise-nonnegative sigma_inv with a positive corner keeps
-        # sigma_inv z strictly positive on the whole orthant, so both
-        # flags must come back true.
-        rng = np.random.default_rng(157)
-        for _ in range(10):
-            d = int(rng.integers(2, 4))
-            w = np.abs(rng.standard_normal((d, d)))
-            sigma_inv = w.T @ w + 0.5 * np.eye(d)
-            cov = gm.build_covariance(np.linalg.inv(sigma_inv))
-            target = gm.Block(rng.uniform(0.3, 2.0, size=d))
-            hypothesis, agree = gm.closest_point_equivalence(target, cov)
-            assert hypothesis
-            assert agree
-
-    def test_correlated_block_example(self):
-        # Corner (2,2) stays both the minimizer and the closest point even
-        # for strong positive correlation; whatever the probes report, the
-        # implication must hold.
-        cov = gm.build_covariance(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        hypothesis, agree = gm.closest_point_equivalence(gm.Block(np.array([2.0, 2.0])), cov)
-        assert agree
-        if hypothesis:
-            assert agree
-
-    def test_curved_set_probe_pass_is_only_evidence(self):
-        # Documented limitation: on a ball deep inside the positive
-        # orthant every probe can pass while the quadratic minimizer still
-        # differs from the closest point (the center is not an eigenvector
-        # of the covariance), so the sampled flag must not be read as a
-        # certificate for curved sets.
-        sigma_inv = np.array([[0.60458683, 0.12551944], [0.12551944, 0.47925479]])
-        cov = gm.build_covariance(np.linalg.inv(sigma_inv))
-        target = gm.Ellipsoid(np.array([2.91009138, 2.17060606]), np.eye(2), 1.0)
-        hypothesis, agree = gm.closest_point_equivalence(target, cov)
-        assert hypothesis
-        assert not agree
+        x_star, closest = self._points(gm.Halfspace(np.array([2.0, -1.0]), 2.0))
+        np.testing.assert_allclose(x_star, [11.0 / 7.0, 8.0 / 7.0], rtol=1e-12)
+        np.testing.assert_allclose(closest, [0.8, -0.4], rtol=1e-12)

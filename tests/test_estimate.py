@@ -162,7 +162,7 @@ class TestLogNdtr:
 
 class TestCrudeMonteCarlo:
     def test_determinism(self):
-        entry = (5, np.ones(2))
+        entry = gm.LadderEntry(5, np.ones(2), 1.0)
         target = gm.Block(np.array([1.0, 1.0]))
         stream = gm.RandomStream(321)
         a = gm.mc_crude(STANDARD2, target, entry, 4000, stream)
@@ -170,7 +170,7 @@ class TestCrudeMonteCarlo:
         assert a == b
 
     def test_componentwise_matches_exact_within_four_se(self):
-        entry = (5, np.ones(2))
+        entry = gm.LadderEntry(5, np.ones(2), 1.0)
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(11)
         )[0]
@@ -181,7 +181,7 @@ class TestCrudeMonteCarlo:
         assert report.scaling_norm_sq == 1.0
 
     def test_at_least_one_matches_exact_within_four_se(self):
-        entry = (5, np.ones(2))
+        entry = gm.LadderEntry(5, np.ones(2), 1.0)
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 20_000, gm.RandomStream(12)
         )[1]
@@ -192,7 +192,7 @@ class TestCrudeMonteCarlo:
     def test_event_inclusion_for_upward_closed_sets(self):
         target = gm.Block(np.array([0.8, 1.1]))
         for n, seed in [(3, 21), (8, 22), (20, 23)]:
-            entry = (n, np.ones(2))
+            entry = gm.LadderEntry(n, np.ones(2), 1.0)
             cw = gm.mc_crude(STANDARD2, target, entry, 10_000, gm.RandomStream(seed))[0]
             alo = gm.mc_crude(STANDARD2, target, entry, 10_000, gm.RandomStream(seed + 100))[1]
             assert alo.p_hat <= cw.p_hat + 4.0 * (alo.std_error + cw.std_error)
@@ -200,13 +200,13 @@ class TestCrudeMonteCarlo:
     def test_single_draw_estimators_coincide_exactly(self):
         # With n = 1 both events reduce to the same single-vector event and
         # both counts come from the same draws, so they agree.
-        entry = (1, np.ones(2))
+        entry = gm.LadderEntry(1, np.ones(2), 1.0)
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.5)
         cw, alo = gm.mc_crude(STANDARD2, target, entry, 8000, gm.RandomStream(77))
         assert cw.p_hat == alo.p_hat
 
     def test_near_certain_event(self):
-        entry = (2, np.ones(2))
+        entry = gm.LadderEntry(2, np.ones(2), 1.0)
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([-10.0, -10.0])), entry, 2000, gm.RandomStream(9)
         )[0]
@@ -215,7 +215,7 @@ class TestCrudeMonteCarlo:
         assert report.log_p_hat == 0.0
 
     def test_zero_hits_reports_neg_inf_log(self):
-        entry = (2, np.ones(2))
+        entry = gm.LadderEntry(2, np.ones(2), 1.0)
         report = gm.mc_crude(
             STANDARD2, gm.Block(np.array([9.0, 9.0])), entry, 500, gm.RandomStream(10)
         )[0]
@@ -223,22 +223,11 @@ class TestCrudeMonteCarlo:
         assert report.log_p_hat == -math.inf
 
     def test_trials_validation(self):
-        entry = (2, np.ones(2))
+        entry = gm.LadderEntry(2, np.ones(2), 1.0)
         with pytest.raises(ValueError):
             gm.mc_crude(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 0, gm.RandomStream(1))
         with pytest.raises(ValueError):
             gm.mc_crude(STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, -5, gm.RandomStream(1))
-
-    def test_entry_validation(self):
-        target = gm.Block(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            gm.mc_crude(STANDARD2, target, (0, np.ones(2)), 10, gm.RandomStream(1))
-        with pytest.raises(ValueError):
-            gm.mc_crude(STANDARD2, target, (5, -np.ones(2)), 10, gm.RandomStream(1))
-        with pytest.raises(ValueError):
-            gm.mc_crude(
-                STANDARD2, target, (5, np.array([[1.0, 0.2], [0.0, 1.0]])), 10, gm.RandomStream(1)
-            )
 
     def test_mixture_model_supported(self):
         cov = gm.build_covariance(np.eye(2))
@@ -247,7 +236,8 @@ class TestCrudeMonteCarlo:
             (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([0.5, 0.5]), cov)),
         )
         report = gm.mc_crude(
-            mixture, gm.Block(np.array([1.0, 1.0])), (4, np.ones(2)), 4000, gm.RandomStream(31)
+            mixture, gm.Block(np.array([1.0, 1.0])), gm.LadderEntry(4, np.ones(2), 1.0), 4000,
+            gm.RandomStream(31),
         )[0]
         assert 0.0 < report.p_hat < 1.0
 
@@ -258,7 +248,7 @@ class TestFusedCrude:
     # events hit in a sizeable share of the trials.
     MODEL = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.8], [0.8, 1.0]])))
     TARGET = gm.Block(np.array([0.85, 0.85]))
-    ENTRY = (10_000, np.full(2, math.sqrt(2.0 * math.log(10_000))))
+    ENTRY = gm.ScalingLadder(gm.ScalingLimit.identity(2), (10_000,)).entries()[0]
     TRIALS = 600
 
     def test_block_hits_split_into_union_and_conspiracies(self):
@@ -273,7 +263,7 @@ class TestFusedCrude:
 
     def test_executor_does_not_change_reports(self, monkeypatch):
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
-        entry = (20, np.full(2, math.sqrt(2.0 * math.log(20))))
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (20,)).entries()[0]
         stream = gm.RandomStream(7)
         inline = gm.mc_crude(self.MODEL, self.TARGET, entry, 3_000, stream)
         with ThreadPoolExecutor(3) as pool:
@@ -293,9 +283,9 @@ class TestFusedCrude:
             ),
         )
         n, trials, chunk = 20, 2010, 50
-        entry = (n, np.full(2, math.sqrt(2.0 * math.log(n))))
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
         stream = gm.RandomStream(12)
-        scaled = self.TARGET.scale(entry[1])
+        scaled = self.TARGET.scale(entry.scale_diag)
         cw = alo = 0
         for i, start in enumerate(range(0, trials, chunk)):
             take = min(chunk, trials - start)
@@ -428,7 +418,8 @@ class TestImportanceSampling:
     def test_zero_shift_agrees_with_independent_crude(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
         is_report = gm.is_single(STANDARD2, target, np.zeros(2), 20_000, gm.RandomStream(42))
-        crude = gm.mc_crude(STANDARD2, target, (1, np.ones(2)), 20_000, gm.RandomStream(43))[0]
+        entry = gm.LadderEntry(1, np.ones(2), 1.0)
+        crude = gm.mc_crude(STANDARD2, target, entry, 20_000, gm.RandomStream(43))[0]
         combined = is_report.std_error + crude.std_error
         assert abs(is_report.p_hat - crude.p_hat) <= 4.0 * combined
 
@@ -549,7 +540,7 @@ class TestSharedShifts:
         assert report.degenerate_weights
         assert report.p_hat == 0.0
         assert report.log_p_hat == -math.inf
-        assert gm.exact_single_log(STANDARD2, target, (1, np.ones(2))) < -800.0
+        assert gm.exact_single_log(STANDARD2, target, gm.LadderEntry(1, np.ones(2), 1.0)) < -800.0
         single = gm.is_single(STANDARD2, target, np.array([40.0, 0.0]), 4000, gm.RandomStream(1))
         assert single == report
 
@@ -640,19 +631,21 @@ class TestSlopeFit:
 class TestConspiracyRate:
     def test_impossible_in_one_dimension(self):
         p, ratio = gm.conspiracy_rate(
-            STANDARD1, gm.Block(np.array([1.5])), (5, np.ones(1)), 5000, gm.RandomStream(61)
+            STANDARD1, gm.Block(np.array([1.5])), gm.LadderEntry(5, np.ones(1), 1.0), 5000,
+            gm.RandomStream(61),
         )
         assert p == 0.0
         assert ratio == 0.0
 
     def test_single_draw_is_conspiracy_free(self):
         p, _ = gm.conspiracy_rate(
-            STANDARD2, gm.Block(np.array([1.0, 1.0])), (1, np.ones(2)), 5000, gm.RandomStream(62)
+            STANDARD2, gm.Block(np.array([1.0, 1.0])), gm.LadderEntry(1, np.ones(2), 1.0), 5000,
+            gm.RandomStream(62),
         )
         assert p == 0.0
 
     def test_matches_exact_difference(self):
-        entry = (5, np.ones(2))
+        entry = gm.LadderEntry(5, np.ones(2), 1.0)
         trials = 40_000
         p, ratio = gm.conspiracy_rate(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, trials, gm.RandomStream(63)
@@ -663,7 +656,7 @@ class TestConspiracyRate:
         assert abs(p - exact_gap) <= 3.0 * se
 
     def test_ratio_uses_provided_exact_union(self):
-        entry = (5, np.ones(2))
+        entry = gm.LadderEntry(5, np.ones(2), 1.0)
         cw, alo = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         p, ratio = gm.conspiracy_rate(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 40_000,
