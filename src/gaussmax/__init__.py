@@ -27,7 +27,6 @@ from .errors import (
     NotAtypical,
     NotPositiveDefinite,
     NotSymmetric,
-    RankDeficient,
     SingularPair,
 )
 from .model import (
@@ -48,7 +47,6 @@ from .dominate import (
     MixtureRate,
     ScalingLadder,
     ScalingLimit,
-    corner_full_rank,
     corner_pairwise,
     dominating_point,
     rate_mixture,
@@ -80,7 +78,6 @@ __all__ = [
     "ConvergenceFailure",
     "EmptyInterior",
     "NotAtypical",
-    "RankDeficient",
     "SingularPair",
     "MeanInsideSet",
     "ConfigError",
@@ -104,7 +101,6 @@ __all__ = [
     "MixtureRate",
     "ComponentSolution",
     "dominating_point",
-    "corner_full_rank",
     "corner_pairwise",
     "rate_mixture",
     "verify_optimality",

