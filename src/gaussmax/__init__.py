@@ -35,7 +35,6 @@ from .model import (
     GaussianModel,
     RandomStream,
     build_covariance,
-    gaussian_log_density,
     sample_gaussian,
     sample_mixture,
 )
@@ -56,7 +55,6 @@ from .estimate import (
     EstimateReport,
     Method,
     SlopeFit,
-    conspiracy_rate,
     exact_block_diagonal_log,
     exact_block_reports,
     exact_single_log,
@@ -88,7 +86,6 @@ __all__ = [
     "build_covariance",
     "sample_gaussian",
     "sample_mixture",
-    "gaussian_log_density",
     "ConvexSet",
     "Block",
     "Halfspace",
@@ -116,7 +113,6 @@ __all__ = [
     "exact_block_reports",
     "exact_single_log",
     "slope_fit",
-    "conspiracy_rate",
     "ExperimentConfig",
     "parse_config",
     "serialize_config",

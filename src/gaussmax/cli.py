@@ -215,7 +215,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     # under --zero-shift it is the importance-sampled row itself.
     reports, (is_hits, *_) = _is_single_shifts(
         model, scaled, (shift,) if zero_shift else (shift, zeros), config.is_samples,
-        root.substream(800), n=1, scaling_norm_sq=entry.speed,
+        root.substream(800), scaling_norm_sq=entry.speed,
     )
     is_report, crude_report = reports[0], reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
@@ -296,7 +296,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
                 q = is_single(
                     model, target.scale(entry.scale_diag), entry.scale_diag * solved.x_star,
                     config.is_samples, root.substream(16 * i + 3),
-                    n=1, scaling_norm_sq=entry.speed, executor=pool,
+                    scaling_norm_sq=entry.speed, executor=pool,
                 )
                 rows.append(union_combined_report(q, entry.n, entry.speed))
             else:

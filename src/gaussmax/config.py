@@ -265,6 +265,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("ladder block sizes must be strictly increasing")
 
+    outputs = raw.get("outputs", "out")
+    if not isinstance(outputs, str) or not outputs:
+        raise ConfigError(f"outputs must be a nonempty directory name, got {outputs!r}")
+
     config = ExperimentConfig(
         model=model,
         set_spec=set_spec,
@@ -274,7 +278,7 @@ def parse_config(text: str) -> ExperimentConfig:
         trials=_int_value(raw["trials"], "trials", 1),
         is_samples=_int_value(raw["is_samples"], "is_samples", 1),
         seed=check_seed(raw["seed"]),
-        outputs=str(raw.get("outputs", "out")),
+        outputs=outputs,
     )
 
     # Build everything once so covariance, shape and weight validation runs now;

@@ -20,6 +20,9 @@ The minimizer is computed exactly, one method per shape:
   eigenbasis of (weight, shape) (More & Sorensen 1983), found by
   bisection.
 
+On an empty linear set the NNLS solution is a Farkas vector instead,
+whose lower bound on every feasible distance proves the set empty.
+
 Both solves return KKT multipliers, and the optimality certificate
 checks dual sign, primal slack, stationarity and complementary slackness
 against stated scales.  ``verify_optimality`` applies the same check to
@@ -61,9 +64,10 @@ __all__ = [
 # land near 1e-15.
 KKT_TOL = 1e-9
 
-# A re-solved least-distance point violating a row by more than this, scaled
-# as the KKT certificate scales primal slack, proves the set empty.
-INFEASIBLE_SLACK = 1e-9
+# The NNLS vector u bounds every feasible |y| below by h^T u / |G^T u|; on a
+# nonempty set that bound is the least distance itself (duality), so a bound
+# above this multiple of the re-solved |y| proves the set empty.
+FARKAS_FACTOR = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +284,10 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
     1974, ch. 23), then ``x`` is re-solved on the passive rows.  Returns
     ``x``, the row multipliers and the least-squares solve count; ``x`` is
     ``center`` when no row is passive (``center`` in the set to rounding).
-    Raises ``EmptyInterior`` if no point meets every row, and
-    ``ConvergenceFailure`` if a least-squares SVD fails or the active set
-    cycles.
+    Raises ``EmptyInterior`` when the NNLS solution is a Farkas certificate
+    (its residual vanishes, or its bound on ``|y|`` exceeds ``FARKAS_FACTOR``
+    times the re-solved ``|y|``), and ``ConvergenceFailure`` if a
+    least-squares SVD fails or the active set cycles.
     """
     norms = np.linalg.norm(g, axis=1)
     shifted = offsets - rows @ center
@@ -304,16 +309,26 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
         # passive rows P; lstsq because dependent active rows make it singular.
         active = rows[passive]
         gram = active @ w_inv @ active.T
-        x = center + w_inv @ active.T @ np.linalg.lstsq(gram, shifted[passive], rcond=None)[0]
+        lam = np.linalg.lstsq(gram, shifted[passive], rcond=None)[0]
+        x = center + w_inv @ active.T @ lam
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"active-set least squares failed: {exc}") from None
-    # On an empty set NNLS finds a Farkas certificate, whose rows x cannot meet.
-    violation = float(((offsets - rows @ x) / np.linalg.norm(rows, axis=1)).max())
-    if violation > INFEASIBLE_SLACK * float(np.linalg.norm(x - center)):
-        raise EmptyInterior(f"target set is infeasible: a row is violated by {violation:.3e}")
+    # u >= 0 and G y >= h give |G^T u| |y| >= h^T u for every feasible y, with
+    # G^T u = r[:d] and h^T u = s e[d] u (rows normalized).
+    resid = e @ u - f
+    reach = float(np.linalg.norm(resid[:-1]))
+    if resid[-1] == 0.0 or reach == 0.0:
+        raise EmptyInterior("target set is infeasible: the least-distance residual vanishes")
+    bound = scale * float(e[-1] @ u) / reach
+    # y = R (x - center) = g_P^T lam.
+    distance = float(np.linalg.norm(g[passive].T @ lam))
+    if bound > FARKAS_FACTOR * distance:
+        raise EmptyInterior(
+            f"target set is infeasible: every point lies at whitened distance >= {bound:.3e},"
+            f" the re-solved point at {distance:.3e}"
+        )
     # The least-distance multipliers 2 u / (1 - h^T u), with 1 - h^T u = |r|^2,
     # mapped back through the row normalization and the scale.
-    resid = e @ u - f
     return x, 2.0 * scale * u / (float(resid @ resid) * norms), steps
 
 

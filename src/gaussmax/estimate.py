@@ -10,13 +10,12 @@ throughout, cover block sets under diagonal covariances
 probabilities into an empirical decay rate.
 
 Both crude estimators come from one pass: each chunk of trials is drawn
-once and yields the componentwise hits, the at-least-one hits and the
-conspiracies (maximum inside, no single vector inside) together.  The
-crude pass and the importance sampler share one chunk driver, the only
-code here that tells a Gaussian draw from a mixture draw.  The importance
-sampler likewise weighs one draw for several shifts: ``estimate``'s
-shifted row and its crude (zero-shift) counterpart come from the same
-chunks, each drawn once.
+once and yields the componentwise hits and the at-least-one hits
+together.  The crude pass and the importance sampler share one chunk
+driver, the only code here that tells a Gaussian draw from a mixture
+draw.  The importance sampler likewise weighs one draw for several
+shifts: ``estimate``'s shifted row and its crude (zero-shift)
+counterpart come from the same chunks, each drawn once.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -44,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dominate import LadderEntry
-from .model import GaussianMixture, GaussianModel, RandomStream
-from .model import sample_gaussian_into, sample_mixture_into
+from .model import GaussianMixture, GaussianModel, RandomStream, sample_gaussian, sample_mixture
 from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "exact_block_reports",
     "exact_single_log",
     "slope_fit",
-    "conspiracy_rate",
 ]
 
 # Upper bound on scalars drawn per chunk; chunk boundaries depend only on
@@ -159,7 +156,7 @@ def plan_rung(
         skip = {"n": n, "reason": "scalar_budget", "scalars": scalars}
     elif exact:
         sigma_diag = np.diag(model.covariance.sigma)
-        log_cw, _ = exact_block_diagonal_log(sigma_diag, diag * target.corner, 1.0, n)
+        log_cw, _ = exact_block_diagonal_log(sigma_diag, diag * target.corner, n)
         if log_cw + math.log(trials) <= math.log(CRUDE_MIN_EXPECTED_HITS):
             skip = {"n": n, "reason": "expected_hits", "expected_hits": trials * math.exp(log_cw)}
     if skip is None:
@@ -171,8 +168,8 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
     """``body(x, free)`` per chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
 
     Chunk ``i`` holds at most ``CHUNK_SCALARS // (unit_rows * d)`` units,
-    drawn from ``model`` (a Gaussian or a mixture) with
-    ``stream.substream(i)`` into ``x``; ``free`` is a scratch array
+    drawn into ``x`` from ``stream.substream(i)`` by ``sample_gaussian``
+    or, for a mixture, ``sample_mixture``; ``free`` is a scratch array
     shaped like ``x`` whose contents the body may overwrite.  Chunks run
     on ``executor`` when given (anything with an ordered ``map``), inline
     otherwise.  Each thread keeps its scratch arrays for all its chunks,
@@ -193,37 +190,13 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
         # The row axis is second to last in every array, masks included.
         x, z, *scratch = (a[..., :take, :] for a in local.arrays)
         if mixture:
-            sample_mixture_into(model, stream.substream(index), x, z, *scratch)
+            sample_mixture(model, stream.substream(index), x, z, *scratch)
         else:
-            sample_gaussian_into(model, stream.substream(index), x, z)
+            sample_gaussian(model, stream.substream(index), x, z)
         return body(x, z)
 
     jobs = range(-(-units // chunk))
     return list(map(draw, jobs) if executor is None else executor.map(draw, jobs))
-
-
-def _crude_counts(
-    model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream, executor
-) -> tuple[int, int, int]:
-    """Chunked crude pass; returns ``(componentwise, at_least_one, conspiracies)`` hit counts."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n, d = entry.n, model.dimension
-    scaled = target.scale(entry.scale_diag)
-
-    def count(x: np.ndarray, _free) -> tuple[int, int, int]:
-        any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
-        # Column by column: a strided maximum per coordinate is about ten
-        # times faster than reducing the middle axis of (take, n, d).
-        blocks = x.reshape(-1, n, d)
-        top = np.empty((len(blocks), d))
-        for j in range(d):
-            np.max(blocks[:, :, j], axis=1, out=top[:, j])
-        top_in = scaled.contains_many(top)
-        return int(top_in.sum()), int(any_in.sum()), int((top_in & ~any_in).sum())
-
-    counts = _draw_chunks(model, trials, n, stream, executor, count)
-    return tuple(map(sum, zip(*counts)))
 
 
 def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, speed: float):
@@ -244,10 +217,26 @@ def mc_crude(
     run on ``executor`` when given (anything with an ordered ``map``),
     inline otherwise; the reports do not depend on which.
     """
-    cw, alo, _ = _crude_counts(model, target, entry, trials, stream, executor)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, d = entry.n, model.dimension
+    scaled = target.scale(entry.scale_diag)
+
+    def count(x: np.ndarray, _free) -> tuple[int, int]:
+        any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
+        # Column by column: a strided maximum per coordinate is about ten
+        # times faster than reducing the middle axis of (take, n, d).
+        blocks = x.reshape(-1, n, d)
+        top = np.empty((len(blocks), d))
+        for j in range(d):
+            np.max(blocks[:, :, j], axis=1, out=top[:, j])
+        return int(scaled.contains_many(top).sum()), int(any_in.sum())
+
+    counts = _draw_chunks(model, trials, n, stream, executor, count)
+    cw, alo = map(sum, zip(*counts))
     return (
-        _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, entry.n, entry.speed),
-        _crude_report(alo, trials, Method.CRUDE_AT_LEAST_ONE, stream.seed, entry.n, entry.speed),
+        _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),
+        _crude_report(alo, trials, Method.CRUDE_AT_LEAST_ONE, stream.seed, n, entry.speed),
     )
 
 
@@ -258,7 +247,6 @@ def _is_single_shifts(
     samples: int,
     stream: RandomStream,
     *,
-    n: int = 1,
     scaling_norm_sq: float = math.nan,
     executor=None,
 ) -> tuple[tuple[EstimateReport, ...], tuple[int, ...]]:
@@ -268,9 +256,11 @@ def _is_single_shifts(
     adds ``mean + shift`` to the draw in the chunk's free scratch array.
     Adding the zero mean is exact, so each report equals the one
     ``is_single`` gives for its shift alone on the same stream, bit for
-    bit.  ``hits`` counts the samples that landed in ``target``.  The
-    kernel is private so that wrappers of the public functions (such as
-    ``benchmarks/tracer.py``) see the IS time as ``is_single``'s own.
+    bit.  ``hits`` counts the samples that landed in ``target``.  Every
+    report is a single-vector row (``n = 1``); ``union_combined_report``
+    lifts it to a rung's ``n``.  The kernel is private so that wrappers
+    of the public functions (such as ``benchmarks/tracer.py``) see the IS
+    time as ``is_single``'s own.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -308,13 +298,13 @@ def _is_single_shifts(
         if not 0.0 < p < math.inf:
             reports.append(EstimateReport(
                 0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-                stream.seed, n, scaling_norm_sq, degenerate_weights=True,
+                stream.seed, 1, scaling_norm_sq, degenerate_weights=True,
             ))
             continue
         variance = max(math.fsum(sq_sums) / samples - p * p, 0.0)
         reports.append(EstimateReport(
             p, math.sqrt(variance / samples), math.log(p), samples,
-            Method.IMPORTANCE_SAMPLED_SINGLE, stream.seed, n, scaling_norm_sq,
+            Method.IMPORTANCE_SAMPLED_SINGLE, stream.seed, 1, scaling_norm_sq,
         ))
     return tuple(reports), tuple(hits)
 
@@ -326,7 +316,6 @@ def is_single(
     samples: int,
     stream: RandomStream,
     *,
-    n: int = 1,
     scaling_norm_sq: float = math.nan,
     executor=None,
 ) -> EstimateReport:
@@ -343,7 +332,7 @@ def is_single(
     """
     reports, _ = _is_single_shifts(
         model, target, (shift,), samples, stream,
-        n=n, scaling_norm_sq=scaling_norm_sq, executor=executor,
+        scaling_norm_sq=scaling_norm_sq, executor=executor,
     )
     return reports[0]
 
@@ -419,10 +408,11 @@ def union_combined_report(single: EstimateReport, n: int, scaling_norm_sq: float
     )
 
 
-def exact_block_diagonal_log(sigma_diag, corner, a_n: float, n: int) -> tuple[float, float]:
+def exact_block_diagonal_log(sigma_diag, corner, n: int) -> tuple[float, float]:
     """Log of both exact block probabilities for a diagonal covariance.
 
-    All tail evaluations and products stay in log space, so results are
+    ``corner`` is the block's scaled corner ``A_n c``.  All tail
+    evaluations and products stay in log space, so results are
     meaningful even when the probabilities underflow double precision.
     """
     sd = np.atleast_1d(np.asarray(sigma_diag, dtype=float))
@@ -433,11 +423,9 @@ def exact_block_diagonal_log(sigma_diag, corner, a_n: float, n: int) -> tuple[fl
         raise ValueError("diagonal variances must be positive")
     if np.any(cr <= 0.0):
         raise ValueError("block corner must be positive for the exact formulas")
-    if a_n <= 0.0:
-        raise ValueError(f"scaling a_n must be positive, got {a_n}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t = a_n * cr / np.sqrt(sd)
+    t = cr / np.sqrt(sd)
     log_q = _log_ndtr(-t)
     log_cw = math.fsum(_log_union_combine(float(lq), n) for lq in log_q)
     log_alo = _log_union_combine(math.fsum(float(lq) for lq in log_q), n)
@@ -454,7 +442,7 @@ def exact_block_reports(
     """
     n, diag, speed = entry.n, entry.scale_diag, entry.speed
     scaled_corner = diag * np.atleast_1d(np.asarray(corner, dtype=float))
-    log_cw, log_alo = exact_block_diagonal_log(sigma_diag, scaled_corner, 1.0, n)
+    log_cw, log_alo = exact_block_diagonal_log(sigma_diag, scaled_corner, n)
     cw = EstimateReport(
         math.exp(log_cw), 0.0, log_cw, 0, Method.EXACT_BLOCK_DIAGONAL, seed, n, speed
     )
@@ -511,25 +499,3 @@ def slope_fit(points, predicted_rate: float) -> SlopeFit:
         predicted_rate=float(predicted_rate),
         relative_gap=relative_gap,
     )
-
-
-def conspiracy_rate(
-    model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream,
-    exact_union: float | None = None,
-) -> tuple[float, float]:
-    """Estimate how often the maximum lands in the set with no single vector inside.
-
-    Returns ``(p_conspiracy, ratio_to_union)`` where the ratio divides by
-    the exact at-least-one probability when provided and by the in-run
-    estimate otherwise.  In dimension one the event is impossible.
-    """
-    _, union_hits, conspiracies = _crude_counts(model, target, entry, trials, stream, None)
-    p_conspiracy = conspiracies / trials
-    denom = exact_union if exact_union is not None else union_hits / trials
-    if p_conspiracy == 0.0:
-        ratio = 0.0
-    elif denom == 0.0:
-        ratio = math.inf
-    else:
-        ratio = p_conspiracy / denom
-    return p_conspiracy, ratio

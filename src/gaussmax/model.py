@@ -1,7 +1,7 @@
 """Gaussian and Gaussian-mixture models with reproducible sampling.
 
 The covariance container carries the pieces every downstream computation
-needs (inverse, whitening factor, log determinant) so they are computed
+needs (inverse, whitening factor, Cholesky factor) so they are computed
 once, validated once, and shared.  Sampling goes through counter-based
 Philox streams addressed by a ``(seed, stream_index)`` pair: equal pairs
 replay identical draws, distinct pairs give statistically independent
@@ -10,7 +10,6 @@ streams, and substreams can be derived without coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,7 @@ __all__ = [
     "GaussianMixture",
     "build_covariance",
     "sample_gaussian",
-    "sample_gaussian_into",
     "sample_mixture",
-    "sample_mixture_into",
-    "gaussian_log_density",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -96,8 +92,6 @@ class CovarianceModel:
         whitened norm ``|L x|^2`` equals ``x.T @ sigma_inv @ x``.
     chol_lower : ndarray, shape (d, d)
         Cholesky factor ``C`` with ``C @ C.T = sigma``; used for sampling.
-    log_det : float
-        ``log det(sigma)``.
     """
 
     dimension: int
@@ -105,7 +99,6 @@ class CovarianceModel:
     sigma_inv: np.ndarray
     whitener: np.ndarray
     chol_lower: np.ndarray
-    log_det: float
 
     def quad_inv(self, x: np.ndarray) -> float:
         """Quadratic form ``x.T @ sigma_inv @ x``."""
@@ -150,14 +143,12 @@ def build_covariance(sigma) -> CovarianceModel:
     whitener = np.asfortranarray(np.tril(np.linalg.inv(chol)))
     sigma_inv = whitener.T @ whitener
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return CovarianceModel(
         dimension=d,
         sigma=_readonly(s),
         sigma_inv=_readonly(sigma_inv),
         whitener=_readonly(whitener),
         chol_lower=_readonly(chol),
-        log_det=log_det,
     )
 
 
@@ -217,25 +208,15 @@ class GaussianMixture:
         return self.components[0].dimension
 
 
-def sample_gaussian(model: GaussianModel, count: int, stream: RandomStream) -> np.ndarray:
-    """Draw ``count`` vectors from the model, shape ``(count, d)``.
+def sample_gaussian(
+    model: GaussianModel, stream: RandomStream, out: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Draw ``len(out)`` vectors from the model into ``out``, shape ``(count, d)``.
 
     The draw is ``mean + C z`` with ``C`` the Cholesky factor of the
     covariance and ``z`` standard normal, so the whitened residual
-    ``L (x - mean)`` is standard normal again.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    out = np.empty((count, model.dimension))
-    return sample_gaussian_into(model, stream, out, np.empty_like(out))
-
-
-def sample_gaussian_into(
-    model: GaussianModel, stream: RandomStream, out: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """``sample_gaussian(model, len(out), stream)`` drawn into ``out``, bit for bit.
-
-    ``z`` is a C-contiguous scratch array shaped like ``out``.
+    ``L (x - mean)`` is standard normal again.  ``z`` is a C-contiguous
+    scratch array shaped like ``out``.
     """
     stream.generator().standard_normal(out=z)
     np.matmul(z, model.covariance.chol_lower.T, out=out)
@@ -243,22 +224,7 @@ def sample_gaussian_into(
     return out
 
 
-def sample_mixture(mixture: GaussianMixture, count: int, stream: RandomStream) -> np.ndarray:
-    """Draw ``count`` vectors from the mixture, shape ``(count, d)``.
-
-    Component selection uses inverse-CDF lookup on a dedicated
-    substream, and the Gaussian noise comes from a second substream.
-    The selection draws therefore stay aligned with sample indices even
-    when weights change, keeping runs comparable across configurations.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    out = np.empty((count, mixture.dimension))
-    masks = np.empty((len(mixture.components) - 1, *out.shape), dtype=bool)
-    return sample_mixture_into(mixture, stream, out, np.empty_like(out), np.empty_like(out), masks)
-
-
-def sample_mixture_into(
+def sample_mixture(
     mixture: GaussianMixture,
     stream: RandomStream,
     out: np.ndarray,
@@ -266,7 +232,12 @@ def sample_mixture_into(
     y: np.ndarray,
     masks: np.ndarray,
 ) -> np.ndarray:
-    """``sample_mixture(mixture, len(out), stream)`` drawn into ``out``, bit for bit.
+    """Draw ``len(out)`` vectors from the mixture into ``out``, shape ``(count, d)``.
+
+    Component selection uses inverse-CDF lookup on a dedicated
+    substream, and the Gaussian noise comes from a second substream.
+    The selection draws therefore stay aligned with sample indices even
+    when weights change, keeping runs comparable across configurations.
 
     ``z`` and ``y`` are C-contiguous scratch arrays shaped like ``out``,
     ``masks`` a boolean ``(components - 1, *out.shape)`` scratch array.
@@ -295,21 +266,3 @@ def sample_mixture_into(
             y += comp.mean
             np.copyto(out, y, where=mask)
     return out
-
-
-def gaussian_log_density(model: GaussianModel, x) -> float | np.ndarray:
-    """Log density of the model at ``x`` (a vector or an ``(m, d)`` batch)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != model.dimension:
-        raise DimensionMismatch(
-            f"points have dimension {pts.shape[1]}, model {model.dimension}"
-        )
-    diff = pts - model.mean
-    u = diff @ model.covariance.whitener.T
-    quad = np.einsum("ij,ij->i", u, u)
-    d = model.dimension
-    out = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * model.covariance.log_det - 0.5 * quad
-    return float(out[0]) if single else out
-

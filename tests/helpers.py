@@ -66,8 +66,21 @@ def secular_argmin(weight, center, ellipsoid: gm.Ellipsoid) -> np.ndarray:
 
 def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, float]:
     """Exact ``(p_componentwise, p_at_least_one)`` for a diagonal block, in linear space."""
-    log_cw, log_alo = gm.exact_block_diagonal_log(sigma_diag, corner, a_n, n)
+    log_cw, log_alo = gm.exact_block_diagonal_log(sigma_diag, a_n * np.asarray(corner), n)
     return math.exp(log_cw), math.exp(log_alo)
+
+
+def draw_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) -> np.ndarray:
+    """``gm.sample_gaussian`` of ``count`` rows into freshly allocated buffers."""
+    out = np.empty((count, model.dimension))
+    return gm.sample_gaussian(model, stream, out, np.empty_like(out))
+
+
+def draw_mixture(mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream) -> np.ndarray:
+    """``gm.sample_mixture`` of ``count`` rows into freshly allocated buffers."""
+    out = np.empty((count, mixture.dimension))
+    masks = np.empty((len(mixture.components) - 1, count, mixture.dimension), dtype=bool)
+    return gm.sample_mixture(mixture, stream, out, np.empty_like(out), np.empty_like(out), masks)
 
 
 def fresh_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) -> np.ndarray:

@@ -127,8 +127,7 @@ def test_c03_importance_sampling_slope_single_vector(capsys):
     for k, a in enumerate((3.0, 4.0, 5.0, 6.0)):
         scaled = gm.Halfspace((1.0, 1.0), 2.0 * a)
         report = gm.is_single(
-            model, scaled, (a, a), 100_000, stream.substream(k),
-            n=1, scaling_norm_sq=a * a,
+            model, scaled, (a, a), 100_000, stream.substream(k), scaling_norm_sq=a * a
         )
         assert not report.degenerate_weights
         points.append((a * a, report.log_p_hat))
@@ -148,9 +147,8 @@ def test_c04_exact_ladder_slope_at_least_one(capsys):
     points = []
     for n in (10**6, 10**8, 10**10, 10**12):
         speed = 2.0 * math.log(n)
-        _, log_alo = gm.exact_block_diagonal_log(
-            [1.0, 1.0], (1.2, 1.2), math.sqrt(speed), n
-        )
+        corner = math.sqrt(speed) * np.array([1.2, 1.2])
+        _, log_alo = gm.exact_block_diagonal_log([1.0, 1.0], corner, n)
         points.append((speed, log_alo))
     fit = gm.slope_fit(points, predicted_rate=-0.94)
     elapsed = time.perf_counter() - start
@@ -225,9 +223,8 @@ def test_c06_componentwise_union_gap_on_log_scale(capsys, tmp_path):
     start = time.perf_counter()
     ratios = []
     for n in (10**6, 10**9, 10**12):
-        log_cw, log_alo = gm.exact_block_diagonal_log(
-            [1.0, 1.0], (1.2, 1.2), math.sqrt(2.0 * math.log(n)), n
-        )
+        a_n = math.sqrt(2.0 * math.log(n))
+        log_cw, log_alo = gm.exact_block_diagonal_log([1.0, 1.0], a_n * np.array([1.2, 1.2]), n)
         ratios.append((log_cw - log_alo) / math.log(n))
     cfg = tmp_path / "config.yaml"
     cfg.write_text(C6_YAML, encoding="utf-8")

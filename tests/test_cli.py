@@ -346,13 +346,13 @@ class TestEstimateCommand:
         # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws.
         monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
         calls = []
-        draw = gm.estimate.sample_gaussian_into
+        draw = gm.estimate.sample_gaussian
 
         def counting(model, stream, out, z):
             calls.append(len(out))
             return draw(model, stream, out, z)
 
-        monkeypatch.setattr(gm.estimate, "sample_gaussian_into", counting)
+        monkeypatch.setattr(gm.estimate, "sample_gaussian", counting)
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert calls == [500] * 10
@@ -578,16 +578,15 @@ class TestVerifyCommand:
             assert cli._g(float(speed)) == speed
 
 
-EMPTY_POLY_YAML = """\
+NEAR_SINGULAR_YAML = """\
 model:
   kind: gaussian
-  mean: [0.0]
-  sigma: [[1.0]]
+  mean: [0.0, 0.0]
+  sigma: [[1.0, 0.999999999], [0.999999999, 1.0]]
 set:
-  kind: polyhedron
-  constraints: [[1.0], [-1.0]]
-  offsets: [1000000001.0, -1000000000.0]
-limit: [1.0]
+  kind: block
+  corner: [1.0, 2.0]
+limit: [1.0, 1.0]
 ladder: [10, 100]
 trials: 100
 is_samples: 200
@@ -597,16 +596,17 @@ seed: 16
 
 class TestCertificateWarnings:
     def test_every_command_warns_on_failed_certificate(self, tmp_path):
-        # The set is empty (x >= 1e9 + 1 and x <= 1e9), but the solve cannot
-        # tell so at this offset: x* comes back with a KKT residual of 5.8e10.
-        cfg = write_config(tmp_path, EMPTY_POLY_YAML)
+        # At correlation c = 1 - 1e-9 the quadratic is so ill-conditioned
+        # that x* = (2c, 2), right to an ulp, misses the 1e-9 KKT tolerance.
+        cfg = write_config(tmp_path, NEAR_SINGULAR_YAML)
         out = tmp_path / "artifacts"
         for command in ("dominate", "rate", "estimate", "verify"):
             assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
         dominate = json.loads((out / "dominate.json").read_text())
         assert dominate["optimality_certificate"] is False
         warning = f"x* fails its KKT certificate (kkt_residual {dominate['kkt_residual']:.3g})"
-        assert warning == "x* fails its KKT certificate (kkt_residual 5.77e+10)"
+        assert warning == "x* fails its KKT certificate (kkt_residual 5.96e-08)"
+        assert dominate["x_star"] == pytest.approx([2 * 0.999999999, 2.0], rel=1e-15, abs=0.0)
         for name in ("dominate.json", "rate.json", "estimate.json", "verify_summary.json"):
             assert warning in json.loads((out / name).read_text())["warnings"], name
 
@@ -638,6 +638,8 @@ INVALID_VALUES = [
     (BLOCK_YAML, "ladder: [100, 1000, 10000]", "ladder: [100, .inf]"),
     (BLOCK_YAML, "corner: [1.2, 1.2]", "corner: [.nan, 1.2]"),
     (BLOCK_YAML, "mean: [0.0, 0.0]", "mean: [.nan, 0.0]"),
+    (BLOCK_YAML, "seed: 4242", "seed: 4242\noutputs: null"),
+    (BLOCK_YAML, "seed: 4242", 'seed: 4242\noutputs: ""'),
 ]
 
 

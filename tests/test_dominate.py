@@ -307,13 +307,23 @@ class TestExactSolver:
         assert point.margin_alpha == corner**2
         assert point.optimality_certificate
 
-    @pytest.mark.parametrize("offset", [1.0, 1e9])
-    def test_far_empty_polyhedron_raises_infeasible(self, offset):
-        empty = gm.Polyhedron(
-            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([offset, offset, offset])
-        )
+    @pytest.mark.parametrize(
+        "rows, offsets",
+        [
+            pytest.param([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0], id="1.0"),
+            pytest.param([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1e9, 1e9, 1e9], id="1000000000.0"),
+            # x >= a + 1 and x <= a at a = 1e6 and 1e9: relative to the
+            # distance, the re-solved point violates a row by 5e-7 and 5e-10.
+            pytest.param([[1.0], [-1.0]], [1e6 + 1.0, -1e6], id="gap-at-1e6"),
+            pytest.param([[1.0], [-1.0]], [1e9 + 1.0, -1e9], id="gap-at-1e9"),
+        ],
+    )
+    def test_far_empty_polyhedron_raises_infeasible(self, rows, offsets):
+        empty = gm.Polyhedron(np.array(rows), np.array(offsets))
+        d = empty.dimension
+        covariance = CORRELATED2 if d == 2 else gm.build_covariance(np.eye(d))
         with pytest.raises(gm.EmptyInterior, match="infeasible"):
-            gm.dominating_point(empty, CORRELATED2, gm.ScalingLimit.identity(2))
+            gm.dominating_point(empty, covariance, gm.ScalingLimit.identity(d))
 
     def test_origin_on_boundary_to_rounding_is_not_atypical(self):
         # The origin is outside by 1e-15, below the active-set tolerance,

@@ -11,7 +11,7 @@ from scipy import integrate
 
 import gaussmax as gm
 from gaussmax import estimate
-from helpers import exact_block_pair, fresh_gaussian
+from helpers import draw_gaussian, draw_mixture, exact_block_pair, fresh_gaussian
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
@@ -103,7 +103,7 @@ class TestExactBlockDiagonal:
     def test_log_path_below_double_range(self):
         # t = 40 puts the per-coordinate tail around exp(-804); the log
         # output must stay finite and match the asymptote log(n q).
-        log_cw, log_alo = gm.exact_block_diagonal_log([1.0], [40.0], 1.0, 1000)
+        log_cw, log_alo = gm.exact_block_diagonal_log([1.0], [40.0], 1000)
         assert log_cw == log_alo
         assert math.isfinite(log_cw)
         with mpmath.workdps(60):
@@ -112,15 +112,13 @@ class TestExactBlockDiagonal:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal_log([1.0, -1.0], [1.0, 1.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0, -1.0], [1.0, 1.0], 10)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal_log([1.0], [0.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0], [0.0], 10)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal_log([1.0], [1.0], 0.0, 10)
+            gm.exact_block_diagonal_log([1.0], [1.0], 0)
         with pytest.raises(ValueError):
-            gm.exact_block_diagonal_log([1.0], [1.0], 1.0, 0)
-        with pytest.raises(ValueError):
-            gm.exact_block_diagonal_log([1.0, 1.0], [1.0], 1.0, 10)
+            gm.exact_block_diagonal_log([1.0, 1.0], [1.0], 10)
 
 
 class TestLogNdtr:
@@ -253,13 +251,24 @@ class TestFusedCrude:
 
     def test_block_hits_split_into_union_and_conspiracies(self):
         # For an upward-closed set a vector inside puts the maximum inside,
-        # so every componentwise hit is a union hit or a conspiracy.
+        # so every componentwise hit is a union hit or a conspiracy (the
+        # maximum inside, no vector inside).  The chunks are redrawn here:
+        # 200 trials each, chunk i from substream i.
+        n, chunk = self.ENTRY.n, 200
         stream = gm.RandomStream(6)
+        scaled = self.TARGET.scale(self.ENTRY.scale_diag)
+        union = conspiracies = 0
+        for i in range(self.TRIALS // chunk):
+            x = draw_gaussian(self.MODEL, chunk * n, stream.substream(i))
+            top_in = scaled.contains_many(x.reshape(chunk, n, 2).max(axis=1))
+            any_in = scaled.contains_many(x).reshape(chunk, n).any(axis=1)
+            assert not (any_in & ~top_in).any()
+            union += int(any_in.sum())
+            conspiracies += int((top_in & ~any_in).sum())
         cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
-        p, _ = gm.conspiracy_rate(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
-        assert p > 0.0
-        hits = [round(q * self.TRIALS) for q in (cw.p_hat, alo.p_hat, p)]
-        assert hits[0] == hits[1] + hits[2]
+        assert conspiracies > 0
+        hits = [round(q * self.TRIALS) for q in (cw.p_hat, alo.p_hat)]
+        assert hits == [union + conspiracies, union]
 
     def test_executor_does_not_change_reports(self, monkeypatch):
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
@@ -289,7 +298,7 @@ class TestFusedCrude:
         cw = alo = 0
         for i, start in enumerate(range(0, trials, chunk)):
             take = min(chunk, trials - start)
-            x = gm.sample_mixture(mixture, take * n, stream.substream(i))
+            x = draw_mixture(mixture, take * n, stream.substream(i))
             cw += int(scaled.contains_many(x.reshape(take, n, 2).max(axis=1)).sum())
             alo += int(scaled.contains_many(x).reshape(take, n).any(axis=1).sum())
         inline = gm.mc_crude(mixture, self.TARGET, entry, trials, stream)
@@ -347,7 +356,7 @@ class TestPlanRung:
     def test_exact_rung_skips_its_pair_at_few_expected_hits(self):
         target = gm.Block(np.array([1.2, 1.2]))
         corner = self.ENTRY.scale_diag * target.corner
-        p_cw = math.exp(gm.exact_block_diagonal_log(np.ones(2), corner, 1.0, self.ENTRY.n)[0])
+        p_cw = math.exp(gm.exact_block_diagonal_log(np.ones(2), corner, self.ENTRY.n)[0])
         bound = estimate.CRUDE_MIN_EXPECTED_HITS
         under = math.floor(bound / p_cw)
         # 599 trials expect 0.00999 hits, 600 trials 0.01001.
@@ -451,9 +460,9 @@ class TestImportanceSampling:
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 1_000)
         target = gm.Halfspace(np.array([1.0, 1.0]), 4.0)
         args = (STANDARD2, target, np.array([2.0, 2.0]), 30_000, gm.RandomStream(47))
-        inline = gm.is_single(*args, n=3, scaling_norm_sq=1.5)
+        inline = gm.is_single(*args, scaling_norm_sq=1.5)
         with ThreadPoolExecutor(3) as pool:
-            pooled = gm.is_single(*args, n=3, scaling_norm_sq=1.5, executor=pool)
+            pooled = gm.is_single(*args, scaling_norm_sq=1.5, executor=pool)
         assert pooled == inline
         assert not inline.degenerate_weights
 
@@ -503,7 +512,7 @@ class TestSharedShifts:
         # 3000 samples of dimension 3 at 999 scalars a chunk: 10 chunks.
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
         args = (CORRELATED3, self.TARGET)
-        kwargs = {"n": 4, "scaling_norm_sq": 2.5}
+        kwargs = {"scaling_norm_sq": 2.5}
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
             shared, hits = estimate._is_single_shifts(
                 *args, self.SHIFTS, 3000, gm.RandomStream(48), executor=pool, **kwargs
@@ -629,38 +638,31 @@ class TestSlopeFit:
 
 
 class TestConspiracyRate:
+    """The conspiracy rate: componentwise minus at-least-one hits of one ``mc_crude`` pass."""
+
     def test_impossible_in_one_dimension(self):
-        p, ratio = gm.conspiracy_rate(
+        cw, alo = gm.mc_crude(
             STANDARD1, gm.Block(np.array([1.5])), gm.LadderEntry(5, np.ones(1), 1.0), 5000,
             gm.RandomStream(61),
         )
-        assert p == 0.0
-        assert ratio == 0.0
+        assert cw.p_hat > 0.0
+        assert cw.p_hat == alo.p_hat
 
     def test_single_draw_is_conspiracy_free(self):
-        p, _ = gm.conspiracy_rate(
+        cw, alo = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), gm.LadderEntry(1, np.ones(2), 1.0), 5000,
             gm.RandomStream(62),
         )
-        assert p == 0.0
+        assert cw.p_hat > 0.0
+        assert cw.p_hat == alo.p_hat
 
     def test_matches_exact_difference(self):
         entry = gm.LadderEntry(5, np.ones(2), 1.0)
         trials = 40_000
-        p, ratio = gm.conspiracy_rate(
+        cw_row, alo_row = gm.mc_crude(
             STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, trials, gm.RandomStream(63)
         )
         cw, alo = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
         exact_gap = cw - alo
         se = math.sqrt(exact_gap * (1.0 - exact_gap) / trials)
-        assert abs(p - exact_gap) <= 3.0 * se
-
-    def test_ratio_uses_provided_exact_union(self):
-        entry = gm.LadderEntry(5, np.ones(2), 1.0)
-        cw, alo = exact_block_pair([1.0, 1.0], [1.0, 1.0], 1.0, 5)
-        p, ratio = gm.conspiracy_rate(
-            STANDARD2, gm.Block(np.array([1.0, 1.0])), entry, 40_000,
-            gm.RandomStream(63), exact_union=alo,
-        )
-        assert ratio == pytest.approx(p / alo, rel=1e-12)
-        assert ratio == pytest.approx((cw - alo) / alo, rel=0.1)
+        assert abs(cw_row.p_hat - alo_row.p_hat - exact_gap) <= 3.0 * se

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every import is used, every private name is referenced.
+"""Source hygiene of the package: every import is used, every private name is
+referenced, and the package exports exactly what its modules export.
 
 Parsed with ``ast`` only, so nothing under ``src/gaussmax`` is imported here.
 """
@@ -39,8 +40,8 @@ def _references(tree) -> set[str]:
     return out
 
 
-def _private_definitions(tree) -> set[str]:
-    """Module-level ``_private`` functions, classes and constants."""
+def _definitions(tree) -> set[str]:
+    """Module-level functions, classes and constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -48,7 +49,22 @@ def _private_definitions(tree) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree) -> set[str]:
+    """Module-level ``_private`` functions, classes and constants."""
+    return {n for n in _definitions(tree) if n.startswith("_") and not n.startswith("__")}
+
+
+def _exports(tree) -> list[str] | None:
+    """The module's literal ``__all__``, or None if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
 
 
 @pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
@@ -62,3 +78,18 @@ def test_every_import_is_used(module):
 def test_every_private_name_is_referenced(module):
     referenced = set().union(*(_references(tree) for tree in TREES.values()))
     assert sorted(_private_definitions(TREES[module]) - referenced) == []
+
+
+def test_package_exports_are_the_submodules_exports():
+    # The exception classes are exported without an __all__ of their own.
+    errors = {n.name for n in TREES["errors.py"].body if isinstance(n, ast.ClassDef)}
+    submodules = [e for m, t in TREES.items() if m != "__init__.py" and (e := _exports(t))]
+    package = _exports(TREES["__init__.py"])
+    assert len(package) == len(set(package))
+    assert sorted(package) == sorted({"__version__", *errors}.union(*submodules))
+
+
+@pytest.mark.parametrize("module", [m for m, t in TREES.items() if _exports(t) is not None])
+def test_every_export_is_defined(module):
+    tree = TREES[module]
+    assert sorted(set(_exports(tree)) - _definitions(tree) - _imported(tree)) == []
