@@ -65,7 +65,7 @@ from .estimate import (
     union_combine,
     union_combined_report,
 )
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, load_config, parse_config
 
 __all__ = [
     "__version__",
@@ -115,6 +115,5 @@ __all__ = [
     "slope_fit",
     "ExperimentConfig",
     "parse_config",
-    "serialize_config",
     "load_config",
 ]

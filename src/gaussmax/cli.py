@@ -147,7 +147,7 @@ def run_dominate(config: ExperimentConfig, seed: int, outdir: Path) -> dict:
             discrepancy = float(np.linalg.norm(solved.x_star - corner))
             payload["corner_pairwise"] = corner
             payload["corner_discrepancy"] = discrepancy
-            if discrepancy > 1e-6:
+            if discrepancy > 1e-6 * float(np.linalg.norm(solved.x_star)):
                 warnings.append(
                     "pairwise corner formula disagrees with the quadratic solver"
                 )

@@ -7,10 +7,8 @@ its largest entry is exactly 1 (recording the factor), and validates
 eagerly what can be checked without solving: positive definiteness,
 dimension agreement, an atypical set, and model or mixture means outside
 the set.  The margin condition depends on the dominating point and is checked
-lazily by the runners, which downgrade it to a warning.
-
-``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly;
-the digest of the canonical form ties output artifacts to their inputs.
+lazily by the runners, which downgrade it to a warning.  The digest of the
+canonical form ties output artifacts to their inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,20 @@ from .errors import ConfigError
 from .model import GaussianMixture, GaussianModel, build_covariance
 from .sets import Block, ConvexSet, Ellipsoid, Halfspace, Polyhedron
 
-__all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config"]
+__all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
-_TOP_KEYS = {
-    "model", "set", "limit", "ladder", "trials", "is_samples",
-    "seed", "outputs", "normalization_factor",
-}
+_TOP_KEYS = {"model", "set", "limit", "ladder", "trials", "is_samples", "seed", "outputs"}
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader, also reading ``1e-3`` and ``1.2e10`` as floats (YAML 1.1 reads strings)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def _number(value, name: str) -> float:
@@ -84,79 +91,66 @@ def check_seed(value) -> int:
     return seed
 
 
-def _parse_model(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("model must be a table")
-    kind = raw.get("kind")
-    if kind == "gaussian":
-        extra = set(raw) - {"kind", "mean", "sigma"}
-        if extra:
-            raise ConfigError(f"unknown model keys: {sorted(extra)}")
-        return {
-            "kind": "gaussian",
-            "mean": _float_list(raw.get("mean"), "model.mean"),
-            "sigma": _float_matrix(raw.get("sigma"), "model.sigma"),
-        }
-    if kind == "mixture":
-        extra = set(raw) - {"kind", "weights", "components"}
-        if extra:
-            raise ConfigError(f"unknown model keys: {sorted(extra)}")
-        comps_raw = raw.get("components")
-        if not isinstance(comps_raw, (list, tuple)) or len(comps_raw) == 0:
-            raise ConfigError("model.components must be a nonempty list")
-        comps = []
-        for k, c in enumerate(comps_raw):
-            if not isinstance(c, dict) or set(c) - {"mean", "sigma"}:
-                raise ConfigError(f"component {k + 1} must be a table with mean and sigma")
-            comps.append({
-                "mean": _float_list(c.get("mean"), f"component {k + 1} mean"),
-                "sigma": _float_matrix(c.get("sigma"), f"component {k + 1} sigma"),
-            })
-        return {
-            "kind": "mixture",
-            "weights": _float_list(raw.get("weights"), "model.weights"),
-            "components": comps,
-        }
-    raise ConfigError(f"model.kind must be 'gaussian' or 'mixture', got {kind!r}")
-
-
-def _parse_set(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("set must be a table")
-    kind = raw.get("kind")
-    schemas = {
-        "block": {"corner"},
-        "halfspace": {"normal", "offset"},
-        "polyhedron": {"constraints", "offsets"},
-        "ellipsoid": {"center", "shape", "radius"},
-    }
-    if kind not in schemas:
-        raise ConfigError(
-            f"set.kind must be one of {sorted(schemas)}, got {kind!r}"
-        )
-    extra = set(raw) - schemas[kind] - {"kind"}
+def _reject_unknown(raw: dict, allowed, name: str) -> None:
+    extra = set(raw) - set(allowed)
     if extra:
-        raise ConfigError(f"unknown set keys: {sorted(extra)}")
-    if kind == "block":
-        return {"kind": kind, "corner": _float_list(raw.get("corner"), "set.corner")}
-    if kind == "halfspace":
-        return {
-            "kind": kind,
-            "normal": _float_list(raw.get("normal"), "set.normal"),
-            "offset": _number(raw.get("offset"), "set.offset"),
-        }
-    if kind == "polyhedron":
-        return {
-            "kind": kind,
-            "constraints": _float_matrix(raw.get("constraints"), "set.constraints"),
-            "offsets": _float_list(raw.get("offsets"), "set.offsets"),
-        }
-    return {
-        "kind": kind,
-        "center": _float_list(raw.get("center"), "set.center"),
-        "shape": _float_matrix(raw.get("shape"), "set.shape"),
-        "radius": _number(raw.get("radius"), "set.radius"),
-    }
+        raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
+
+
+def _fields(raw: dict, schema: dict, prefix: str) -> dict:
+    """Each field of ``schema`` read from ``raw`` by its parser, in schema order."""
+    return {key: parse(raw.get(key), f"{prefix}{key}") for key, parse in schema.items()}
+
+
+_GAUSSIAN = {"mean": _float_list, "sigma": _float_matrix}
+
+
+def _components(value, name: str) -> list[dict]:
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise ConfigError(f"{name} must be a nonempty list")
+    comps = []
+    for k, c in enumerate(value, start=1):
+        if not isinstance(c, dict) or set(c) - set(_GAUSSIAN):
+            raise ConfigError(f"component {k} must be a table with mean and sigma")
+        comps.append(_fields(c, _GAUSSIAN, f"component {k} "))
+    return comps
+
+
+def _gaussian(spec: dict) -> GaussianModel:
+    return GaussianModel(
+        mean=np.array(spec["mean"]), covariance=build_covariance(np.array(spec["sigma"]))
+    )
+
+
+def _mixture(spec: dict) -> GaussianMixture:
+    comps = tuple(_gaussian(c) for c in spec["components"])
+    return GaussianMixture(weights=np.array(spec["weights"]), components=comps)
+
+
+# Each kind's builder and fields, parsed in this order.  A set kind's fields
+# are named as its class's constructor takes them.
+_MODELS = {
+    "gaussian": (_gaussian, _GAUSSIAN),
+    "mixture": (_mixture, {"components": _components, "weights": _float_list}),
+}
+_SHAPES = {
+    "block": (Block, {"corner": _float_list}),
+    "halfspace": (Halfspace, {"normal": _float_list, "offset": _number}),
+    "polyhedron": (Polyhedron, {"constraints": _float_matrix, "offsets": _float_list}),
+    "ellipsoid": (Ellipsoid, {"center": _float_list, "shape": _float_matrix, "radius": _number}),
+}
+
+
+def _parse_kind(raw, name: str, table: dict, kinds: str) -> dict:
+    """The ``{kind, fields...}`` spec of table ``name``, by the fields of its kind's row."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a table")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{name}.kind must be {kinds}, got {kind!r}")
+    schema = table[kind][1]
+    _reject_unknown(raw, {"kind", *schema}, name)
+    return {"kind": kind, **_fields(raw, schema, f"{name}.")}
 
 
 @dataclass(frozen=True)
@@ -174,29 +168,13 @@ class ExperimentConfig:
     outputs: str
 
     def build_model(self):
-        if self.model["kind"] == "gaussian":
-            return GaussianModel(
-                mean=np.array(self.model["mean"]),
-                covariance=build_covariance(np.array(self.model["sigma"])),
-            )
-        comps = tuple(
-            GaussianModel(
-                mean=np.array(c["mean"]),
-                covariance=build_covariance(np.array(c["sigma"])),
-            )
-            for c in self.model["components"]
-        )
-        return GaussianMixture(weights=np.array(self.model["weights"]), components=comps)
+        return _MODELS[self.model["kind"]][0](self.model)
 
     def build_set(self) -> ConvexSet:
-        s = self.set_spec
-        if s["kind"] == "block":
-            return Block(np.array(s["corner"]))
-        if s["kind"] == "halfspace":
-            return Halfspace(np.array(s["normal"]), s["offset"])
-        if s["kind"] == "polyhedron":
-            return Polyhedron(np.array(s["constraints"]), np.array(s["offsets"]))
-        return Ellipsoid(np.array(s["center"]), np.array(s["shape"]), s["radius"])
+        spec = self.set_spec
+        cls, schema = _SHAPES[spec["kind"]]
+        fields = {k: np.array(spec[k]) if isinstance(spec[k], list) else spec[k] for k in schema}
+        return cls(**fields)
 
     def build_limit(self) -> ScalingLimit:
         return ScalingLimit(np.array(self.limit_diagonal))
@@ -204,22 +182,20 @@ class ExperimentConfig:
     def build_ladder(self) -> ScalingLadder:
         return ScalingLadder(limit=self.build_limit(), sample_sizes=self.ladder)
 
-    def to_dict(self) -> dict:
-        return {
-            "model": json.loads(json.dumps(self.model)),
-            "set": json.loads(json.dumps(self.set_spec)),
-            "limit": {"diagonal": list(self.limit_diagonal)},
+    def digest(self) -> str:
+        canonical = {
+            "model": self.model,
+            "set": self.set_spec,
+            "limit": {"diagonal": self.limit_diagonal},
             "normalization_factor": self.normalization_factor,
-            "ladder": list(self.ladder),
+            "ladder": self.ladder,
             "trials": self.trials,
             "is_samples": self.is_samples,
             "seed": self.seed,
             "outputs": self.outputs,
         }
-
-    def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -229,41 +205,32 @@ def parse_config(text: str) -> ExperimentConfig:
     message names the violated requirement.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a YAML mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(raw, _TOP_KEYS, "config")
     for key in ("model", "set", "limit", "ladder", "trials", "is_samples", "seed"):
         if key not in raw:
             raise ConfigError(f"missing config key: {key}")
 
-    model = _parse_model(raw["model"])
-    set_spec = _parse_set(raw["set"])
+    model = _parse_kind(raw["model"], "model", _MODELS, "'gaussian' or 'mixture'")
+    set_spec = _parse_kind(raw["set"], "set", _SHAPES, f"one of {sorted(_SHAPES)}")
 
     limit_raw = raw["limit"]
     if isinstance(limit_raw, dict):
-        extra = set(limit_raw) - {"diagonal"}
-        if extra:
-            raise ConfigError(f"unknown limit keys: {sorted(extra)}")
+        _reject_unknown(limit_raw, {"diagonal"}, "limit")
         limit_raw = limit_raw.get("diagonal")
     diag = _float_list(limit_raw, "limit.diagonal")
     if any(v <= 0.0 for v in diag):
         raise ConfigError("limit.diagonal entries must be positive")
     factor = max(diag)
-    diag = [v / factor for v in diag]
-    incoming = _number(raw.get("normalization_factor", 1.0), "normalization_factor")
-    normalization_factor = incoming * factor
 
     ladder_raw = raw["ladder"]
     if not isinstance(ladder_raw, (list, tuple)) or len(ladder_raw) == 0:
         raise ConfigError("ladder must be a nonempty list of block sizes")
     ladder = tuple(_int_value(n, "ladder entry", 2) for n in ladder_raw)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder block sizes must be strictly increasing")
 
     outputs = raw.get("outputs", "out")
     if not isinstance(outputs, str) or not outputs:
@@ -272,8 +239,8 @@ def parse_config(text: str) -> ExperimentConfig:
     config = ExperimentConfig(
         model=model,
         set_spec=set_spec,
-        limit_diagonal=tuple(diag),
-        normalization_factor=normalization_factor,
+        limit_diagonal=tuple(v / factor for v in diag),
+        normalization_factor=factor,
         ladder=ladder,
         trials=_int_value(raw["trials"], "trials", 1),
         is_samples=_int_value(raw["is_samples"], "is_samples", 1),
@@ -281,8 +248,8 @@ def parse_config(text: str) -> ExperimentConfig:
         outputs=outputs,
     )
 
-    # Build everything once so covariance, shape and weight validation runs now;
-    # every validation failure is a ValueError.
+    # Build everything once so covariance, shape, weight and ladder-order
+    # validation runs now; every validation failure is a ValueError.
     try:
         built_model = config.build_model()
         built_set = config.build_set()
@@ -309,11 +276,6 @@ def parse_config(text: str) -> ExperimentConfig:
         # Not a rare event: an importance-sampled q-hat can exceed 1.
         raise ConfigError("config validation failed: model mean inside set")
     return config
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Render the canonical YAML document for a config."""
-    return yaml.safe_dump(config.to_dict(), sort_keys=True, default_flow_style=False)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -488,8 +488,9 @@ def rate_mixture(
     """Mixture rate by recentering the quadratic at each component mean.
 
     Solves one exact problem per component, each with its own KKT
-    certificate, and keeps the smallest recentered value; weights do not
-    enter the rate.  Component indices are 1-based in the result.
+    certificate, and keeps the smallest recentered value among components
+    of positive weight; the size of a positive weight does not enter the
+    rate.  Component indices are 1-based in the result.
 
     Raises
     ------
@@ -517,7 +518,8 @@ def rate_mixture(
                 kkt_residual=residual,
             )
         )
-    best = min(solutions, key=lambda c: c.quad_value)
+    weighted = (c for c, w in zip(solutions, mixture.weights) if w > 0.0)
+    best = min(weighted, key=lambda c: c.quad_value)
     alpha = 0.5 * best.quad_value
     return MixtureRate(
         rate_componentwise=0.5 - alpha,

@@ -13,7 +13,7 @@ import pytest
 
 import gaussmax as gm
 from gaussmax import cli
-from gaussmax.config import parse_config, serialize_config
+from gaussmax.config import parse_config
 
 BLOCK_YAML = """\
 model:
@@ -113,19 +113,10 @@ class TestParseConfig:
         config = parse_config(text)
         assert config.limit_diagonal == (1.0, 0.5)
 
-    def test_round_trip_identity(self):
-        for text in (BLOCK_YAML, HALFSPACE_YAML, POLY_YAML, MIXTURE_YAML):
-            config = parse_config(text)
-            again = parse_config(serialize_config(config))
-            assert again == config
-            assert again.digest() == config.digest()
-
-    def test_round_trip_preserves_normalization(self):
-        text = BLOCK_YAML.replace("limit: [1.0, 1.0]", "limit: [2.0, 1.0]")
-        config = parse_config(text)
-        again = parse_config(serialize_config(config))
-        assert again == config
-        assert again.normalization_factor == 2.0
+    def test_exponent_floats_without_dot(self):
+        # YAML 1.1 reads these as strings; a quoted "1e-3" stays one (see INVALID_VALUES).
+        config = parse_config(BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [12e-1, 1.2e0]"))
+        assert config.set_spec == {"kind": "block", "corner": [1.2, 1.2]}
 
     def test_digest_tracks_content(self):
         a = parse_config(BLOCK_YAML)
@@ -210,6 +201,20 @@ class TestDominateCommand:
         np.testing.assert_allclose(payload["corner_pairwise"], [1.0, 1.0], atol=1e-9)
         assert payload["corner_discrepancy"] == pytest.approx(math.sqrt(0.5), abs=1e-6)
         assert any("pairwise corner formula disagrees" in w for w in payload["warnings"])
+
+    def test_far_polyhedron_corner_agrees(self, tmp_path):
+        # Near x* ~ 1e10 the corner formula and the solver differ by about
+        # 1.9e-6, a relative 1.6e-16, which is no disagreement.
+        fixture = Path(__file__).parent / "fixtures" / "regression" / "is-polyhedron"
+        text = (fixture / "config.yaml").read_text(encoding="utf-8")
+        assert "offsets: [1.2, 1.1]" in text
+        text = text.replace("offsets: [1.2, 1.1]", "offsets: [1.2e+10, 1.1e+10]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "dominate.json").read_text())
+        assert payload["corner_discrepancy"] > 1e-6
+        assert payload["warnings"] == []
 
     def test_margin_warning_emitted(self, tmp_path):
         text = HALFSPACE_YAML.replace("offset: 2.4", "offset: 2.0")
@@ -640,6 +645,9 @@ INVALID_VALUES = [
     (BLOCK_YAML, "mean: [0.0, 0.0]", "mean: [.nan, 0.0]"),
     (BLOCK_YAML, "seed: 4242", "seed: 4242\noutputs: null"),
     (BLOCK_YAML, "seed: 4242", 'seed: 4242\noutputs: ""'),
+    (BLOCK_YAML, "corner: [1.2, 1.2]", 'corner: ["1e-3", 1.2]'),
+    (BLOCK_YAML, "kind: gaussian", "kind: [gaussian]"),
+    (BLOCK_YAML, "kind: block", "kind: [block]"),
 ]
 
 
@@ -672,9 +680,11 @@ class TestExitCodes:
         assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
-    def test_unknown_key_is_two(self, tmp_path):
-        cfg = write_config(tmp_path, BLOCK_YAML + "bogus: 1\n")
-        assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    def test_unknown_key_is_two(self, tmp_path, capsys):
+        for extra in ("bogus: 1\n", "normalization_factor: 2.0\n"):
+            cfg = write_config(tmp_path, BLOCK_YAML + extra)
+            assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_solver_failure_is_three(self, tmp_path, capsys):
         # An empty polyhedron passes the atypicality check (the origin is

@@ -537,6 +537,17 @@ class TestMixtureRate:
         assert a.rate_componentwise == b.rate_componentwise
         assert a.argmin_component == b.argmin_component
 
+    def test_zero_weight_component_does_not_set_rate(self):
+        # The mixture is N(0, I); the massless component at (0.9, 0.9) would give +0.41.
+        cov = gm.build_covariance(np.eye(2))
+        comps = (gm.GaussianModel(np.array([0.9, 0.9]), cov), gm.GaussianModel(np.zeros(2), cov))
+        mixture = gm.GaussianMixture(np.array([0.0, 1.0]), comps)
+        target = gm.Block(np.array([1.2, 1.2]))
+        result = gm.rate_mixture(target, mixture, gm.ScalingLimit.identity(2))
+        assert result.argmin_component == 2
+        assert result.rate_componentwise == pytest.approx(-0.94, abs=1e-9)
+        assert result.per_component[0].quad_value == pytest.approx(0.18, abs=1e-9)
+
     def test_mean_inside_set_rejected(self):
         cov = gm.build_covariance(np.eye(2))
         mixture = gm.GaussianMixture(

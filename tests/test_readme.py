@@ -1,5 +1,6 @@
 """The README's library quick start runs and shows the values its comments state,
-and its flag list names exactly the flags the command line parser takes."""
+its flag list names exactly the flags the command line parser takes, and its
+config example names exactly the keys the config parser accepts."""
 
 import argparse
 import json
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from gaussmax import config
 from gaussmax.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -77,3 +80,11 @@ def test_flag_list_matches_parser():
     assert readme - parser == set(), "README names flags the parser does not take"
     assert parser - readme == set(), "the parser takes flags the README does not name"
     assert (None, "--config") in readme and ("verify", "--workers") in readme
+
+
+def test_config_example_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    example = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+    config.parse_config(example)
+    assert set(yaml.safe_load(example)) == config._TOP_KEYS
