@@ -33,6 +33,7 @@ from .estimate import (
     EstimateReport,
     Method,
     _is_single_shifts,
+    _zero_shift_skip,
     exact_block_reports,
     exact_single_log,
     is_single,
@@ -211,13 +212,17 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     scaled = target.scale(entry.scale_diag)
     zeros = np.zeros(model.dimension)
     shift = zeros if zero_shift else entry.scale_diag * solved.x_star
-    # The crude counterpart is the zero shift, weighed on the same draws;
-    # under --zero-shift it is the importance-sampled row itself.
+    skip = None if zero_shift else _zero_shift_skip(model, shift, config.is_samples, entry.n)
+    # The crude counterpart is the zero shift, weighed on the same draws
+    # unless it cannot hit; under --zero-shift it is the importance-sampled
+    # row itself.
+    shifts = (shift,) if zero_shift or skip else (shift, zeros)
     reports, (is_hits, *_) = _is_single_shifts(
-        model, scaled, (shift,) if zero_shift else (shift, zeros), config.is_samples,
-        root.substream(800), scaling_norm_sq=entry.speed,
+        model, scaled, shifts, config.is_samples, root.substream(800),
+        scaling_norm_sq=entry.speed,
     )
-    is_report, crude_report = reports[0], reports[-1]
+    is_report = reports[0]
+    crude_report = None if skip else reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
     if is_report.degenerate_weights and is_hits == 0:
         warnings.append("importance sampler produced no hits (degenerate weights)")
@@ -228,11 +233,10 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
         )
 
     var_is = is_report.std_error**2 * is_report.trials
-    var_crude = crude_report.p_hat * (1.0 - crude_report.p_hat)
-    crude_resolved = crude_report.p_hat > 0.0
+    crude_resolved = crude_report is not None and crude_report.p_hat > 0.0
     reduction = None
     if crude_resolved and var_is > 0.0:
-        reduction = var_crude / var_is
+        reduction = crude_report.p_hat * (1.0 - crude_report.p_hat) / var_is
 
     payload.update(
         {
@@ -241,13 +245,15 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "zero_shift": zero_shift,
             "shift": shift,
             "importance_sampled": asdict(is_report),
-            "crude_single": asdict(crude_report),
+            "crude_single": None if crude_report is None else asdict(crude_report),
             "union_combined": asdict(union_report),
             "crude_resolved": crude_resolved,
             "variance_reduction_factor": reduction,
             "degenerate_weights": is_report.degenerate_weights,
         }
     )
+    if skip:
+        payload["crude_skipped"] = skip
 
     log_q_exact = exact_single_log(model, target, entry)
     if log_q_exact is not None:

@@ -9,20 +9,26 @@ throughout, cover block sets under diagonal covariances
 (``exact_single_log``).  A small regression helper turns a ladder of log
 probabilities into an empirical decay rate.
 
-Both crude estimators come from one pass: each chunk of trials is drawn
-once and yields the componentwise hits and the at-least-one hits
-together.  The crude pass and the importance sampler share one chunk
-driver, the only code here that tells a Gaussian draw from a mixture
-draw.  The importance sampler likewise weighs one draw for several
-shifts: ``estimate``'s shifted row and its crude (zero-shift)
-counterpart come from the same chunks, each drawn once.
+Both crude estimators come from one pass, which takes one of two forms.
+The full draw draws every vector of each trial; the crude pass and the
+importance sampler share its chunk driver.  On a set with finite lower
+bounds ``t`` (a block or an ellipsoid), the exceedance pass draws only
+the vectors with some ``x_j >= t_j``, exactly in law, from their
+one-dimensional tails: no other vector can land in the set or lift the
+componentwise maximum into it.  ``_crude_pass`` holds the one rule that
+picks between them: the exceedance pass whenever its expected scalars
+are fewer.  Either way each chunk of trials yields the componentwise
+hits and the at-least-one hits together.  The importance sampler weighs
+one draw for several shifts: ``estimate``'s shifted row and its crude
+(zero-shift) counterpart come from the same chunks, each drawn once,
+unless the counterpart cannot hit (``_zero_shift_skip``).
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
 it drops the crude pair, returns why; the command line only runs what it
-lists.  A rung skips its crude pass when it exceeds a scalar budget, or
-when its exact componentwise probability bounds the expected hits of
-both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
+lists.  A rung skips its crude pass when the chosen pass's scalars
+exceed a budget, or when its exact componentwise probability bounds the
+expected hits of both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in fixed-size chunks, chunk ``i`` from ``stream.substream(i)``.  Chunks
@@ -65,8 +71,9 @@ __all__ = [
 # the problem shape, never on timing, so runs replay exactly.
 CHUNK_SCALARS = 4_000_000
 
-# A rung gets crude rows only while n * trials * dimension stays within
-# this many scalars; larger rungs rely on their exact or IS rows.
+# A rung gets crude rows only while its crude pass's expected scalars
+# (n * trials * dimension for the full draw) stay within this many;
+# larger rungs rely on their exact or IS rows.
 CRUDE_SCALAR_BUDGET = 200_000_000
 
 # A rung with exact rows skips its crude pass when they put the expected
@@ -120,6 +127,38 @@ def _is_diagonal(sigma: np.ndarray) -> bool:
     return float(np.abs(off).max(initial=0.0)) <= 1e-14 * float(np.abs(sigma).max())
 
 
+def _components(model) -> tuple:
+    """``(weights, components)``: a Gaussian is a mixture of one."""
+    if isinstance(model, GaussianMixture):
+        return model.weights, model.components
+    return (1.0,), (model,)
+
+
+def _crude_pass(model, scaled: ConvexSet, n: int):
+    """``(scalars_per_trial, tails)`` of the crude pass ``mc_crude`` runs on ``scaled``.
+
+    ``tails`` is ``(t, q)`` for the exceedance pass and None for the full
+    draw.  The exceedance pass needs a set with finite lower bounds ``t``
+    (``scaled.lower_bound()``); ``q[k, j] = w_k P_k(X_j >= t_j)`` per
+    component k and coordinate j, and ``r = q.sum()``.  Its expected
+    scalars a trial are ``q.size + n r (d + 2)``: one count per cell
+    ``(k, j)``, and per candidate ``d`` normals and a tail proposal of
+    two scalars (``_exceedances``).  It is chosen when that is below the
+    full draw's ``n d``, which needs ``r < 1``.
+    """
+    d = model.dimension
+    t = scaled.lower_bound()
+    if t is not None:
+        q = np.array([
+            w * np.exp(_log_ndtr((c.mean - t) / np.sqrt(np.diag(c.covariance.sigma))))
+            for w, c in zip(*_components(model))
+        ])
+        per_trial = q.size + n * float(q.sum()) * (d + 2)
+        if per_trial < n * d:
+            return per_trial, (t, q)
+    return n * d, None
+
+
 def plan_rung(
     model, target: ConvexSet, entry: LadderEntry, trials: int
 ) -> tuple[tuple[Method, ...], dict | None]:
@@ -129,15 +168,23 @@ def plan_rung(
     centred diagonal Gaussian gets ``EXACT_BLOCK_DIAGONAL`` (its exact
     componentwise and union_combined rows); any other Gaussian gets
     ``IMPORTANCE_SAMPLED_SINGLE`` (one union_combined row).  The crude
-    pair, one ``mc_crude`` pass, follows when ``skip`` is None.  Else
-    ``skip`` is ``{"n", "reason": "scalar_budget", "scalars"}`` when ``n *
-    trials * dimension`` exceeds ``CRUDE_SCALAR_BUDGET``, or ``{"n",
-    "reason": "expected_hits", "expected_hits"}`` when the rung has exact
-    rows and ``trials * p_componentwise <= CRUDE_MIN_EXPECTED_HITS``,
-    compared in log space so that underflow still skips.  On a block the
-    at-least-one event implies the componentwise one, so the bound covers
-    both crude rows.  A rung without exact rows keeps its pair within the
-    budget, so an over-budget mixture rung runs nothing.
+    pair, one ``mc_crude`` pass, follows when ``skip`` is None.
+
+    That pass is one of two, by one rule (``_crude_pass``): on a set with
+    finite lower bounds ``t`` (a block or an ellipsoid, scaled), the
+    exceedance pass when its expected scalars, about ``n r (d + 2)`` a
+    trial with ``r`` the summed tails ``P(X_j >= t_j)``, are below the
+    full draw's ``n d``; else the full draw of ``n d`` scalars a trial.
+
+    ``skip`` is ``{"n", "reason": "scalar_budget", "scalars"}`` when the
+    chosen pass's expected scalars over all trials exceed
+    ``CRUDE_SCALAR_BUDGET``, or ``{"n", "reason": "expected_hits",
+    "expected_hits"}`` when the rung has exact rows and ``trials *
+    p_componentwise <= CRUDE_MIN_EXPECTED_HITS``, compared in log space
+    so that underflow still skips.  On a block the at-least-one event
+    implies the componentwise one, so the bound covers both crude rows.
+    A rung without exact rows keeps its pair within the budget, so an
+    over-budget mixture rung runs nothing.
     """
     n, diag = entry.n, entry.scale_diag
     exact = (
@@ -151,7 +198,7 @@ def plan_rung(
     if isinstance(model, GaussianModel):
         methods.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
     skip = None
-    scalars = n * trials * model.dimension
+    scalars = math.ceil(trials * _crude_pass(model, target.scale(diag), n)[0])
     if scalars > CRUDE_SCALAR_BUDGET:
         skip = {"n": n, "reason": "scalar_budget", "scalars": scalars}
     elif exact:
@@ -162,6 +209,28 @@ def plan_rung(
     if skip is None:
         methods += [Method.CRUDE_COMPONENTWISE, Method.CRUDE_AT_LEAST_ONE]
     return tuple(methods), skip
+
+
+def _zero_shift_skip(model: GaussianModel, shift: np.ndarray, samples: int, n: int) -> dict | None:
+    """Why ``estimate`` weighs no zero-shift crude row beside its IS row, or None.
+
+    ``shift`` is the scaled dominating point ``y* = A_n x*``, the point of
+    the scaled set nearest the origin in the metric ``sigma_inv``, so the
+    halfspace ``{y : <sigma_inv y*, y - y*> >= 0}`` supports the set at
+    ``y*`` and contains it.  A draw lands in that halfspace with
+    probability ``Phi_bar(delta)``, with ``delta`` the whitened distance
+    from the mean to it (to the set itself for a centred model), so
+    ``samples * Phi_bar(delta)`` bounds the row's expected hits.  At or
+    below ``CRUDE_MIN_EXPECTED_HITS`` the record ``{"n", "reason":
+    "expected_hits", "expected_hits"}`` is returned; the comparison is
+    made in log space, so that underflow still skips.
+    """
+    u = model.covariance.whitener @ shift
+    delta = float(u @ (model.covariance.whitener @ (shift - model.mean))) / math.sqrt(u @ u)
+    log_hits = math.log(samples) + float(_log_ndtr(-delta))
+    if log_hits > math.log(CRUDE_MIN_EXPECTED_HITS):
+        return None
+    return {"n": n, "reason": "expected_hits", "expected_hits": math.exp(log_hits)}
 
 
 def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, executor, body) -> list:
@@ -195,8 +264,86 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
             sample_gaussian(model, stream.substream(index), x, z)
         return body(x, z)
 
-    jobs = range(-(-units // chunk))
-    return list(map(draw, jobs) if executor is None else executor.map(draw, jobs))
+    return _map_chunks(draw, -(-units // chunk), executor)
+
+
+def _map_chunks(run, chunks: int, executor) -> list:
+    """``run(i)`` for each chunk ``i``, on ``executor`` when given, results in chunk order."""
+    jobs = range(chunks)
+    return list(map(run, jobs) if executor is None else executor.map(run, jobs))
+
+
+def _normal_tail(a: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` standard normal draws conditioned on ``z >= a``.
+
+    For ``a > 0``, Robert's exponential rejection (Stat. Comput. 5,
+    1995): propose ``a + E / lam``, with ``E`` standard exponential and
+    ``lam = (a + sqrt(a^2 + 4)) / 2``, and accept with probability
+    ``exp(-(z - lam)^2 / 2)``.  Otherwise plain rejection: standard
+    normal draws, keeping those at or above ``a``.  Either accepts over
+    half its proposals; each round proposes as many as are still missing.
+    """
+    lam = 0.5 * (a + math.sqrt(a * a + 4.0))
+    rounds = []
+    missing = size
+    while missing:
+        if a > 0.0:
+            prop = a + rng.standard_exponential(missing) / lam
+            prop = prop[rng.random(missing) <= np.exp(-0.5 * (prop - lam) ** 2)]
+        else:
+            prop = rng.standard_normal(missing)
+            prop = prop[prop >= a]
+        rounds.append(prop)
+        missing -= len(prop)
+    return np.concatenate(rounds)
+
+
+def _exceedances(model, t: np.ndarray, q: np.ndarray, n: int, trials: int, rng) -> tuple:
+    """``(x, trial)``: of ``trials`` blocks of ``n`` draws, just the vectors with some ``x_j >= t_j``.
+
+    Each of a block's ``n`` draws is independently a candidate of cell
+    ``(k, j)`` with probability ``q[k, j]``, or no candidate: the counts
+    are multinomial, the same law as ``Binomial(n, r)`` candidates, ``r =
+    q.sum()``, each picking ``(k, j)`` with probability ``q[k, j] / r``.
+    A candidate of ``(k, j)`` draws ``x_j`` from component k given ``x_j
+    >= t_j`` (``_normal_tail``) and its other coordinates from component
+    k's conditional normal given ``x_j``; it is kept when j is its first
+    coordinate at or above ``t``.  Every point of ``E = {x : x_j >= t_j
+    for some j}`` is thus kept under one j only, so each draw is
+    independently a kept row with density ``f 1_E``: the kept rows are
+    the block's draws in E, in law.  ``trial`` gives each row's block,
+    ascending.
+    """
+    d = len(t)
+    comps = _components(model)[1]
+    # The last column counts the draws that are no candidate (1 - r).
+    counts = rng.multinomial(n, [*q.ravel(), 0.0], size=trials)
+    blocks = np.arange(trials)
+    rows, owners = [], []
+    for cell in np.flatnonzero(counts[:, :-1].any(axis=0)):
+        k, j = divmod(int(cell), d)
+        comp = comps[k]
+        mean, sigma = comp.mean, comp.covariance.sigma
+        sd = math.sqrt(sigma[j, j])
+        trial = np.repeat(blocks, counts[:, cell])
+        tail = mean[j] + sd * _normal_tail((t[j] - mean[j]) / sd, len(trial), rng)
+        # Rounding may leave mean + sd * z an ulp below t_j.
+        np.maximum(tail, t[j], out=tail)
+        x = rng.standard_normal((len(trial), d)) @ comp.covariance.chol_lower.T
+        x += mean
+        # An unconditioned draw x plus sigma[:, j] / sigma[j, j] times
+        # (tail - x_j) has component k's law given x_j = tail.
+        x += np.outer(tail - x[:, j], sigma[:, j] / sigma[j, j])
+        x[:, j] = tail
+        # Kept under its first exceeded coordinate only.
+        kept = ~(x[:, :j] >= t[:j]).any(axis=1)
+        rows.append(x[kept])
+        owners.append(trial[kept])
+    if not rows:
+        return np.empty((0, d)), np.empty(0, dtype=np.intp)
+    trial = np.concatenate(owners)
+    order = np.argsort(trial, kind="stable")
+    return np.concatenate(rows)[order], trial[order]
 
 
 def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, speed: float):
@@ -209,18 +356,26 @@ def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, spe
 def mc_crude(
     model, target: ConvexSet, entry: LadderEntry, trials: int, stream: RandomStream, executor=None
 ) -> tuple[EstimateReport, EstimateReport]:
-    """Crude Monte Carlo of both events from one set of draws.
+    """Crude Monte Carlo of both events from one pass.
 
-    Each trial draws ``n`` vectors once; the componentwise report counts
-    trials whose componentwise maximum lands in ``scale(target, A_n)``,
-    the at-least-one report trials where any of the vectors does.  Chunks
-    run on ``executor`` when given (anything with an ordered ``map``),
-    inline otherwise; the reports do not depend on which.
+    The componentwise report counts trials whose componentwise maximum
+    of ``n`` draws lands in ``scale(target, A_n)``, the at-least-one
+    report trials where any of the draws does.  ``_crude_pass`` picks the
+    pass.  The full draw draws all ``n`` vectors of a trial.  The
+    exceedance pass (``_exceedances``) draws only the vectors that
+    exceed the scaled set's lower bounds ``t`` somewhere: the set lies
+    in ``{x >= t}``, so the others can neither land in it nor lift the
+    maximum into it, and a trial without such a vector misses both.
+    Trials are chunked by the pass's scalars, chunk ``i`` drawn from
+    ``stream.substream(i)``.  Chunks run on ``executor`` when given
+    (anything with an ordered ``map``), inline otherwise; the reports do
+    not depend on which.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n, d = entry.n, model.dimension
     scaled = target.scale(entry.scale_diag)
+    per_trial, tails = _crude_pass(model, scaled, n)
 
     def count(x: np.ndarray, _free) -> tuple[int, int]:
         any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
@@ -232,7 +387,22 @@ def mc_crude(
             np.max(blocks[:, :, j], axis=1, out=top[:, j])
         return int(scaled.contains_many(top).sum()), int(any_in.sum())
 
-    counts = _draw_chunks(model, trials, n, stream, executor, count)
+    chunk = max(1, int(CHUNK_SCALARS // per_trial))
+
+    def count_exceedances(index: int) -> tuple[int, int]:
+        take = min(chunk, trials - index * chunk)
+        x, trial = _exceedances(model, *tails, n, take, stream.substream(index).generator())
+        if not len(x):
+            return 0, 0
+        # Rows come grouped by trial: one maximum per trial that has any.
+        top = np.maximum.reduceat(x, np.flatnonzero(np.diff(trial, prepend=-1)), axis=0)
+        inside = trial[scaled.contains_many(x)]
+        return int(scaled.contains_many(top).sum()), int(np.count_nonzero(np.diff(inside, prepend=-1)))
+
+    if tails is None:
+        counts = _draw_chunks(model, trials, n, stream, executor, count)
+    else:
+        counts = _map_chunks(count_exceedances, -(-trials // chunk), executor)
     cw, alo = map(sum, zip(*counts))
     return (
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),

@@ -7,7 +7,9 @@ closed, so boundary points count as inside.  Each shape knows how to
 * report a signed slack (nonnegative inside, negative outside), which
   ``contains`` reads as a plain ``bool``,
 * rescale itself by a positive diagonal matrix so that membership of a
-  scaled point in the scaled set matches the original pair.
+  scaled point in the scaled set matches the original pair,
+* give a finite lower bound ``b`` with the set inside ``{x >= b}``, where
+  the shape has one without solving a program (blocks and ellipsoids).
 
 The linear shapes (blocks, halfspaces, polyhedra) also list their
 inequalities ``rows @ x >= offsets`` for the dominating-point solver.
@@ -52,6 +54,10 @@ class ConvexSet:
 
     def scale(self, diag) -> "ConvexSet":
         raise NotImplementedError
+
+    def lower_bound(self) -> np.ndarray | None:
+        """Finite ``b`` with the set inside ``{x >= b}``, or None (halfspaces, polyhedra)."""
+        return None
 
     def _check_points(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -100,6 +106,9 @@ class Block(ConvexSet):
 
     def inequalities(self):
         return np.eye(self.dimension), self.corner
+
+    def lower_bound(self):
+        return self.corner
 
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)
@@ -221,6 +230,11 @@ class Ellipsoid(ConvexSet):
 
     def slack_many(self, points):
         return self.radius**2 - self._quad(points)
+
+    def lower_bound(self):
+        # min x_j over the ellipsoid is center_j - radius * sqrt((shape^-1)_jj).
+        inv_diag = (self._evecs**2 / self._evals).sum(axis=1)
+        return self.center - self.radius * np.sqrt(inv_diag)
 
     def scale(self, diag):
         d = _diag_entries(diag, self.dimension)

@@ -82,6 +82,10 @@ seed: 77
 """
 
 
+MIXTURE_BLOCK = "kind: block\n  corner: [2.0, 2.0]"
+MIXTURE_HALFSPACE = "kind: halfspace\n  normal: [1.0, 1.0]\n  offset: 4.0"
+
+
 def write_config(tmp_path, text, name="config.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -348,7 +352,8 @@ class TestEstimateCommand:
 
     def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
         # Both IS rows of estimate weigh the same draws: 5000 samples of
-        # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws.
+        # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws.  At
+        # n = 5 the crude row expects about 6 hits, so it is weighed.
         monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
         calls = []
         draw = gm.estimate.sample_gaussian
@@ -358,9 +363,54 @@ class TestEstimateCommand:
             return draw(model, stream, out, z)
 
         monkeypatch.setattr(gm.estimate, "sample_gaussian", counting)
-        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        cfg = write_config(tmp_path, HALFSPACE_YAML.replace("[100, 1000, 10000]", "[2, 5]"))
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert calls == [500] * 10
+        payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
+        assert payload["crude_single"]["trials"] == 5000
+        assert "crude_skipped" not in payload
+
+    def test_crude_row_that_cannot_hit_is_skipped(self, tmp_path, monkeypatch):
+        # At n = 10000 the halfspace lies delta = 2.4 * sqrt(2 log n) / sqrt(2)
+        # = 7.28 whitened units out: 5000 draws expect 8e-10 crude hits.
+        from scipy.stats import norm
+
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        shifts = []
+        kernel = cli._is_single_shifts
+
+        def counting(model, target, given, *args, **kwargs):
+            shifts.append(len(given))
+            return kernel(model, target, given, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_is_single_shifts", counting)
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
+        assert shifts == [1]
+        assert payload["crude_single"] is None
+        assert payload["crude_resolved"] is False
+        assert payload["variance_reduction_factor"] is None
+        delta = 2.4 * math.sqrt(2.0 * math.log(10000)) / math.sqrt(2.0)
+        assert payload["crude_skipped"] == {
+            "n": 10000, "reason": "expected_hits",
+            "expected_hits": pytest.approx(5000 * norm.sf(delta), rel=1e-12),
+        }
+        # The IS row is the one a two-shift pass gives on the same stream.
+        model, target, solved = cli._solve(parse_config(HALFSPACE_YAML))
+        entry = parse_config(HALFSPACE_YAML).build_ladder().entries()[-1]
+        (both, _), _ = kernel(
+            model, target.scale(entry.scale_diag),
+            (entry.scale_diag * solved.x_star, np.zeros(2)), 5000,
+            gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
+        )
+        row = payload["importance_sampled"]
+        assert (row["p_hat"], row["std_error"]) == (both.p_hat, both.std_error)
+        # --zero-shift weighs the zero shift as before.
+        out = tmp_path / "z"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out), "--zero-shift"]) == 0
+        zero = json.loads((out / "estimate.json").read_text())
+        assert zero["crude_single"] == zero["importance_sampled"]
+        assert "crude_skipped" not in zero
 
     def test_mixture_estimate_reports_crude_pair(self, tmp_path):
         cfg = write_config(tmp_path, MIXTURE_YAML)
@@ -432,13 +482,22 @@ class TestVerifyCommand:
             out_b / "verify_ladder.csv"
         ).read_bytes()
 
-    def test_worker_count_does_not_change_crude_hits(self, tmp_path):
-        # A lowered corner makes the crude rows hit; at n = 10000 the 600
+    def test_worker_count_does_not_change_crude_hits(self, tmp_path, monkeypatch):
+        # A lowered corner makes the crude rows hit.  At n = 10000 the
+        # exceedance pass draws about 1280 scalars a trial, so its 6300
         # trials span three sampling chunks that the workers share out.
-        text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [0.75, 0.75]").replace(
-            "trials: 2000", "trials: 600"
+        text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [0.5, 0.5]").replace(
+            "trials: 2000", "trials: 6300"
         )
         cfg = write_config(tmp_path, text)
+        chunks = []
+        draw = gm.estimate._exceedances
+
+        def counting(model, t, q, n, trials, rng):
+            chunks.append(n)
+            return draw(model, t, q, n, trials, rng)
+
+        monkeypatch.setattr(gm.estimate, "_exceedances", counting)
         outputs = []
         for workers in ("1", "2", "3"):
             out = tmp_path / f"w{workers}"
@@ -449,6 +508,7 @@ class TestVerifyCommand:
             outputs.append(((out / "verify_ladder.csv").read_bytes(), kept))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+        assert chunks.count(10000) == 3 * 3
         rows = [line.split(",") for line in outputs[0][0].decode().splitlines()[1:]]
         crude = [r for r in rows if r[2].startswith("crude_") and r[0] == "10000"]
         assert len(crude) == 2
@@ -519,9 +579,10 @@ class TestVerifyCommand:
             assert e["log_ratio"] == log_cw - log_alo
 
     def test_mixture_over_budget_warns_per_rung(self, tmp_path):
+        # A halfspace keeps the full draw of n * trials * d scalars.
         text = MIXTURE_YAML.replace("ladder: [5, 20]", "ladder: [1000000, 10000000]").replace(
             "trials: 1000", "trials: 2000"
-        )
+        ).replace(MIXTURE_BLOCK, MIXTURE_HALFSPACE)
         cfg = write_config(tmp_path, text)
         out = tmp_path / "artifacts"
         assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
@@ -540,15 +601,17 @@ class TestVerifyCommand:
         assert payload["warnings"] == ["no ladder entry fits the crude sampling budget"]
 
     def test_mixture_partly_over_budget_uses_last_fitting_rung(self, tmp_path):
-        text = MIXTURE_YAML.replace("ladder: [5, 20]", "ladder: [5, 20, 1000000]")
+        text = MIXTURE_YAML.replace("ladder: [5, 20]", "ladder: [5, 20, 1000000]").replace(
+            MIXTURE_BLOCK, MIXTURE_HALFSPACE
+        )
         cfg = write_config(tmp_path, text)
         out = tmp_path / "artifacts"
         assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "verify_ladder.csv").read_text().splitlines()[1:]
         assert sorted({int(r.split(",")[0]) for r in rows}) == [5, 20]
         summary = json.loads((out / "verify_summary.json").read_text())
-        # The scaled corner sits 3.6 and 4.9 standard deviations out at n = 5
-        # and 20, so no crude row hits and neither method gets a slope fit.
+        # The scaled halfspace sits 5.1 and 6.9 standard deviations out at
+        # n = 5 and 20, so no crude row hits and neither method gets a slope fit.
         assert summary["slope_fits"] == {}
         assert summary["warnings"] == [
             "ladder entry n=1000000 does not fit the crude sampling budget",
@@ -805,7 +868,7 @@ def test_commands_do_not_load_scipy(tmp_path):
     # and Gaussian tails, and the optimality check, so none of them needs
     # scipy: the fresh interpreter below cannot import it at all.
     ellipsoid = MIXTURE_YAML.replace(
-        "kind: block\n  corner: [2.0, 2.0]",
+        MIXTURE_BLOCK,
         "kind: ellipsoid\n  center: [2.0, 2.2]\n  shape: [[1.0, 0.25], [0.25, 0.8]]\n  radius: 0.7",
     )
     assert "ellipsoid" in ellipsoid

@@ -241,44 +241,82 @@ class TestCrudeMonteCarlo:
 
 
 class TestFusedCrude:
-    # n = 10000 at d = 2 gives 200 trials per chunk, so 600 trials span
-    # three chunks; the correlated model and lowered corner make both
-    # events hit in a sizeable share of the trials.
+    # n = 10000 at d = 2 gives the full draw 200 trials per chunk, so 600
+    # trials span three chunks; the correlated model and lowered corner
+    # make both events hit in a sizeable share of the trials.  The
+    # polyhedron has no finite lower bounds, so it keeps the full draw.
     MODEL = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.8], [0.8, 1.0]])))
     TARGET = gm.Block(np.array([0.85, 0.85]))
+    POLYHEDRON = gm.Polyhedron(np.array([[1.0, 0.1], [0.1, 1.0]]), np.array([0.93, 0.93]))
     ENTRY = gm.ScalingLadder(gm.ScalingLimit.identity(2), (10_000,)).entries()[0]
     TRIALS = 600
 
-    def test_block_hits_split_into_union_and_conspiracies(self):
+    @staticmethod
+    def split(top_in, any_in):
+        """``(union, conspiracies)``: trials with a vector inside, and with only the maximum inside."""
         # For an upward-closed set a vector inside puts the maximum inside,
-        # so every componentwise hit is a union hit or a conspiracy (the
-        # maximum inside, no vector inside).  The chunks are redrawn here:
-        # 200 trials each, chunk i from substream i.
+        # so every componentwise hit is a union hit or a conspiracy.
+        assert not (any_in & ~top_in).any()
+        return int(any_in.sum()), int((top_in & ~any_in).sum())
+
+    def test_full_draw_hits_split_into_union_and_conspiracies(self):
+        # The chunks are redrawn here: 200 trials each, chunk i from substream i.
         n, chunk = self.ENTRY.n, 200
         stream = gm.RandomStream(6)
-        scaled = self.TARGET.scale(self.ENTRY.scale_diag)
+        scaled = self.POLYHEDRON.scale(self.ENTRY.scale_diag)
+        assert estimate._crude_pass(self.MODEL, scaled, n) == (n * 2, None)
         union = conspiracies = 0
         for i in range(self.TRIALS // chunk):
             x = draw_gaussian(self.MODEL, chunk * n, stream.substream(i))
             top_in = scaled.contains_many(x.reshape(chunk, n, 2).max(axis=1))
             any_in = scaled.contains_many(x).reshape(chunk, n).any(axis=1)
-            assert not (any_in & ~top_in).any()
-            union += int(any_in.sum())
-            conspiracies += int((top_in & ~any_in).sum())
-        cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, self.TRIALS, stream)
+            u, c = self.split(top_in, any_in)
+            union, conspiracies = union + u, conspiracies + c
+        cw, alo = gm.mc_crude(self.MODEL, self.POLYHEDRON, self.ENTRY, self.TRIALS, stream)
         assert conspiracies > 0
         hits = [round(q * self.TRIALS) for q in (cw.p_hat, alo.p_hat)]
         assert hits == [union + conspiracies, union]
 
+    def test_block_hits_split_into_union_and_conspiracies(self, monkeypatch):
+        # The block takes the exceedance pass.  Its chunks are redrawn here,
+        # chunk i from substream i, and each trial's kept vectors split its
+        # hits as the full draw's vectors do.
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 20_000)
+        n, trials = self.ENTRY.n, 6000
+        stream = gm.RandomStream(6)
+        scaled = self.TARGET.scale(self.ENTRY.scale_diag)
+        per_trial, (t, q) = estimate._crude_pass(self.MODEL, scaled, n)
+        chunk = int(20_000 // per_trial)
+        assert trials > 2 * chunk
+        union = conspiracies = 0
+        for i, start in enumerate(range(0, trials, chunk)):
+            take = min(chunk, trials - start)
+            rng = stream.substream(i).generator()
+            x, trial = estimate._exceedances(self.MODEL, t, q, n, take, rng)
+            assert (np.diff(trial) >= 0).all() and (x >= t).any(axis=1).all()
+            top_in, any_in = np.zeros(take, bool), np.zeros(take, bool)
+            for b in np.unique(trial):
+                rows = x[trial == b]
+                top_in[b] = scaled.contains(rows.max(axis=0))
+                any_in[b] = scaled.contains_many(rows).any()
+            u, c = self.split(top_in, any_in)
+            union, conspiracies = union + u, conspiracies + c
+        cw, alo = gm.mc_crude(self.MODEL, self.TARGET, self.ENTRY, trials, stream)
+        assert conspiracies > 0 and union > 0
+        hits = [round(r.p_hat * trials) for r in (cw, alo)]
+        assert hits == [union + conspiracies, union]
+
     def test_executor_does_not_change_reports(self, monkeypatch):
+        # The block takes the exceedance pass, the polyhedron the full draw.
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
         entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (20,)).entries()[0]
         stream = gm.RandomStream(7)
-        inline = gm.mc_crude(self.MODEL, self.TARGET, entry, 3_000, stream)
-        with ThreadPoolExecutor(3) as pool:
-            pooled = gm.mc_crude(self.MODEL, self.TARGET, entry, 3_000, stream, pool)
-        assert pooled == inline
-        assert inline[1].p_hat > 0.0
+        for target in (self.TARGET, self.POLYHEDRON):
+            inline = gm.mc_crude(self.MODEL, target, entry, 3_000, stream)
+            with ThreadPoolExecutor(3) as pool:
+                pooled = gm.mc_crude(self.MODEL, target, entry, 3_000, stream, pool)
+            assert pooled == inline
+            assert inline[1].p_hat > 0.0
 
     def test_mixture_chunks_match_unbuffered_draws_on_threads(self, monkeypatch):
         # 50 trials per chunk: 2010 trials are forty full chunks and a tail
@@ -294,19 +332,118 @@ class TestFusedCrude:
         n, trials, chunk = 20, 2010, 50
         entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
         stream = gm.RandomStream(12)
-        scaled = self.TARGET.scale(entry.scale_diag)
+        scaled = self.POLYHEDRON.scale(entry.scale_diag)
         cw = alo = 0
         for i, start in enumerate(range(0, trials, chunk)):
             take = min(chunk, trials - start)
             x = draw_mixture(mixture, take * n, stream.substream(i))
             cw += int(scaled.contains_many(x.reshape(take, n, 2).max(axis=1)).sum())
             alo += int(scaled.contains_many(x).reshape(take, n).any(axis=1).sum())
-        inline = gm.mc_crude(mixture, self.TARGET, entry, trials, stream)
+        inline = gm.mc_crude(mixture, self.POLYHEDRON, entry, trials, stream)
         with ThreadPoolExecutor(3) as pool:
-            pooled = gm.mc_crude(mixture, self.TARGET, entry, trials, stream, pool)
+            pooled = gm.mc_crude(mixture, self.POLYHEDRON, entry, trials, stream, pool)
         assert pooled == inline
         assert [round(r.p_hat * trials) for r in inline] == [cw, alo]
         assert alo > 0
+
+
+def _full_draw(model, scaled, n):
+    """``estimate._crude_pass`` that always picks the full draw."""
+    return n * model.dimension, None
+
+
+ELLIPSE_MIXTURE = gm.GaussianMixture(
+    np.array([0.3, 0.7]),
+    (
+        gm.GaussianModel(np.array([-1.0, -1.0]), gm.build_covariance(np.eye(2))),
+        gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.3], [0.3, 1.0]]))),
+    ),
+)
+# The mixture-ellipsoid benchmark set, scaled by 0.45 so that both events are common.
+ELLIPSE = gm.Ellipsoid(np.array([2.0, 2.2]), np.array([[1.0, 0.25], [0.25, 0.8]]), 0.7).scale(
+    np.full(2, 0.45)
+)
+RHO6 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.array([[1.0, 0.6], [0.6, 1.0]])))
+
+
+class TestExceedancePass:
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize(
+        "model, target",
+        [(ELLIPSE_MIXTURE, ELLIPSE), (RHO6, gm.Block(np.array([0.9, 0.95])))],
+        ids=["mixture-ellipse", "rho-block"],
+    )
+    def test_counts_match_full_draw(self, monkeypatch, model, target, n):
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
+        assert estimate._crude_pass(model, target.scale(entry.scale_diag), n)[1] is not None
+        trials = 10_000
+        fast = gm.mc_crude(model, target, entry, trials, gm.RandomStream(71))
+        monkeypatch.setattr(estimate, "_crude_pass", _full_draw)
+        full = gm.mc_crude(model, target, entry, trials, gm.RandomStream(72))
+        for a, b in zip(fast, full):
+            assert 0.01 < b.p_hat < 0.99
+            assert abs(a.p_hat - b.p_hat) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+    @pytest.mark.parametrize("a", [-1.5, 0.0, 6.0])
+    def test_tail_sampler_matches_truncnorm(self, a):
+        from scipy import stats
+
+        z = estimate._normal_tail(a, 20_000, np.random.default_rng(73))
+        assert len(z) == 20_000 and z.min() >= a
+        assert stats.kstest(z, stats.truncnorm(a, np.inf).cdf).pvalue > 1e-3
+
+    def test_bounded_shapes_take_the_pass_and_others_do_not(self):
+        n = 1000
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
+        for target in (gm.Block(np.array([1.0, 1.2])), ELLIPSE):
+            assert estimate._crude_pass(STANDARD2, target.scale(entry.scale_diag), n)[1] is not None
+        # The corner lies 0.1 A_n below the origin: r = 2 P(X > -0.37) >= 1.
+        negative = gm.Block(np.array([-0.1, -0.1]))
+        others = (
+            negative,
+            gm.Halfspace(np.array([1.0, 1.0]), 9.0),
+            gm.Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([3.0, 3.0])),
+        )
+        for target in others:
+            assert estimate._crude_pass(STANDARD2, target.scale(entry.scale_diag), n) == (2 * n, None)
+
+    @pytest.mark.parametrize(
+        "target, n, hits",
+        [
+            (gm.Block(np.array([-0.1, -0.1])), 2, (2548, 2021)),
+            (gm.Halfspace(np.array([1.0, 1.0]), 1.5), 5, (1342, 527)),
+            (gm.Polyhedron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0])), 5, (234, 59)),
+        ],
+        ids=["negative-block", "halfspace", "polyhedron"],
+    )
+    def test_full_draw_rows_are_unchanged(self, target, n, hits):
+        # Hit counts recorded from the full-draw-only implementation on the
+        # same streams; the block's tails sum to r = 1.09 at n = 2.
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
+        cw, alo = gm.mc_crude(STANDARD2, target, entry, 4000, gm.RandomStream(808))
+        assert (round(cw.p_hat * 4000), round(alo.p_hat * 4000)) == hits
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_do_not_change_reports(self, monkeypatch, workers):
+        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 3_000)
+        chunks = []
+        draw = estimate._exceedances
+
+        def counting(model, t, q, n, trials, rng):
+            chunks.append(trials)
+            return draw(model, t, q, n, trials, rng)
+
+        monkeypatch.setattr(estimate, "_exceedances", counting)
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (1000,)).entries()[0]
+        args = (ELLIPSE_MIXTURE, ELLIPSE, entry, 2000, gm.RandomStream(74))
+        inline = gm.mc_crude(*args)
+        inline_chunks, chunks[:] = list(chunks), []
+        assert len(inline_chunks) >= 3
+        with ThreadPoolExecutor(workers) as pool:
+            pooled = gm.mc_crude(*args, pool)
+        assert pooled == inline
+        assert sorted(chunks) == sorted(inline_chunks)
+        assert inline[1].p_hat > 0.0
 
 
 class TestPlanRung:
@@ -342,9 +479,12 @@ class TestPlanRung:
             np.array([0.5, 0.5]),
             (gm.GaussianModel(np.zeros(2), cov), gm.GaussianModel(np.array([-1.0, -1.0]), cov)),
         )
-        target = gm.Block(np.array([2.0, 2.0]))
+        target = gm.Halfspace(np.array([1.0, 1.0]), 4.0)
         assert gm.plan_rung(mixture, target, self.ENTRY, 100)[0] == self.CRUDE
         assert gm.plan_rung(mixture, target, self.ENTRY, 10**6)[0] == ()
+        # The block's exceedance pass draws about 2 scalars a trial, not 2000.
+        block = gm.Block(np.array([2.0, 2.0]))
+        assert gm.plan_rung(mixture, block, self.ENTRY, 10**6) == (self.CRUDE, None)
 
     def test_budget_boundary_is_inclusive(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
@@ -397,9 +537,19 @@ class TestPlanRung:
         want = {"n": 1000, "reason": "scalar_budget", "scalars": 1000 * trials * 2}
         halfspace = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
         assert gm.plan_rung(STANDARD2, halfspace, self.ENTRY, trials)[1] == want
+        # r = 0.71, so the exceedance pass would draw more than the full draw.
         block = gm.Block(np.array([0.1, 0.1]))
         assert gm.plan_rung(STANDARD2, block, self.ENTRY, trials)[1] == want
         assert gm.plan_rung(STANDARD2, halfspace, self.ENTRY, trials - 1)[1] is None
+
+    def test_exceedance_pass_counts_its_own_scalars(self):
+        target = gm.Block(np.array([0.6, 0.6]))
+        per_trial, (t, q) = estimate._crude_pass(STANDARD2, target.scale(self.ENTRY.scale_diag), 1000)
+        assert per_trial == q.size + 1000 * q.sum() * 4 < 2000
+        fits = math.floor(estimate.CRUDE_SCALAR_BUDGET / per_trial)
+        assert gm.plan_rung(STANDARD2, target, self.ENTRY, fits)[1] is None
+        skip = gm.plan_rung(STANDARD2, target, self.ENTRY, fits + 1)[1]
+        assert skip == {"n": 1000, "reason": "scalar_budget", "scalars": math.ceil((fits + 1) * per_trial)}
 
     def test_exact_single_log(self):
         from scipy.stats import norm
