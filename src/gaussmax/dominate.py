@@ -23,10 +23,9 @@ The minimizer is computed exactly, one method per shape:
 On an empty linear set the NNLS solution is a Farkas vector instead,
 whose lower bound on every feasible distance proves the set empty.
 
-Both solves return KKT multipliers, and the optimality certificate
-checks dual sign, primal slack, stationarity and complementary slackness
-against stated scales.  ``verify_optimality`` applies the same check to
-any point, with multipliers it fits at that point alone.
+Both solves return the point alone.  One KKT certificate judges it, in
+the whitened frame where the quadratic is ``|y|^2``, with multipliers
+fitted at the point; the solves and ``verify_optimality`` share it.
 """
 
 from __future__ import annotations
@@ -193,14 +192,14 @@ def _pencil_eigh(weight, shape):
     return omega, chol_inv.T @ u
 
 
-def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
+def secular_root(weights, rates, level: float) -> tuple[float, int]:
     """Root ``lam >= 0`` of ``sum(weights / (1 + lam * rates)**2) = level``.
 
     ``weights`` is nonnegative, ``rates`` is positive, and the sum must
     exceed ``level`` at ``lam = 0``.  The sum falls strictly in ``lam``, so
     doubling brackets the root and bisection runs until the bracket holds
-    two adjacent floats.  Returns the root as a one-element multiplier
-    array and the number of bracketing and bisection steps.
+    two adjacent floats.  Returns the root and the number of bracketing
+    and bisection steps.
     """
 
     def over(lam):
@@ -213,7 +212,7 @@ def secular_root(weights, rates, level: float) -> tuple[np.ndarray, int]:
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return np.array([mid]), steps
+            return mid, steps
         if over(mid):
             lo = mid
         else:
@@ -233,7 +232,7 @@ def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     rates = 1.0 / omega
     lam, steps = secular_root(s0**2, rates, target.radius**2)
     x = target.center + basis @ (s0 / (1.0 + lam * rates))
-    return x, lam, steps
+    return x, steps
 
 
 _EPS = np.finfo(float).eps
@@ -276,14 +275,14 @@ def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             u[~passive] = 0.0
 
 
-def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndarray, int]:
+def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``(x - center)^T W (x - center)`` over ``rows @ x >= offsets``.
 
     ``g = rows @ R^-1`` for ``W = R^T R``, and ``w_inv = W^-1``.  NNLS solves
     the least-distance program in ``y = R (x - center)`` (Lawson & Hanson
     1974, ch. 23), then ``x`` is re-solved on the passive rows.  Returns
-    ``x``, the row multipliers and the least-squares solve count; ``x`` is
-    ``center`` when no row is passive (``center`` in the set to rounding).
+    ``x`` and the least-squares solve count; ``x`` is ``center`` when no
+    row is passive (``center`` in the set to rounding).
     Raises ``EmptyInterior`` when the NNLS solution is a Farkas certificate
     (its residual vanishes, or its bound on ``|y|`` exceeds ``FARKAS_FACTOR``
     times the re-solved ``|y|``), and ``ConvergenceFailure`` if a
@@ -304,7 +303,7 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
         u, steps = _nnls(e, f)
         passive = u > 0.0
         if not passive.any():
-            return center.copy(), u, steps
+            return center.copy(), steps
         # x* = center + W^-1 B_P^T (B_P W^-1 B_P^T)^-1 (c_P - B_P center) on the
         # passive rows P; lstsq because dependent active rows make it singular.
         active = rows[passive]
@@ -327,13 +326,11 @@ def least_distance(rows, offsets, g, w_inv, center) -> tuple[np.ndarray, np.ndar
             f"target set is infeasible: every point lies at whitened distance >= {bound:.3e},"
             f" the re-solved point at {distance:.3e}"
         )
-    # The least-distance multipliers 2 u / (1 - h^T u), with 1 - h^T u = |r|^2,
-    # mapped back through the row normalization and the scale.
-    return x, 2.0 * scale * u / (float(resid @ resid) * norms), steps
+    return x, steps
 
 
 def _argmin(target: ConvexSet, covariance, limit, weight, center):
-    """Minimizer, KKT multipliers and solver steps for the set's shape."""
+    """Minimizer and solver steps for the set's shape."""
     if isinstance(target, Ellipsoid):
         return _ellipsoid_argmin(target, weight, center)
     rows, offsets = target.inequalities()
@@ -343,52 +340,56 @@ def _argmin(target: ConvexSet, covariance, limit, weight, center):
     return least_distance(rows, offsets, (rows / a) @ covariance.chol_lower, w_inv, center)
 
 
-def _constraints(target: ConvexSet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian rows and values of the constraints ``g(x) >= 0`` defining the set."""
+def _kkt_residual(target: ConvexSet, covariance, limit, center, x) -> float:
+    """Largest scaled KKT violation at ``x``, with multipliers fitted at ``x``.
+
+    In ``y = R (x - center)``, ``R = L^-1 A`` (``sigma = L L^T``), the
+    objective is ``|y|^2`` and the rows of the constraints ``c(x) >= 0`` are
+    ``G = J R^-1``.  Rows whose scaled slack ``c_i / |G_i|`` is at most
+    ``KKT_TOL |y|`` are active; their multipliers are the nonnegative
+    least-squares fit of ``G_active^T lam = 2 y``, so dual sign holds.  The
+    scaled conditions: primal slack ``c_i / |G_i|`` against ``|y|``,
+    stationarity ``|2 y - G^T lam|`` against ``|2 y|``, and complementary
+    slackness as the product of the scaled slack and the force
+    ``lam_i |G_i| / |2 y|``.  Infinite with no active row, at ``x = center``
+    or when the fit fails.
+    """
     if isinstance(target, Ellipsoid):
         u = x - target.center
         su = target.shape @ u
-        return -2.0 * su[None, :], np.array([target.radius**2 - u @ su])
-    rows, offsets = target.inequalities()
-    return rows, rows @ x - offsets
-
-
-def _kkt_residual(target: ConvexSet, weight, center, x, multipliers) -> float:
-    """Largest scaled KKT violation at ``x`` for the given multipliers.
-
-    Four conditions, each made dimensionless: multiplier forces
-    ``lam_i |J_i|`` against the gradient norm ``|2 W (x - center)|`` (dual
-    sign), constraint values ``g_i / |J_i|`` against ``|x - center|``
-    (primal slack), the stationarity residual ``|2 W (x - center) - J^T lam|``
-    against the gradient norm, and complementary slackness as the product
-    of the two scaled terms.
-    """
-    jac, values = _constraints(target, x)
-    grad = 2.0 * weight @ (x - center)
-    scale = math.sqrt(grad @ grad)
-    row = np.linalg.norm(jac, axis=1)
-    force = multipliers * row / scale
-    slack = values / row / math.sqrt((x - center) @ (x - center))
-    stationarity = grad - jac.T @ multipliers
-    return float(
-        max(
-            0.0,
-            -force.min(),
-            -slack.min(),
-            math.sqrt(stationarity @ stationarity) / scale,
-            np.abs(force * slack).max(),
-        )
-    )
+        jac, values = -2.0 * su[None, :], np.array([target.radius**2 - u @ su])
+    else:
+        jac, offsets = target.inequalities()
+        values = jac @ x - offsets
+    a = limit.diagonal
+    g = (jac / a) @ covariance.chol_lower
+    y = covariance.whitener @ (a * (x - center))
+    dist = math.sqrt(y @ y)
+    row = np.linalg.norm(g, axis=1)
+    # Multiplied out, since an ellipsoid's gradient vanishes at its center.
+    active = values <= KKT_TOL * dist * row
+    if dist == 0.0 or not active.any():
+        return math.inf
+    multipliers = np.zeros(len(values))
+    try:
+        multipliers[active] = _nnls(g[active].T, 2.0 * y)[0]
+    except (ConvergenceFailure, np.linalg.LinAlgError):
+        return math.inf
+    force = multipliers * row / (2.0 * dist)
+    slack = values / row / dist
+    resid = 2.0 * y - g.T @ multipliers
+    stationarity = math.sqrt(resid @ resid) / (2.0 * dist)
+    return float(max(0.0, -slack.min(), stationarity, np.abs(force * slack).max()))
 
 
 def _solve(target, covariance, limit, center):
     """Exact minimizer, its weighted quadratic, KKT residual and solver steps."""
     weight = _weight_matrix(covariance, limit)
-    x, multipliers, steps = _argmin(target, covariance, limit, weight, center)
+    x, steps = _argmin(target, covariance, limit, weight, center)
     diff = x - center
     if not diff.any():
         raise NotAtypical("the origin lies on the target set's boundary to working precision")
-    residual = _kkt_residual(target, weight, center, x, multipliers)
+    residual = _kkt_residual(target, covariance, limit, center, x)
     return x, float(diff @ weight @ diff), residual, steps
 
 
@@ -434,25 +435,16 @@ def verify_optimality(
 ) -> bool:
     """Exact first-order (KKT) check that ``x`` minimizes ``Q_A`` over the set.
 
-    ``point`` may be a DominatingPoint or a bare vector.  Rows whose scaled
-    slack ``g_i / |J_i|`` is at most ``KKT_TOL |x|`` count as active; their
-    multipliers are the nonnegative least-squares fit of
-    ``J_active^T lam = 2 A sigma_inv A x`` and the others are zero.  The
-    problem is convex, so a scaled KKT residual of at most ``KKT_TOL``
-    certifies ``x`` against every feasible direction; an infeasible ``x``
-    fails on primal slack, and a point with no active row (an interior
-    point, where the gradient is nonzero) fails outright.
+    ``point`` may be a DominatingPoint or a bare vector.  This is the
+    certificate the solves attach to their own points: multipliers are
+    fitted at ``x`` alone, in the whitened frame, and the problem is
+    convex, so a scaled KKT residual of at most ``KKT_TOL`` certifies ``x``
+    against every feasible direction.  An infeasible ``x`` fails on primal
+    slack, and a point with no active row (an interior point, where the
+    gradient is nonzero) fails outright.
     """
     x = point.x_star if isinstance(point, DominatingPoint) else np.asarray(point, dtype=float)
-    weight = _weight_matrix(covariance, limit)
-    jac, values = _constraints(target, x)
-    # Multiplied out, since an ellipsoid's gradient vanishes at its center.
-    active = values <= KKT_TOL * math.sqrt(x @ x) * np.linalg.norm(jac, axis=1)
-    if not active.any():
-        return False
-    multipliers = np.zeros(len(values))
-    multipliers[active] = _nnls(jac[active].T, 2.0 * weight @ x)[0]
-    return _kkt_residual(target, weight, np.zeros_like(x), x, multipliers) <= KKT_TOL
+    return _kkt_residual(target, covariance, limit, np.zeros_like(x), x) <= KKT_TOL
 
 
 def corner_pairwise(rows, offsets) -> np.ndarray:

@@ -649,14 +649,16 @@ def slope_fit(points, predicted_rate: float) -> SlopeFit:
         raise ValueError("insufficient points: need >= 3 distinct speeds")
     if not np.all(np.isfinite(values)) or not np.all(np.isfinite(speeds)):
         raise ValueError("slope fit requires finite speeds and log probabilities")
-    slope, intercept = np.polyfit(speeds, values, 1)
+    if (values == values[0]).all():
+        # Exact, where polyfit would return a rounding-noise slope.
+        slope, intercept = 0.0, values[0]
+    else:
+        slope, intercept = np.polyfit(speeds, values, 1)
     fitted = slope * speeds + intercept
     ss_res = float(((values - fitted) ** 2).sum())
     ss_tot = float(((values - values.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
+    # ss_tot vanishes only on equal values, which fit exactly.
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     if predicted_rate != 0.0:
         relative_gap = abs(slope - predicted_rate) / abs(predicted_rate)
     else:

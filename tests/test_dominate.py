@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import gaussmax as gm
-from gaussmax.dominate import KKT_TOL, _argmin, _kkt_residual, _pencil_eigh, _weight_matrix
+from gaussmax.dominate import KKT_TOL, _pencil_eigh, _weight_matrix, secular_root
 from helpers import least_distance_argmin, random_spd, secular_argmin
 
 IDENTITY2 = gm.build_covariance(np.eye(2))
 CORRELATED2 = gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))
+RHO06 = gm.build_covariance(np.array([[1.0, 0.6], [0.6, 1.0]]))
 
 
 class TestScalingLimit:
@@ -243,6 +244,15 @@ class TestExactSolver:
             _assert_matches(point.x_star, point.quad_value, want, weight, np.zeros(d))
             assert point.optimality_certificate
             assert point.solver_iterations == steps
+            # The root is a bare float, and x* is the pencil point it picks.
+            omega, basis = _pencil_eigh(weight, target.shape)
+            s0 = basis.T @ target.shape @ (np.zeros(d) - target.center)
+            rates = 1.0 / omega
+            lam, root_steps = secular_root(s0**2, rates, 1.0)
+            assert type(lam) is float and lam > 0.0 and root_steps == steps
+            np.testing.assert_array_equal(
+                point.x_star, target.center + basis @ (s0 / (1.0 + lam * rates))
+            )
 
     def test_mixture_components_match_oracles(self):
         rng = np.random.default_rng(173)
@@ -272,24 +282,62 @@ class TestExactSolver:
                 assert solved.kkt_residual <= KKT_TOL
                 assert solved.iterations >= 1
 
-    def test_certificate_rejects_nudged_point_and_flipped_multipliers(self):
+    def test_certificate_rejects_nudged_points(self):
         rng = np.random.default_rng(179)
         d = 3
         cov = gm.build_covariance(random_spd(rng, d))
         limit = _random_limit(rng, d)
-        weight = _weight_matrix(cov, limit)
-        center = np.zeros(d)
         for target in (
             _random_polyhedron(rng, d),
             gm.Ellipsoid(np.full(d, 2.5), random_spd(rng, d), 1.0),
         ):
-            x, multipliers, _ = _argmin(target, cov, limit, weight, center)
-            assert _kkt_residual(target, weight, center, x, multipliers) <= KKT_TOL
+            point = gm.dominating_point(target, cov, limit)
+            assert point.kkt_residual <= KKT_TOL
+            x = point.x_star
             for _ in range(5):
                 nudge = rng.standard_normal(d)
                 nudged = x + 1e-6 * np.linalg.norm(x) * nudge / np.linalg.norm(nudge)
-                assert _kkt_residual(target, weight, center, nudged, multipliers) > KKT_TOL
-            assert _kkt_residual(target, weight, center, x, -multipliers) > KKT_TOL
+                assert not gm.verify_optimality(nudged, target, cov, limit)
+
+    @pytest.mark.parametrize(
+        "error", [gm.ConvergenceFailure("cycling"), np.linalg.LinAlgError("SVD failed")]
+    )
+    def test_failed_fit_leaves_point_uncertified(self, monkeypatch, error):
+        # The solve's own NNLS runs first; the certificate's fit is the second call.
+        solve = gm.dominate._nnls
+        calls = []
+
+        def failing_fit(e, f):
+            calls.append(e.shape)
+            if len(calls) > 1:
+                raise error
+            return solve(e, f)
+
+        monkeypatch.setattr(gm.dominate, "_nnls", failing_fit)
+        point = gm.dominating_point(
+            gm.Block(np.array([2.0, 2.0])), CORRELATED2, gm.ScalingLimit.identity(2)
+        )
+        assert calls == [(3, 2), (2, 2)]
+        assert point.kkt_residual == math.inf
+        assert not point.optimality_certificate
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_exact_points_certify_under_near_singular_covariance(self, gap):
+        # sigma = [[1, c], [c, 1]] with c = 1 - gap has condition number
+        # about 2 / gap; the certificate works in the whitened frame, so its
+        # rounding does not grow with it.  On the block x* = (2c, 2) exactly.
+        c = 1.0 - gap
+        cov = gm.build_covariance(np.array([[1.0, c], [c, 1.0]]))
+        limit = gm.ScalingLimit.identity(2)
+        block = gm.Block(np.array([1.0, 2.0]))
+        ball = gm.Ellipsoid(np.array([3.0, 4.0]), np.eye(2), 1.0)
+        for target in (block, ball):
+            point = gm.dominating_point(target, cov, limit)
+            assert point.kkt_residual <= 1e-10
+            assert point.optimality_certificate
+            assert gm.verify_optimality(point, target, cov, limit)
+            if target is block:
+                assert point.x_star == pytest.approx([2.0 * c, 2.0], rel=1e-15, abs=0.0)
 
     def test_empty_polyhedron_raises_infeasible(self):
         empty = gm.Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
@@ -410,31 +458,36 @@ class TestVerifyOptimality:
                 CORRELATED2,
                 gm.ScalingLimit(np.array([0.7, 1.0])),
             ),
+            (gm.Block(np.array([1.0, 2.0])), RHO06, identity),
         ]
         for target, cov, limit in cases:
             point = gm.dominating_point(target, cov, limit)
             assert gm.verify_optimality(point, target, cov, limit)
+        # The last optimum is off the corner (1, 2) that test_fails_off_optimum rejects.
+        assert point.x_star == pytest.approx([1.2, 2.0], rel=1e-15)
 
     def test_fails_off_optimum(self):
         # Off-optimum points on each shape's boundary fail stationarity, an
         # interior point has no active row to balance the gradient, and
-        # points outside the set fail on primal slack.
+        # points outside the set fail on primal slack.  At the corner (1, 2)
+        # under rho = 0.6 the fit would need a negative multiplier on e_1.
         limit = gm.ScalingLimit.identity(2)
         block = gm.Block(np.array([2.0, 2.0]))
         ball = gm.Ellipsoid(np.array([3.0, 3.0]), np.eye(2), 1.0)
         feasible = [
-            (block, [2.5, 2.0]),
-            (gm.Halfspace(np.array([1.0, 1.0]), 2.0), [1.5, 0.5]),
-            (self.POLY, [1.0, 2.0]),
-            (self.POLY, [3.0, 3.0]),
-            (ball, [2.0, 3.0]),
-            (ball, [3.0, 3.0]),
+            (block, IDENTITY2, [2.5, 2.0]),
+            (gm.Halfspace(np.array([1.0, 1.0]), 2.0), IDENTITY2, [1.5, 0.5]),
+            (self.POLY, IDENTITY2, [1.0, 2.0]),
+            (self.POLY, IDENTITY2, [3.0, 3.0]),
+            (ball, IDENTITY2, [2.0, 3.0]),
+            (ball, IDENTITY2, [3.0, 3.0]),
+            (gm.Block(np.array([1.0, 2.0])), RHO06, [1.0, 2.0]),
         ]
-        infeasible = [(block, [1.0, 1.0]), (block, [1.9, 1.9])]
+        infeasible = [(block, IDENTITY2, [1.0, 1.0]), (block, IDENTITY2, [1.9, 1.9])]
         for cases, inside in ((feasible, True), (infeasible, False)):
-            for target, x in cases:
+            for target, cov, x in cases:
                 assert target.contains(x) is inside
-                assert not gm.verify_optimality(np.array(x), target, IDENTITY2, limit), x
+                assert not gm.verify_optimality(np.array(x), target, cov, limit), x
 
     def test_accepts_bare_vector(self):
         target = gm.Block(np.array([2.0, 2.0]))

@@ -772,6 +772,17 @@ class TestSlopeFit:
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == 1.0
 
+    def test_equal_values_fit_exactly(self):
+        # Three crude rows with the same hit count: polyfit alone gives a
+        # slope of -7.2e-18 on these points.
+        log_p = math.log(43 / 400)
+        speeds = [2.0 * math.log(n) for n in (10, 100, 1000)]
+        fit = gm.slope_fit([(s, log_p) for s in speeds], predicted_rate=-0.5)
+        assert fit.slope == 0.0
+        assert fit.intercept == log_p
+        assert fit.r_squared == 1.0
+        assert fit.relative_gap == 1.0
+
     def test_zero_predicted_rate_gap_is_nan(self):
         fit = gm.slope_fit([(1.0, -1.0), (2.0, -2.0), (3.0, -3.0)], predicted_rate=0.0)
         assert math.isnan(fit.relative_gap)
