@@ -36,7 +36,6 @@ from .estimate import (
     _zero_shift_skip,
     exact_block_reports,
     exact_single_log,
-    is_single,
     mc_crude,
     plan_rung,
     slope_fit,
@@ -218,19 +217,14 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     # row itself.
     shifts = (shift,) if zero_shift or skip else (shift, zeros)
     reports, (is_hits, *_) = _is_single_shifts(
-        model, scaled, shifts, config.is_samples, root.substream(800),
+        model, [(scaled, s) for s in shifts], config.is_samples, root.substream(800),
         scaling_norm_sq=entry.speed,
     )
     is_report = reports[0]
     crude_report = None if skip else reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
-    if is_report.degenerate_weights and is_hits == 0:
-        warnings.append("importance sampler produced no hits (degenerate weights)")
-    elif is_report.degenerate_weights:
-        warnings.append(
-            f"importance weights of {is_hits} hits summed to zero or overflowed"
-            " (degenerate weights)"
-        )
+    if is_report.degenerate_weights:
+        warnings.append(_degenerate_warning("importance sampler", is_hits))
 
     var_is = is_report.std_error**2 * is_report.trials
     crude_resolved = crude_report is not None and crude_report.p_hat > 0.0
@@ -281,6 +275,13 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     return payload
 
 
+def _degenerate_warning(source: str, hits: int) -> str:
+    """Why an importance-sampled row is degenerate: no hits, or unusable weights."""
+    if hits == 0:
+        return f"{source} produced no hits (degenerate weights)"
+    return f"{source}: log-weights of {hits} hits are not finite (degenerate weights)"
+
+
 # Methods whose ladder probabilities follow the at-least-one event.
 _AT_LEAST_ONE_METHODS = {Method.UNION_COMBINED, Method.CRUDE_AT_LEAST_ONE}
 
@@ -290,6 +291,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     entries = config.build_ladder().entries()
     methods, skips = zip(*(plan_rung(model, target, e, config.trials) for e in entries))
     root = RandomStream(seed)
+    is_rungs = [i for i, plan in enumerate(methods) if Method.IMPORTANCE_SAMPLED_SINGLE in plan]
 
     def entry_rows(i, entry, plan, pool) -> list[EstimateReport]:
         rows: list[EstimateReport] = []
@@ -299,12 +301,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
                 sigma_diag = np.diag(model.covariance.sigma)
                 rows.extend(exact_block_reports(sigma_diag, target.corner, entry, seed))
             elif method is Method.IMPORTANCE_SAMPLED_SINGLE:
-                q = is_single(
-                    model, target.scale(entry.scale_diag), entry.scale_diag * solved.x_star,
-                    config.is_samples, root.substream(16 * i + 3),
-                    scaling_norm_sq=entry.speed, executor=pool,
-                )
-                rows.append(union_combined_report(q, entry.n, entry.speed))
+                rows.append(union_combined_report(singles[i], entry.n, entry.speed))
             else:
                 # Both crude rows come from one pass over the rung's crude stream.
                 if not crude:
@@ -314,9 +311,19 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
                 rows.append(crude[method])
         return rows
 
-    # Workers share out the sampling chunks of one rung at a time; chunk
+    # Workers share out the sampling chunks of one pass at a time; chunk
     # results combine in chunk order, so the rows do not depend on them.
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        # One draw on substream 3, the IS slot of rung 0, weighs every IS
+        # rung on its own scaled set at its own shift A_n x*.
+        singles, hits = {}, ()
+        if is_rungs:
+            scales = [entries[i].scale_diag for i in is_rungs]
+            qs, hits = _is_single_shifts(
+                model, [(target.scale(a), a * solved.x_star) for a in scales],
+                config.is_samples, root.substream(3), executor=pool,
+            )
+            singles = dict(zip(is_rungs, qs))
         rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
     reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)
@@ -335,6 +342,11 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     if skipped:
         summary["crude_skipped"] = skipped
     warnings = _solve_warnings(solved)
+    warnings += [
+        _degenerate_warning(f"importance sampler at n={entries[i].n}", h)
+        for i, h in zip(is_rungs, hits)
+        if singles[i].degenerate_weights
+    ]
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"
         for e, plan in zip(entries, methods)

@@ -19,9 +19,14 @@ componentwise maximum into it.  ``_crude_pass`` holds the one rule that
 picks between them: the exceedance pass whenever its expected scalars
 are fewer.  Either way each chunk of trials yields the componentwise
 hits and the at-least-one hits together.  The importance sampler weighs
-one draw for several shifts: ``estimate``'s shifted row and its crude
-(zero-shift) counterpart come from the same chunks, each drawn once,
-unless the counterpart cannot hit (``_zero_shift_skip``).
+one draw for several ``(target, shift)`` passes: ``estimate``'s shifted
+row and its crude (zero-shift) counterpart come from the same chunks,
+each drawn once, unless the counterpart cannot hit
+(``_zero_shift_skip``); ``verify``'s importance-sampled rows of all
+rungs, each on its own scaled set and shift, come from one shared
+stream too.  Rows weighed on one draw share common random numbers, so
+their errors are correlated, while each stays unbiased with its own
+standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -34,8 +39,9 @@ Determinism contract: every estimator consumes a RandomStream and draws
 in fixed-size chunks, chunk ``i`` from ``stream.substream(i)``.  Chunks
 may run on an executor's threads, but their results are combined in
 chunk order (integer sums for hit counts, ``math.fsum`` for importance
-weights).  Results are therefore a pure function of (arguments, stream)
-regardless of how callers schedule the work.
+weights, each chunk's scaled by its largest log-weight).  Results are
+therefore a pure function of (arguments, stream) regardless of how
+callers schedule the work.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ CRUDE_SCALAR_BUDGET = 200_000_000
 CRUDE_MIN_EXPECTED_HITS = 0.01
 
 _EPS = np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)
 _SQRT1_2 = math.sqrt(0.5)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -412,68 +419,91 @@ def mc_crude(
 
 def _is_single_shifts(
     model: GaussianModel,
-    target: ConvexSet,
-    shifts,
+    passes,
     samples: int,
     stream: RandomStream,
     *,
     scaling_norm_sq: float = math.nan,
     executor=None,
 ) -> tuple[tuple[EstimateReport, ...], tuple[int, ...]]:
-    """``is_single`` for each of ``shifts`` from one draw; ``(reports, hits)`` in shift order.
+    """``(reports, hits)``: ``is_single`` for each ``(target, shift)`` of ``passes``, one draw.
 
-    Each chunk is drawn once from the centred model; every shift then
-    adds ``mean + shift`` to the draw in the chunk's free scratch array.
-    Adding the zero mean is exact, so each report equals the one
-    ``is_single`` gives for its shift alone on the same stream, bit for
-    bit.  ``hits`` counts the samples that landed in ``target``.  Every
-    report is a single-vector row (``n = 1``); ``union_combined_report``
-    lifts it to a rung's ``n``.  The kernel is private so that wrappers
-    of the public functions (such as ``benchmarks/tracer.py``) see the IS
-    time as ``is_single``'s own.
+    Reports and hits come in pass order.  Each chunk is drawn once from
+    the centred model; every pass then adds ``mean + shift`` to the draw
+    in the chunk's free scratch array and weighs the hits in its own
+    target.  Adding the zero mean is exact, so each report equals the one
+    ``is_single`` gives for its pass alone on the same stream, bit for
+    bit; the passes share common random numbers, so their errors are
+    correlated.  ``hits`` counts the samples that landed in each target.
+    Every report is a single-vector row (``n = 1``);
+    ``union_combined_report`` lifts it to a rung's ``n``.  The kernel is private, so
+    wrappers of the public functions (such as ``benchmarks/tracer.py``)
+    count its time to its caller: ``is_single``, or the command that
+    calls it directly.
+
+    The weights stay in log space: each chunk reduces the log-weights
+    ``lw`` of its hits to ``(max, sum exp(lw - max), sum exp(2 (lw -
+    max)))``, and the chunks combine in chunk order under their common
+    maximum.  A probability below double range thus keeps a finite
+    ``log_p_hat`` and a relative standard error, even where ``p_hat``
+    itself underflows to zero.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
     d = model.dimension
-    shifts = [np.asarray(shift, dtype=float) for shift in shifts]
-    if any(shift.shape != (d,) for shift in shifts):
-        raise ValueError(f"shift must have shape ({d},)")
     mean = model.mean
-    passes = [(shift, mean + shift, model.covariance.sigma_inv @ shift) for shift in shifts]
+    prepared = []
+    for target, shift in passes:
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (d,):
+            raise ValueError(f"shift must have shape ({d},)")
+        prepared.append((target, shift, mean + shift, model.covariance.sigma_inv @ shift))
     centred = GaussianModel(np.zeros(d), model.covariance)
 
-    def weigh(y: np.ndarray, x: np.ndarray) -> list[tuple[float, float, int]]:
-        sums = []
-        for shift, centre, theta in passes:
-            np.add(y, centre, out=x)
-            hit = target.contains_many(x)
-            # Likelihood ratio exp(-<theta, x - mean - shift/2>) over the hits.
-            lifted = np.compress(hit, x, axis=0)
-            lifted -= mean
-            lifted -= 0.5 * shift
-            w = lifted @ theta
-            np.exp(np.negative(w, out=w), out=w)
-            sums.append((float(w.sum()), float((w * w).sum()), len(w)))
-        return sums
+    def weigh_pass(y, x, target, shift, centre, theta) -> tuple[float, float, float, int]:
+        # One pass's arrays are freed before the next pass allocates its own.
+        np.add(y, centre, out=x)
+        hit = target.contains_many(x)
+        # Log likelihood ratio -<theta, x - mean - shift/2> over the hits.
+        lifted = np.compress(hit, x, axis=0)
+        lifted -= mean
+        lifted -= 0.5 * shift
+        lw = lifted @ theta
+        if not len(lw):
+            return -math.inf, 0.0, 0.0, 0
+        np.negative(lw, out=lw)
+        top = float(lw.max())
+        np.exp(np.subtract(lw, top, out=lw), out=lw)
+        return top, float(lw.sum()), float(lw @ lw), len(lw)
+
+    def weigh(y: np.ndarray, x: np.ndarray) -> list[tuple[float, float, float, int]]:
+        return [weigh_pass(y, x, *p) for p in prepared]
 
     per_chunk = _draw_chunks(centred, samples, 1, stream, executor, weigh)
     reports, hits = [], []
     for chunks in zip(*per_chunk):
-        sums, sq_sums, counts = zip(*chunks)
+        tops, sums, sq_sums, counts = zip(*chunks)
         hits.append(sum(counts))
-        p = math.fsum(sums) / samples
-        # No hits, or hits whose weights underflow to zero or overflow.
-        if not 0.0 < p < math.inf:
+        top = max(tops)
+        log_p = math.nan
+        if math.isfinite(top):
+            s1 = math.fsum(s * math.exp(t - top) for t, s in zip(tops, sums))
+            s2 = math.fsum(s * math.exp(2.0 * (t - top)) for t, s in zip(tops, sq_sums))
+            log_p = top + math.log(s1 / samples)
+        # No hits, log-weights that are not finite, or an estimate past double range.
+        if not log_p < _LOG_MAX:
             reports.append(EstimateReport(
                 0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
                 stream.seed, 1, scaling_norm_sq, degenerate_weights=True,
             ))
             continue
-        variance = max(math.fsum(sq_sums) / samples - p * p, 0.0)
+        p = math.exp(log_p)
+        # var(w) / p^2 = E[w^2] / p^2 - 1, free of the common factor exp(top).
+        relative_variance = max(s2 * samples / (s1 * s1) - 1.0, 0.0)
         reports.append(EstimateReport(
-            p, math.sqrt(variance / samples), math.log(p), samples,
+            p, p * math.sqrt(relative_variance / samples), log_p, samples,
             Method.IMPORTANCE_SAMPLED_SINGLE, stream.seed, 1, scaling_norm_sq,
         ))
     return tuple(reports), tuple(hits)
@@ -493,15 +523,16 @@ def is_single(
 
     Samples ``x' ~ Gaussian(mean + shift, sigma)`` and averages the
     likelihood ratio ``exp(-<shift, sigma_inv (x' - shift/2 - mean)>)``
-    over hits.  A zero shift reproduces crude Monte Carlo exactly.  If
-    no sample lands in the target, or the weights of the hits sum to
-    zero or overflow, the report carries ``p_hat = 0`` with
-    ``degenerate_weights`` set instead of raising.  Chunks run on
+    over hits, in log space.  A zero shift reproduces crude Monte Carlo.
+    Below double range ``p_hat`` reads 0 but ``log_p_hat`` stays finite.
+    If no sample lands in the target, or the hits' log-weights are not
+    finite, the report carries ``p_hat = 0`` and ``log_p_hat = -inf``
+    with ``degenerate_weights`` set instead of raising.  Chunks run on
     ``executor`` when given, inline otherwise, with the same result.
-    This is ``_is_single_shifts`` with one shift.
+    This is ``_is_single_shifts`` with one pass.
     """
     reports, _ = _is_single_shifts(
-        model, target, (shift,), samples, stream,
+        model, ((target, shift),), samples, stream,
         scaling_norm_sq=scaling_norm_sq, executor=executor,
     )
     return reports[0]

@@ -303,9 +303,9 @@ class TestEstimateCommand:
         calls = []
         kernel = cli._is_single_shifts
 
-        def counting(model, target, shifts, *args, **kwargs):
-            calls.append(len(shifts))
-            return kernel(model, target, shifts, *args, **kwargs)
+        def counting(model, passes, *args, **kwargs):
+            calls.append(len(passes))
+            return kernel(model, passes, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_is_single_shifts", counting)
         out = tmp_path / "artifacts"
@@ -333,9 +333,10 @@ class TestEstimateCommand:
         assert payload["importance_sampled"]["log_p_hat"] == "-inf"
         assert any("degenerate" in w for w in payload["warnings"])
 
-    def test_underflowing_weights_warn_on_their_own(self, tmp_path):
+    def test_underflowing_weights_keep_a_finite_log(self, tmp_path):
         # At n = 10000 the shift is (42.9, 0): about half the samples hit,
-        # but each weight is below exp(-900) and underflows to zero.
+        # and each weight is below exp(-900).  The weights stay in log
+        # space, so the row resolves although p_hat underflows to zero.
         text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]").replace(
             "offset: 2.4", "offset: 10.0"
         )
@@ -343,12 +344,18 @@ class TestEstimateCommand:
         out = tmp_path / "artifacts"
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "estimate.json").read_text())
-        assert payload["degenerate_weights"] is True
-        assert payload["importance_sampled"]["p_hat"] == 0.0
+        assert payload["degenerate_weights"] is False
+        row = payload["importance_sampled"]
+        assert row["p_hat"] == 0.0
         assert payload["exact"]["q_single"] == 0.0
-        warning = next(w for w in payload["warnings"] if "degenerate" in w)
-        assert "no hits" not in warning
-        assert "summed to zero or overflowed" in warning
+        log_q = float(gm.estimate._log_ndtr(-10.0 * math.sqrt(2.0 * math.log(10000))))
+        assert log_q < -900.0
+        # About 10% relative SE at 5000 samples; 0.4 in log is 4 SE.
+        assert abs(row["log_p_hat"] - log_q) < 0.4
+        assert payload["union_combined"]["log_p_hat"] == pytest.approx(
+            row["log_p_hat"] + math.log(10000), rel=1e-12
+        )
+        assert not any("degenerate" in w for w in payload["warnings"])
 
     def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
         # Both IS rows of estimate weigh the same draws: 5000 samples of
@@ -379,9 +386,9 @@ class TestEstimateCommand:
         shifts = []
         kernel = cli._is_single_shifts
 
-        def counting(model, target, given, *args, **kwargs):
-            shifts.append(len(given))
-            return kernel(model, target, given, *args, **kwargs)
+        def counting(model, passes, *args, **kwargs):
+            shifts.append(len(passes))
+            return kernel(model, passes, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_is_single_shifts", counting)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
@@ -398,9 +405,9 @@ class TestEstimateCommand:
         # The IS row is the one a two-shift pass gives on the same stream.
         model, target, solved = cli._solve(parse_config(HALFSPACE_YAML))
         entry = parse_config(HALFSPACE_YAML).build_ladder().entries()[-1]
+        scaled = target.scale(entry.scale_diag)
         (both, _), _ = kernel(
-            model, target.scale(entry.scale_diag),
-            (entry.scale_diag * solved.x_star, np.zeros(2)), 5000,
+            model, [(scaled, entry.scale_diag * solved.x_star), (scaled, np.zeros(2))], 5000,
             gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
         )
         row = payload["importance_sampled"]
@@ -644,6 +651,96 @@ class TestVerifyCommand:
                 assert float_pattern.match(field), field
             # Round trip at 17 significant digits is exact for doubles.
             assert cli._g(float(speed)) == speed
+
+
+class TestVerifySharedDraw:
+    """verify weighs every importance-sampled rung on one draw."""
+
+    @staticmethod
+    def _is_only(monkeypatch):
+        # No crude pass fits a zero budget, so every draw is the IS draw;
+        # 5000 samples of dimension 2 at 1000 scalars a chunk are 10 chunks.
+        monkeypatch.setattr(gm.estimate, "CRUDE_SCALAR_BUDGET", 0)
+        monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
+
+    def test_one_draw_per_chunk_not_per_rung(self, tmp_path, monkeypatch):
+        self._is_only(monkeypatch)
+        calls = []
+        draw = gm.estimate.sample_gaussian
+
+        def counting(model, stream, out, z):
+            calls.append(len(out))
+            return draw(model, stream, out, z)
+
+        monkeypatch.setattr(gm.estimate, "sample_gaussian", counting)
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert calls == [500] * 10
+        rows = (tmp_path / "a" / "verify_ladder.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["union_combined"] * 3
+
+    def test_each_row_is_its_rung_alone_on_the_shared_stream(self, tmp_path, monkeypatch):
+        self._is_only(monkeypatch)
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        rows = (tmp_path / "a" / "verify_ladder.csv").read_text().splitlines()[1:]
+        config = parse_config(HALFSPACE_YAML)
+        model, target, solved = cli._solve(config)
+        entries = config.build_ladder().entries()
+        assert len(rows) == len(entries)
+        for row, entry in zip(rows, entries):
+            q = gm.is_single(
+                model, target.scale(entry.scale_diag), entry.scale_diag * solved.x_star,
+                config.is_samples, gm.RandomStream(910).substream(3),
+            )
+            alone = gm.union_combined_report(q, entry.n, entry.speed)
+            assert row == ",".join([
+                str(entry.n), cli._g(entry.speed), "union_combined", cli._g(alone.p_hat),
+                cli._g(alone.std_error), cli._g(alone.log_p_hat), "910",
+            ])
+
+    def test_workers_do_not_change_a_multi_chunk_draw(self, tmp_path, monkeypatch):
+        self._is_only(monkeypatch)
+        cfg = write_config(tmp_path, HALFSPACE_YAML)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            args = ["verify", "--config", str(cfg), "--out", str(out), "--workers", workers]
+            assert cli.main(args) == 0
+            summary = (out / "verify_summary.json").read_text().splitlines()
+            kept = [line for line in summary if '"workers"' not in line]
+            outputs.append(((out / "verify_ladder.csv").read_bytes(), kept))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_each_degenerate_rung_warns(self, tmp_path):
+        # A slab 1e-12 wide: the shifted draws land in it with probability
+        # about 4e-12 a sample, so no rung's 500 samples hit.
+        text = POLY_YAML.replace(
+            "constraints: [[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]",
+            "constraints: [[1.0, 0.0], [-1.0, 0.0]]",
+        ).replace("offsets: [4.0, 3.0, 4.0]", "offsets: [2.0, -2.000000000001]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "verify_ladder.csv").read_text().splitlines()[1:]]
+        assert [r[5] for r in rows if r[2] == "union_combined"] == ["-inf", "-inf"]
+        warnings = json.loads((out / "verify_summary.json").read_text())["warnings"]
+        assert "importance sampler at n=10 produced no hits (degenerate weights)" in warnings
+        assert "importance sampler at n=100 produced no hits (degenerate weights)" in warnings
+        assert "union_combined: 0 of 2 rungs resolved, no slope fit" in warnings
+
+    @pytest.mark.parametrize("sigmas", [28.0, 37.5])
+    def test_log_space_weights_keep_a_standard_error(self, sigmas):
+        # Each weight's square underflows here, and at 37.5 sigma the
+        # probability itself is within a factor 10 of double underflow.
+        model = gm.GaussianModel(np.zeros(1), gm.build_covariance([[1.0]]))
+        target = gm.Halfspace(np.array([1.0]), sigmas)
+        report = gm.is_single(model, target, np.array([sigmas]), 20_000, gm.RandomStream(5))
+        assert not report.degenerate_weights
+        assert report.std_error > 0.0
+        log_q = float(gm.estimate._log_ndtr(-sigmas))
+        assert abs(report.log_p_hat - log_q) <= 4.0 * report.std_error / report.p_hat
 
 
 SMALL_BLOCK_YAML = """\

@@ -655,51 +655,60 @@ def separate_is_pass(model, target, shift, samples, stream, chunk_rows):
 
 class TestSharedShifts:
     TARGET = gm.Polyhedron(np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3]]), np.array([2.0, 1.5]))
-    SHIFTS = (np.array([1.5, 0.8, 0.1]), np.zeros(3), np.array([-0.2, 0.3, 0.6]))
+    OTHER = gm.Halfspace(np.array([0.3, 0.4, 1.0]), 1.0)
+    PASSES = (
+        (TARGET, np.array([1.5, 0.8, 0.1])),
+        (TARGET, np.zeros(3)),
+        (OTHER, np.array([-0.2, 0.3, 0.6])),
+    )
 
     @pytest.mark.parametrize("workers", [0, 3])
     def test_one_draw_equals_separate_passes(self, monkeypatch, workers):
         # 3000 samples of dimension 3 at 999 scalars a chunk: 10 chunks.
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
-        args = (CORRELATED3, self.TARGET)
         kwargs = {"scaling_norm_sq": 2.5}
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
             shared, hits = estimate._is_single_shifts(
-                *args, self.SHIFTS, 3000, gm.RandomStream(48), executor=pool, **kwargs
+                CORRELATED3, self.PASSES, 3000, gm.RandomStream(48), executor=pool, **kwargs
             )
             separate = tuple(
-                gm.is_single(*args, shift, 3000, gm.RandomStream(48), executor=pool, **kwargs)
-                for shift in self.SHIFTS
+                gm.is_single(CORRELATED3, *pair, 3000, gm.RandomStream(48), executor=pool, **kwargs)
+                for pair in self.PASSES
             )
         assert shared == separate
-        for report, count, shift in zip(shared, hits, self.SHIFTS):
-            oracle = separate_is_pass(*args, shift, 3000, gm.RandomStream(48), 333)
-            assert (report.p_hat, report.std_error, count) == oracle
+        for report, count, pair in zip(shared, hits, self.PASSES):
+            p, se, oracle_hits = separate_is_pass(CORRELATED3, *pair, 3000, gm.RandomStream(48), 333)
+            assert count == oracle_hits
+            # Log-space sums and linear ones differ in the last bits only.
+            assert report.p_hat == pytest.approx(p, rel=1e-12)
+            assert report.std_error == pytest.approx(se, rel=1e-9)
         assert all(h > 0 for h in hits)
         assert not any(r.degenerate_weights for r in shared)
         # The zero shift weighs crude hits: its weighted sum is the hit count.
         assert round(shared[1].p_hat * 3000) == hits[1]
 
     def test_zero_shift_pair_is_equal(self):
-        zeros = (np.zeros(3), np.zeros(3))
+        zeros = ((self.TARGET, np.zeros(3)), (self.TARGET, np.zeros(3)))
         (a, b), (hits_a, hits_b) = estimate._is_single_shifts(
-            CORRELATED3, self.TARGET, zeros, 2000, gm.RandomStream(49)
+            CORRELATED3, zeros, 2000, gm.RandomStream(49)
         )
         assert a == b
         assert hits_a == hits_b
 
-    def test_underflowing_weights_are_degenerate(self):
-        # About half the shifted samples hit, but every weight is below
-        # exp(-800) and underflows: the report must not read as a zero.
+    def test_underflowing_weights_stay_in_log_space(self):
+        # About half the shifted samples hit, and every weight is below
+        # exp(-800): p_hat underflows, but log_p_hat stays an estimate.
         target = gm.Halfspace(np.array([1.0, 0.0]), 40.0)
         (report,), (hits,) = estimate._is_single_shifts(
-            STANDARD2, target, (np.array([40.0, 0.0]),), 4000, gm.RandomStream(1)
+            STANDARD2, ((target, np.array([40.0, 0.0])),), 4000, gm.RandomStream(1)
         )
         assert 1800 < hits < 2200
-        assert report.degenerate_weights
+        assert not report.degenerate_weights
         assert report.p_hat == 0.0
-        assert report.log_p_hat == -math.inf
-        assert gm.exact_single_log(STANDARD2, target, gm.LadderEntry(1, np.ones(2), 1.0)) < -800.0
+        log_q = gm.exact_single_log(STANDARD2, target, gm.LadderEntry(1, np.ones(2), 1.0))
+        assert log_q < -800.0
+        # Mean-shift IS at 40 sigma has a relative SE near sqrt(50 / 4000).
+        assert abs(report.log_p_hat - log_q) < 0.5
         single = gm.is_single(STANDARD2, target, np.array([40.0, 0.0]), 4000, gm.RandomStream(1))
         assert single == report
 

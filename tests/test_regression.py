@@ -10,10 +10,11 @@ mixture (``crude-mixture``, which also records the per-component
 solutions).  Most crude rows hit (is-halfspace's at-least-one rows at
 n = 100 and 1000 read 0, and its ``estimate`` crude row is skipped), so
 a change to the rung plan, to the row order or to which substream feeds
-which estimator fails here.  Methods, block sizes,
-seeds and every other string or integer must match exactly; floats to a
-relative 1e-12, which allows a last-bit change in a formula but no
-change of draws.
+which estimator fails here.  Each rung's crude pair has a substream of
+its own; the importance-sampled rows of all rungs share one, substream
+3, so they weigh one draw.  Methods, block sizes, seeds and every other
+string or integer must match exactly; floats to a relative 1e-12, which
+allows a last-bit change in a formula but no change of draws.
 """
 
 import csv
