@@ -225,6 +225,8 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     union_report = union_combined_report(is_report, entry.n, entry.speed)
     if is_report.degenerate_weights:
         warnings.append(_degenerate_warning("importance sampler", is_hits))
+    elif is_report.p_hat > 1.0:
+        warnings.append(_saturated_warning(entry.n, is_report.p_hat))
 
     var_is = is_report.std_error**2 * is_report.trials
     crude_resolved = crude_report is not None and crude_report.p_hat > 0.0
@@ -280,6 +282,11 @@ def _degenerate_warning(source: str, hits: int) -> str:
     if hits == 0:
         return f"{source} produced no hits (degenerate weights)"
     return f"{source}: log-weights of {hits} hits are not finite (degenerate weights)"
+
+
+def _saturated_warning(n: int, q_hat: float) -> str:
+    """Why rung ``n``'s union_combined row reads 1 with standard error 0."""
+    return f"importance sampler at n={n}: q_hat {q_hat:.6g} > 1, union_combined row saturated at 1"
 
 
 # Methods whose ladder probabilities follow the at-least-one event.
@@ -342,11 +349,12 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     if skipped:
         summary["crude_skipped"] = skipped
     warnings = _solve_warnings(solved)
-    warnings += [
-        _degenerate_warning(f"importance sampler at n={entries[i].n}", h)
-        for i, h in zip(is_rungs, hits)
-        if singles[i].degenerate_weights
-    ]
+    for i, h in zip(is_rungs, hits):
+        n, single = entries[i].n, singles[i]
+        if single.degenerate_weights:
+            warnings.append(_degenerate_warning(f"importance sampler at n={n}", h))
+        elif single.p_hat > 1.0:
+            warnings.append(_saturated_warning(n, single.p_hat))
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"
         for e, plan in zip(entries, methods)

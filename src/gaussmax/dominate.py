@@ -453,14 +453,15 @@ def corner_pairwise(rows, offsets) -> np.ndarray:
     Each adjacent pair of constraint rows is solved as a 2x2 system and
     the candidate corners are combined by coordinatewise minimum.  This
     is a reported diagnostic, not a substitute for the solver: the
-    combined point can differ from the true quadratic minimizer.
+    combined point can differ from the true quadratic minimizer.  With
+    fewer than two rows, or a parallel pair, it raises ``SingularPair``.
     """
     b = np.atleast_2d(np.asarray(rows, dtype=float))
     c = np.atleast_1d(np.asarray(offsets, dtype=float))
     if b.shape[1] != 2:
         raise DimensionMismatch("pairwise corner formula is defined for dimension 2")
     if b.shape[0] < 2:
-        raise ValueError("need at least two constraint rows")
+        raise SingularPair("need at least two constraint rows")
     if c.shape != (b.shape[0],):
         raise DimensionMismatch("one offset per row required")
     corners = []

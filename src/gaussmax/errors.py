@@ -8,6 +8,19 @@ failures as RuntimeError.
 
 from __future__ import annotations
 
+__all__ = [
+    "GaussMaxError",
+    "NotSymmetric",
+    "NotPositiveDefinite",
+    "DimensionMismatch",
+    "ConvergenceFailure",
+    "EmptyInterior",
+    "NotAtypical",
+    "SingularPair",
+    "MeanInsideSet",
+    "ConfigError",
+]
+
 
 class GaussMaxError(Exception):
     """Base class for all package-specific failures."""
@@ -38,7 +51,7 @@ class NotAtypical(GaussMaxError, ValueError):
 
 
 class SingularPair(GaussMaxError, ValueError):
-    """A consecutive constraint-row pair is singular (parallel rows)."""
+    """No consecutive constraint-row pair is regular: fewer than two rows, or parallel ones."""
 
 
 class MeanInsideSet(GaussMaxError, ValueError):

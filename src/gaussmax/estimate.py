@@ -596,9 +596,11 @@ def union_combined_report(single: EstimateReport, n: int, scaling_norm_sq: float
     """Lift a single-vector estimate to the at-least-one event over n draws.
 
     The standard error propagates through the derivative
-    ``n (1 - q)**(n - 1)`` of the combining identity.
+    ``n (1 - q)**(n - 1)`` of the combining identity.  An importance-sampled
+    ``q`` above 1 (unbiased, but past the probability range) saturates the
+    row at ``p = 1`` with standard error 0.
     """
-    q = single.p_hat
+    q = min(single.p_hat, 1.0)
     p = union_combine(q, n)
     derivative = n * math.exp((n - 1) * math.log1p(-q)) if q < 1.0 else 0.0
     se = derivative * single.std_error

@@ -195,7 +195,7 @@ class GaussianMixture:
         if np.any(w < 0.0):
             raise ValueError("mixture weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {w.sum()!r}, expected 1")
+            raise ValueError(f"mixture weights sum to {float(w.sum())!r}, expected 1")
         d = comps[0].dimension
         for c in comps:
             if c.dimension != d:

@@ -82,6 +82,12 @@ seed: 77
 """
 
 
+SIGMA = "sigma: [[1.0, 0.0], [0.0, 1.0]]"
+MIXTURE_COMPONENTS = MIXTURE_YAML[MIXTURE_YAML.index("components:") : MIXTURE_YAML.index("\nset:")]
+POLY_SET = (
+    "kind: polyhedron\n  constraints: [[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]\n"
+    "  offsets: [4.0, 3.0, 4.0]"
+)
 MIXTURE_BLOCK = "kind: block\n  corner: [2.0, 2.0]"
 MIXTURE_HALFSPACE = "kind: halfspace\n  normal: [1.0, 1.0]\n  offset: 4.0"
 
@@ -121,6 +127,11 @@ class TestParseConfig:
         # YAML 1.1 reads these as strings; a quoted "1e-3" stays one (see INVALID_VALUES).
         config = parse_config(BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [12e-1, 1.2e0]"))
         assert config.set_spec == {"kind": "block", "corner": [1.2, 1.2]}
+
+    def test_integral_float_count_is_an_integer(self):
+        config = parse_config(BLOCK_YAML.replace("trials: 2000", "trials: 2000.0"))
+        assert config.trials == 2000
+        assert isinstance(config.trials, int)
 
     def test_digest_tracks_content(self):
         a = parse_config(BLOCK_YAML)
@@ -243,6 +254,40 @@ class TestDominateCommand:
         assert payload["corner_discrepancy"] is None
         assert any("pairwise corner unavailable" in w for w in payload["warnings"])
 
+    @pytest.mark.parametrize(
+        "base, old",
+        [
+            (POLY_YAML, POLY_SET),
+            (POLY_YAML.replace("mean: [0.0, 0.0]", "mean: [0.5, -0.5]"), POLY_SET),
+            (MIXTURE_YAML, MIXTURE_BLOCK),
+        ],
+        ids=["centred", "shifted", "mixture"],
+    )
+    def test_single_row_disables_corner_diagnostic(self, tmp_path, base, old):
+        one_row = "kind: polyhedron\n  constraints: [[1.0, 1.0]]\n  offsets: [2.0]"
+        cfg = write_config(tmp_path, base.replace(old, one_row))
+        out = tmp_path / "artifacts"
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "dominate.json").read_text())
+        assert payload["corner_pairwise"] is None
+        assert payload["corner_discrepancy"] is None
+        assert (
+            "pairwise corner unavailable: need at least two constraint rows" in payload["warnings"]
+        )
+
+    def test_margin_just_above_one_warns_near_one(self, tmp_path):
+        # alpha = offset**2 / 2 = 1 + 5e-10: the margin passes, within 1e-9 of 1.
+        offset = math.sqrt(2.0 * (1.0 + 5e-10))
+        text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]")
+        cfg = write_config(tmp_path, text.replace("offset: 2.4", f"offset: {offset!r}"))
+        out = tmp_path / "artifacts"
+        assert cli.main(["dominate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "dominate.json").read_text())
+        assert payload["margin_alpha"] == pytest.approx(1.0 + 5e-10, rel=0, abs=1e-15)
+        assert payload["margin_pass"] is True
+        assert cli.MARGIN_NEAR_ONE in payload["warnings"]
+        assert cli.MARGIN_WARNING not in payload["warnings"]
+
     def test_mixture_payload(self, tmp_path):
         cfg = write_config(tmp_path, MIXTURE_YAML)
         out = tmp_path / "artifacts"
@@ -332,6 +377,23 @@ class TestEstimateCommand:
         assert payload["importance_sampled"]["p_hat"] == 0.0
         assert payload["importance_sampled"]["log_p_hat"] == "-inf"
         assert any("degenerate" in w for w in payload["warnings"])
+
+    def test_weights_that_are_not_finite_are_named(self, tmp_path):
+        # A halfspace 1e160 out: each hit's log-weight, about -|A_n x*|**2 / 2,
+        # overflows to -inf (numpy warns), so every sample hits yet the row
+        # is degenerate.
+        text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]")
+        text = text.replace("offset: 2.4", "offset: 1.0e+160")
+        text = text.replace("is_samples: 5000", "is_samples: 100")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "artifacts"
+        with pytest.warns(RuntimeWarning):
+            assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        assert payload["degenerate_weights"] is True
+        assert payload["importance_sampled"]["log_p_hat"] == "-inf"
+        message = "importance sampler: log-weights of 100 hits are not finite (degenerate weights)"
+        assert message in payload["warnings"]
 
     def test_underflowing_weights_keep_a_finite_log(self, tmp_path):
         # At n = 10000 the shift is (42.9, 0): about half the samples hit,
@@ -759,6 +821,46 @@ seed: 16
 """
 
 
+SATURATING_YAML = """\
+model: {kind: gaussian, mean: [0.95, 0.0], sigma: [[1.0, 0.0], [0.0, 1.0]]}
+set: {kind: halfspace, normal: [1, 0], offset: 1.0}
+limit: [1.0, 1.0]
+ladder: [2, 3, 4]
+trials: 100
+is_samples: 1
+seed: 6
+"""
+
+
+class TestSaturatedSingle:
+    """A mean 0.05 from the set: one importance-sampled draw can weigh more
+    than 1, so q-hat, unbiased, lies above the probability range."""
+
+    @pytest.mark.parametrize("seed", ["6", "8"])
+    def test_verify_saturates_the_lifted_row(self, tmp_path, seed):
+        cfg = write_config(tmp_path, SATURATING_YAML)
+        out = tmp_path / "artifacts"
+        assert cli.main(["verify", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "verify_ladder.csv").read_text().splitlines()[1:]]
+        lifted = [r[3:6] for r in rows if r[0] == "2" and r[2] == "union_combined"]
+        assert lifted == [["1", "0", "0"]]
+        warnings = json.loads((out / "verify_summary.json").read_text())["warnings"]
+        pattern = r"importance sampler at n=2: q_hat 1\.\d+ > 1, union_combined row saturated at 1"
+        assert any(re.fullmatch(pattern, w) for w in warnings)
+
+    def test_estimate_keeps_q_hat_and_saturates_the_lifted_row(self, tmp_path):
+        cfg = write_config(tmp_path, SATURATING_YAML.replace("ladder: [2, 3, 4]", "ladder: [2]"))
+        out = tmp_path / "artifacts"
+        assert cli.main(["estimate", "--config", str(cfg), "--seed", "13", "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        single, lifted = payload["importance_sampled"], payload["union_combined"]
+        assert single["p_hat"] > 1.0
+        assert single["log_p_hat"] == pytest.approx(math.log(single["p_hat"]), rel=1e-12)
+        assert (lifted["p_hat"], lifted["std_error"], lifted["log_p_hat"]) == (1.0, 0.0, 0.0)
+        message = f"importance sampler at n=2: q_hat {single['p_hat']:.6g} > 1"
+        assert f"{message}, union_combined row saturated at 1" in payload["warnings"]
+
+
 class TestCertificateWarnings:
     def test_every_command_warns_on_failed_certificate(self, tmp_path, monkeypatch):
         # x* = (1, 1.5) is the corner; moved off it along e_1 by 1e-6 |x*|,
@@ -792,29 +894,47 @@ class TestCertificateWarnings:
 
 
 # Non-finite numbers and invalid shapes or weights: (config, text, replacement).
+# (base, old, new, message): ``base`` with ``old`` replaced by ``new`` exits 2
+# with ``message`` in its error.
 INVALID_VALUES = [
-    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [0.6, 0.6]"),
-    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [-0.3, 1.3]"),
+    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [0.6, 0.6]", "weights sum to 1.2, expected 1"),
+    (MIXTURE_YAML, "weights: [0.3, 0.7]", "weights: [-0.3, 1.3]", "weights must be nonnegative"),
     (
         BLOCK_YAML,
         "kind: block\n  corner: [1.2, 1.2]",
         "kind: ellipsoid\n  center: [3.0, 3.0]\n  shape: [[1.0, 0.0], [0.0, 1.0]]\n"
         "  radius: -0.7",
+        "ellipsoid radius must be positive",
     ),
-    (HALFSPACE_YAML, "normal: [1.0, 1.0]", "normal: [0, 0]"),
-    (POLY_YAML, "constraints: [[2.0, 1.0], [1.0, 1.0],", "constraints: [[2.0, 1.0], [0.0, 0.0],"),
-    (BLOCK_YAML, "limit: [1.0, 1.0]", "limit: [.inf, 1.0]"),
-    (BLOCK_YAML, "trials: 2000", "trials: .inf"),
-    (BLOCK_YAML, "trials: 2000", "trials: .nan"),
-    (BLOCK_YAML, "seed: 4242", "seed: .nan"),
-    (BLOCK_YAML, "ladder: [100, 1000, 10000]", "ladder: [100, .inf]"),
-    (BLOCK_YAML, "corner: [1.2, 1.2]", "corner: [.nan, 1.2]"),
-    (BLOCK_YAML, "mean: [0.0, 0.0]", "mean: [.nan, 0.0]"),
-    (BLOCK_YAML, "seed: 4242", "seed: 4242\noutputs: null"),
-    (BLOCK_YAML, "seed: 4242", 'seed: 4242\noutputs: ""'),
-    (BLOCK_YAML, "corner: [1.2, 1.2]", 'corner: ["1e-3", 1.2]'),
-    (BLOCK_YAML, "kind: gaussian", "kind: [gaussian]"),
-    (BLOCK_YAML, "kind: block", "kind: [block]"),
+    (HALFSPACE_YAML, "normal: [1.0, 1.0]", "normal: [0, 0]", "halfspace normal must be nonzero"),
+    (
+        POLY_YAML,
+        "constraints: [[2.0, 1.0], [1.0, 1.0],",
+        "constraints: [[2.0, 1.0], [0.0, 0.0],",
+        "constraint rows must be nonzero",
+    ),
+    (BLOCK_YAML, "limit: [1.0, 1.0]", "limit: [.inf, 1.0]", "limit.diagonal entry must be"),
+    (BLOCK_YAML, "trials: 2000", "trials: .inf", "trials must be an integer, got inf"),
+    (BLOCK_YAML, "trials: 2000", "trials: .nan", "trials must be an integer, got nan"),
+    (BLOCK_YAML, "seed: 4242", "seed: .nan", "seed must be an integer, got nan"),
+    (BLOCK_YAML, "ladder: [100, 1000, 10000]", "ladder: [100, .inf]", "ladder entry must be an"),
+    (BLOCK_YAML, "corner: [1.2, 1.2]", "corner: [.nan, 1.2]", "set.corner entry must be a finite"),
+    (BLOCK_YAML, "mean: [0.0, 0.0]", "mean: [.nan, 0.0]", "model.mean entry must be a finite"),
+    (BLOCK_YAML, "seed: 4242", "seed: 4242\noutputs: null", "outputs must be a nonempty"),
+    (BLOCK_YAML, "seed: 4242", 'seed: 4242\noutputs: ""', "outputs must be a nonempty"),
+    (BLOCK_YAML, "corner: [1.2, 1.2]", 'corner: ["1e-3", 1.2]', "got '1e-3'"),
+    (BLOCK_YAML, "kind: gaussian", "kind: [gaussian]", "model.kind must be 'gaussian' or"),
+    (BLOCK_YAML, "kind: block", "kind: [block]", "set.kind must be one of"),
+    (BLOCK_YAML, "corner: [1.2, 1.2]", "corner: 5", "set.corner must be a nonempty list"),
+    (BLOCK_YAML, SIGMA, "sigma: 1.0", "model.sigma must be a nonempty list of rows"),
+    (BLOCK_YAML, SIGMA, "sigma: [[1.0], [0.0, 1.0]]", "model.sigma rows must have equal"),
+    (BLOCK_YAML, "trials: 2000", "trials: many", "trials must be an integer, got 'many'"),
+    (MIXTURE_YAML, MIXTURE_COMPONENTS, "components: 3", "model.components must be a nonempty"),
+    (MIXTURE_YAML, MIXTURE_COMPONENTS, "components: [1.0]", "component 1 must be a table"),
+    (BLOCK_YAML, "set:\n  kind: block\n  corner: [1.2, 1.2]", "set: 3", "set must be a table"),
+    (BLOCK_YAML, BLOCK_YAML, "[1, 2]", "config must be a YAML mapping"),
+    (BLOCK_YAML, "limit: [1.0, 1.0]", "limit: [0.0, 1.0]", "limit.diagonal entries must be"),
+    (BLOCK_YAML, "ladder: [100, 1000, 10000]", "ladder: 100", "ladder must be a nonempty list"),
 ]
 
 
@@ -839,13 +959,17 @@ class TestExitCodes:
         assert "model mean inside set" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "base, old, new", INVALID_VALUES, ids=[case[2].splitlines()[-1].strip() for case in INVALID_VALUES]
+        "base, old, new, message",
+        INVALID_VALUES,
+        ids=[case[2].splitlines()[-1].strip() for case in INVALID_VALUES],
     )
-    def test_invalid_value_is_two(self, tmp_path, capsys, base, old, new):
+    def test_invalid_value_is_two(self, tmp_path, capsys, base, old, new, message):
         assert old in base
         cfg = write_config(tmp_path, base.replace(old, new))
         assert cli.main(["dominate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
 
     def test_unknown_key_is_two(self, tmp_path, capsys):
         for extra in ("bogus: 1\n", "normalization_factor: 2.0\n"):

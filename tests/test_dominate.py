@@ -411,7 +411,7 @@ class TestCornerFormulas:
             gm.corner_pairwise(np.eye(3), np.array([1.0, 1.0, 1.0]))
 
     def test_pairwise_requires_two_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(gm.SingularPair, match="need at least two constraint rows"):
             gm.corner_pairwise(np.array([[1.0, 2.0]]), np.array([1.0]))
 
 

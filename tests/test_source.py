@@ -23,7 +23,12 @@ def _imported(tree) -> set[str]:
         if isinstance(node, ast.Import):
             names.update((a.asname or a.name).split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names.update(a.asname or a.name for a in node.names)
+            for a in node.names:
+                # ``from .m import *`` binds the names in ``m.__all__``.
+                if a.name == "*":
+                    names.update(_exports(TREES[f"{node.module}.py"]))
+                else:
+                    names.add(a.asname or a.name)
     return names
 
 
@@ -58,12 +63,21 @@ def _private_definitions(tree) -> set[str]:
 
 
 def _exports(tree) -> list[str] | None:
-    """The module's literal ``__all__``, or None if it has none."""
+    """The module's ``__all__``, each ``*m.__all__`` in it read from module ``m``.
+
+    None if the module has no ``__all__``.
+    """
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            names = []
+            for entry in node.value.elts:
+                if isinstance(entry, ast.Starred):
+                    names += _exports(TREES[f"{entry.value.value.id}.py"])
+                else:
+                    names.append(ast.literal_eval(entry))
+            return names
     return None
 
 
@@ -81,12 +95,17 @@ def test_every_private_name_is_referenced(module):
 
 
 def test_package_exports_are_the_submodules_exports():
-    # The exception classes are exported without an __all__ of their own.
-    errors = {n.name for n in TREES["errors.py"].body if isinstance(n, ast.ClassDef)}
-    submodules = [e for m, t in TREES.items() if m != "__init__.py" and (e := _exports(t))]
-    package = _exports(TREES["__init__.py"])
-    assert len(package) == len(set(package))
-    assert sorted(package) == sorted({"__version__", *errors}.union(*submodules))
+    # ``__init__`` star-imports exactly the modules that declare an ``__all__``,
+    # and no name comes from two of them: a later wildcard would shadow it silently.
+    init = TREES["__init__.py"]
+    starred = [
+        n.module for n in init.body if isinstance(n, ast.ImportFrom) and n.names[0].name == "*"
+    ]
+    declaring = [m[:-3] for m, t in TREES.items() if m != "__init__.py" and _exports(t)]
+    assert sorted(starred) == sorted(declaring)
+    names = [name for module in starred for name in _exports(TREES[f"{module}.py"])]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert sorted(_exports(init)) == sorted(["__version__", *names])
 
 
 @pytest.mark.parametrize("module", [m for m, t in TREES.items() if _exports(t) is not None])
