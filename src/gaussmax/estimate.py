@@ -10,23 +10,27 @@ throughout, cover block sets under diagonal covariances
 probabilities into an empirical decay rate.
 
 Both crude estimators come from one pass, which takes one of two forms.
-The full draw draws every vector of each trial; the crude pass and the
-importance sampler share its chunk driver.  On a set with finite lower
-bounds ``t`` (a block or an ellipsoid), the exceedance pass draws only
-the vectors with some ``x_j >= t_j``, exactly in law, from their
+The full draw draws every vector of each trial.  On a set with finite
+lower bounds ``t`` (a block or an ellipsoid), the exceedance pass draws
+only the vectors with some ``x_j >= t_j``, exactly in law, from their
 one-dimensional tails: no other vector can land in the set or lift the
 componentwise maximum into it.  ``_crude_pass`` holds the one rule that
 picks between them: the exceedance pass whenever its expected scalars
-are fewer.  Either way each chunk of trials yields the componentwise
-hits and the at-least-one hits together.  The importance sampler weighs
-one draw for several ``(target, shift)`` passes: ``estimate``'s shifted
-row and its crude (zero-shift) counterpart come from the same chunks,
-each drawn once, unless the counterpart cannot hit
-(``_zero_shift_skip``); ``verify``'s importance-sampled rows of all
-rungs, each on its own scaled set and shift, come from one shared
-stream too.  Rows weighed on one draw share common random numbers, so
-their errors are correlated, while each stays unbiased with its own
-standard error.
+are fewer.  A Gaussian's full draw shares its chunk driver
+(``_draw_chunks``) with the importance sampler.  Every other pass draws
+a chunk's trials by cells (``_draw_cells``): per-trial multinomial
+counts over the cells, then each cell's rows at once; a mixture's full
+draw has one unconditioned cell per component.  Either way each chunk
+of trials reduces the same way, to one componentwise maximum and one
+at-least-one flag per trial, and yields both hit counts together.  The
+importance sampler weighs one draw for several ``(target, shift)``
+passes: ``estimate``'s shifted row and its crude (zero-shift)
+counterpart come from the same chunks, each drawn once, unless the
+counterpart cannot hit (``_zero_shift_skip``); ``verify``'s
+importance-sampled rows of all rungs, each on its own scaled set and
+shift, come from one shared stream too.  Rows weighed on one draw share
+common random numbers, so their errors are correlated, while each stays
+unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dominate import LadderEntry
-from .model import GaussianMixture, GaussianModel, RandomStream, sample_gaussian, sample_mixture
+from .model import GaussianMixture, GaussianModel, RandomStream, sample_gaussian
 from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
@@ -142,16 +146,19 @@ def _components(model) -> tuple:
 
 
 def _crude_pass(model, scaled: ConvexSet, n: int):
-    """``(scalars_per_trial, tails)`` of the crude pass ``mc_crude`` runs on ``scaled``.
+    """``(scalars_per_trial, cells)`` of the crude pass ``mc_crude`` runs on ``scaled``.
 
-    ``tails`` is ``(t, q)`` for the exceedance pass and None for the full
-    draw.  The exceedance pass needs a set with finite lower bounds ``t``
+    ``cells`` is what ``_draw_cells`` draws: ``(t, q)`` for the
+    exceedance pass, ``(None, weights)`` for a mixture's full draw, and
+    None for a Gaussian's full draw, which ``_draw_chunks`` draws.  The
+    exceedance pass needs a set with finite lower bounds ``t``
     (``scaled.lower_bound()``); ``q[k, j] = w_k P_k(X_j >= t_j)`` per
     component k and coordinate j, and ``r = q.sum()``.  Its expected
     scalars a trial are ``q.size + n r (d + 2)``: one count per cell
     ``(k, j)``, and per candidate ``d`` normals and a tail proposal of
-    two scalars (``_exceedances``).  It is chosen when that is below the
-    full draw's ``n d``, which needs ``r < 1``.
+    two scalars.  It is chosen when that is below the full draw's
+    ``n d``, which needs ``r < 1``.  A mixture's full draw counts ``n d``
+    as well, its component counts aside.
     """
     d = model.dimension
     t = scaled.lower_bound()
@@ -163,6 +170,8 @@ def _crude_pass(model, scaled: ConvexSet, n: int):
         per_trial = q.size + n * float(q.sum()) * (d + 2)
         if per_trial < n * d:
             return per_trial, (t, q)
+    if isinstance(model, GaussianMixture):
+        return n * d, (None, model.weights)
     return n * d, None
 
 
@@ -218,10 +227,10 @@ def plan_rung(
     return tuple(methods), skip
 
 
-def _zero_shift_skip(model: GaussianModel, shift: np.ndarray, samples: int, n: int) -> dict | None:
+def _zero_shift_skip(model: GaussianModel, point: np.ndarray, samples: int, n: int) -> dict | None:
     """Why ``estimate`` weighs no zero-shift crude row beside its IS row, or None.
 
-    ``shift`` is the scaled dominating point ``y* = A_n x*``, the point of
+    ``point`` is the scaled dominating point ``y* = A_n x*``, the point of
     the scaled set nearest the origin in the metric ``sigma_inv``, so the
     halfspace ``{y : <sigma_inv y*, y - y*> >= 0}`` supports the set at
     ``y*`` and contains it.  A draw lands in that halfspace with
@@ -232,8 +241,8 @@ def _zero_shift_skip(model: GaussianModel, shift: np.ndarray, samples: int, n: i
     "expected_hits", "expected_hits"}`` is returned; the comparison is
     made in log space, so that underflow still skips.
     """
-    u = model.covariance.whitener @ shift
-    delta = float(u @ (model.covariance.whitener @ (shift - model.mean))) / math.sqrt(u @ u)
+    u = model.covariance.whitener @ point
+    delta = float(u @ (model.covariance.whitener @ (point - model.mean))) / math.sqrt(u @ u)
     log_hits = math.log(samples) + float(_log_ndtr(-delta))
     if log_hits > math.log(CRUDE_MIN_EXPECTED_HITS):
         return None
@@ -244,31 +253,24 @@ def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, execut
     """``body(x, free)`` per chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
 
     Chunk ``i`` holds at most ``CHUNK_SCALARS // (unit_rows * d)`` units,
-    drawn into ``x`` from ``stream.substream(i)`` by ``sample_gaussian``
-    or, for a mixture, ``sample_mixture``; ``free`` is a scratch array
-    shaped like ``x`` whose contents the body may overwrite.  Chunks run
-    on ``executor`` when given (anything with an ordered ``map``), inline
-    otherwise.  Each thread keeps its scratch arrays for all its chunks,
-    so pages fault in once.
+    drawn into ``x`` from ``stream.substream(i)`` by ``sample_gaussian``;
+    ``free`` is a scratch array shaped like ``x`` whose contents the body
+    may overwrite.  It serves the importance sampler and a Gaussian's
+    full draw.  Chunks run on ``executor`` when given (anything with an
+    ordered ``map``), inline otherwise.  Each thread keeps its scratch
+    arrays for all its chunks, so pages fault in once.
     """
     d = model.dimension
     chunk = max(1, CHUNK_SCALARS // (unit_rows * d))
     rows = min(chunk, units) * unit_rows
-    mixture = isinstance(model, GaussianMixture)
     local = threading.local()
 
     def draw(index: int):
         if not hasattr(local, "arrays"):
-            local.arrays = [np.empty((rows, d)) for _ in range(3 if mixture else 2)]
-            if mixture:
-                local.arrays.append(np.empty((len(model.components) - 1, rows, d), bool))
+            local.arrays = np.empty((2, rows, d))
         take = min(chunk, units - index * chunk) * unit_rows
-        # The row axis is second to last in every array, masks included.
-        x, z, *scratch = (a[..., :take, :] for a in local.arrays)
-        if mixture:
-            sample_mixture(model, stream.substream(index), x, z, *scratch)
-        else:
-            sample_gaussian(model, stream.substream(index), x, z)
+        x, z = local.arrays[:, :take]
+        sample_gaussian(model, stream.substream(index), x, z)
         return body(x, z)
 
     return _map_chunks(draw, -(-units // chunk), executor)
@@ -305,52 +307,60 @@ def _normal_tail(a: float, size: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(rounds)
 
 
-def _exceedances(model, t: np.ndarray, q: np.ndarray, n: int, trials: int, rng) -> tuple:
-    """``(x, trial)``: of ``trials`` blocks of ``n`` draws, just the vectors with some ``x_j >= t_j``.
+def _draw_cells(model, t, q, n: int, trials: int, rng):
+    """Yield ``(x, counts)`` per cell drawn for ``trials`` blocks of ``n`` draws.
 
-    Each of a block's ``n`` draws is independently a candidate of cell
-    ``(k, j)`` with probability ``q[k, j]``, or no candidate: the counts
-    are multinomial, the same law as ``Binomial(n, r)`` candidates, ``r =
-    q.sum()``, each picking ``(k, j)`` with probability ``q[k, j] / r``.
-    A candidate of ``(k, j)`` draws ``x_j`` from component k given ``x_j
-    >= t_j`` (``_normal_tail``) and its other coordinates from component
-    k's conditional normal given ``x_j``; it is kept when j is its first
-    coordinate at or above ``t``.  Every point of ``E = {x : x_j >= t_j
-    for some j}`` is thus kept under one j only, so each draw is
-    independently a kept row with density ``f 1_E``: the kept rows are
-    the block's draws in E, in law.  ``trial`` gives each row's block,
-    ascending.
+    The first ``counts[0]`` rows of ``x`` belong to block 0, the next
+    ``counts[1]`` to block 1, and so on.  Each of a block's ``n`` draws
+    falls in cell ``c`` with probability ``q.flat[c]``, so the counts are
+    multinomial; cells are drawn in order, each with all its rows at once.
+
+    With ``t`` None, ``q`` holds a mixture's weights and this is its full
+    draw: cell k draws plain rows from component k.
+
+    Otherwise it is the exceedance pass, which yields of each block just
+    the vectors with some ``x_j >= t_j``.  A draw is a candidate of cell
+    ``(k, j)`` with probability ``q[k, j]``, or no candidate (``1 - r``,
+    ``r = q.sum()``), the same law as ``Binomial(n, r)`` candidates, each
+    picking ``(k, j)`` with probability ``q[k, j] / r``.  A candidate of
+    ``(k, j)`` draws ``x_j`` from component k given ``x_j >= t_j``
+    (``_normal_tail``), before its normals, and its other coordinates from
+    component k's conditional normal given ``x_j``; it is kept when j is
+    its first coordinate at or above ``t``.  Every point of ``E = {x :
+    x_j >= t_j for some j}`` is thus kept under one j only, so each draw
+    is independently a kept row with density ``f 1_E``: the kept rows are
+    the block's draws in E, in law.
     """
-    d = len(t)
+    d = model.dimension
     comps = _components(model)[1]
-    # The last column counts the draws that are no candidate (1 - r).
-    counts = rng.multinomial(n, [*q.ravel(), 0.0], size=trials)
-    blocks = np.arange(trials)
-    rows, owners = [], []
-    for cell in np.flatnonzero(counts[:, :-1].any(axis=0)):
-        k, j = divmod(int(cell), d)
+    if t is None:
+        counts = rng.multinomial(n, q, size=trials)
+    else:
+        # The last column counts the draws that are no candidate (1 - r).
+        counts = rng.multinomial(n, [*q.ravel(), 0.0], size=trials)[:, :-1]
+    for cell in np.flatnonzero(counts.any(axis=0)):
+        k, j = (int(cell), None) if t is None else divmod(int(cell), d)
         comp = comps[k]
         mean, sigma = comp.mean, comp.covariance.sigma
-        sd = math.sqrt(sigma[j, j])
-        trial = np.repeat(blocks, counts[:, cell])
-        tail = mean[j] + sd * _normal_tail((t[j] - mean[j]) / sd, len(trial), rng)
-        # Rounding may leave mean + sd * z an ulp below t_j.
-        np.maximum(tail, t[j], out=tail)
-        x = rng.standard_normal((len(trial), d)) @ comp.covariance.chol_lower.T
+        size = counts[:, cell]
+        if j is not None:
+            sd = math.sqrt(sigma[j, j])
+            trial = np.repeat(np.arange(trials), size)
+            tail = mean[j] + sd * _normal_tail((t[j] - mean[j]) / sd, len(trial), rng)
+            # Rounding may leave mean + sd * z an ulp below t_j.
+            np.maximum(tail, t[j], out=tail)
+        x = rng.standard_normal((int(size.sum()), d)) @ comp.covariance.chol_lower.T
         x += mean
+        if j is None:
+            yield x, size
+            continue
         # An unconditioned draw x plus sigma[:, j] / sigma[j, j] times
         # (tail - x_j) has component k's law given x_j = tail.
         x += np.outer(tail - x[:, j], sigma[:, j] / sigma[j, j])
         x[:, j] = tail
         # Kept under its first exceeded coordinate only.
         kept = ~(x[:, :j] >= t[:j]).any(axis=1)
-        rows.append(x[kept])
-        owners.append(trial[kept])
-    if not rows:
-        return np.empty((0, d)), np.empty(0, dtype=np.intp)
-    trial = np.concatenate(owners)
-    order = np.argsort(trial, kind="stable")
-    return np.concatenate(rows)[order], trial[order]
+        yield x[kept], np.bincount(trial[kept], minlength=trials)
 
 
 def _crude_report(hits: int, trials: int, method: Method, seed: int, n: int, speed: float):
@@ -368,48 +378,53 @@ def mc_crude(
     The componentwise report counts trials whose componentwise maximum
     of ``n`` draws lands in ``scale(target, A_n)``, the at-least-one
     report trials where any of the draws does.  ``_crude_pass`` picks the
-    pass.  The full draw draws all ``n`` vectors of a trial.  The
-    exceedance pass (``_exceedances``) draws only the vectors that
-    exceed the scaled set's lower bounds ``t`` somewhere: the set lies
-    in ``{x >= t}``, so the others can neither land in it nor lift the
-    maximum into it, and a trial without such a vector misses both.
-    Trials are chunked by the pass's scalars, chunk ``i`` drawn from
-    ``stream.substream(i)``.  Chunks run on ``executor`` when given
-    (anything with an ordered ``map``), inline otherwise; the reports do
-    not depend on which.
+    pass.  The full draw draws all ``n`` vectors of a trial: a Gaussian's
+    through ``_draw_chunks``, a mixture's by per-trial component counts
+    (``_draw_cells``).  The exceedance pass (``_draw_cells`` too) draws
+    only the vectors that exceed the scaled set's lower bounds ``t``
+    somewhere: the set lies in ``{x >= t}``, so the others can neither
+    land in it nor lift the maximum into it, and a trial without such a
+    vector misses both.  Trials are chunked by the pass's scalars, chunk
+    ``i`` drawn from ``stream.substream(i)``, and every chunk reduces the
+    same way: each cell's rows of one trial to their maximum
+    (``np.maximum.reduceat``) and to whether any lands in the set
+    (``np.logical_or.reduceat``), then the cells to one maximum per
+    trial.  Chunks run on ``executor`` when given (anything with an
+    ordered ``map``), inline otherwise; the reports do not depend on
+    which.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n, d = entry.n, model.dimension
     scaled = target.scale(entry.scale_diag)
-    per_trial, tails = _crude_pass(model, scaled, n)
+    per_trial, cells = _crude_pass(model, scaled, n)
 
-    def count(x: np.ndarray, _free) -> tuple[int, int]:
-        any_in = scaled.contains_many(x).reshape(-1, n).any(axis=1)
-        # Column by column: a strided maximum per coordinate is about ten
-        # times faster than reducing the middle axis of (take, n, d).
-        blocks = x.reshape(-1, n, d)
-        top = np.empty((len(blocks), d))
-        for j in range(d):
-            np.max(blocks[:, :, j], axis=1, out=top[:, j])
-        return int(scaled.contains_many(top).sum()), int(any_in.sum())
+    def count(drawn, take: int) -> tuple[int, int]:
+        top = np.full((take, d), -np.inf)
+        any_in = np.zeros(take, bool)
+        for x, sizes in drawn:
+            (owners,) = np.nonzero(sizes)
+            starts = (np.cumsum(sizes) - sizes)[owners]
+            top[owners] = np.maximum(top[owners], np.maximum.reduceat(x, starts, axis=0))
+            any_in[owners] |= np.logical_or.reduceat(scaled.contains_many(x), starts)
+        # A trial without rows (exceedance pass) misses both events.
+        seen = top[:, 0] > -np.inf
+        return int(scaled.contains_many(top[seen]).sum()), int(any_in.sum())
 
-    chunk = max(1, int(CHUNK_SCALARS // per_trial))
+    if cells is None:
+        def count_draw(x: np.ndarray, _free) -> tuple[int, int]:
+            return count([(x, np.full(len(x) // n, n))], len(x) // n)
 
-    def count_exceedances(index: int) -> tuple[int, int]:
-        take = min(chunk, trials - index * chunk)
-        x, trial = _exceedances(model, *tails, n, take, stream.substream(index).generator())
-        if not len(x):
-            return 0, 0
-        # Rows come grouped by trial: one maximum per trial that has any.
-        top = np.maximum.reduceat(x, np.flatnonzero(np.diff(trial, prepend=-1)), axis=0)
-        inside = trial[scaled.contains_many(x)]
-        return int(scaled.contains_many(top).sum()), int(np.count_nonzero(np.diff(inside, prepend=-1)))
-
-    if tails is None:
-        counts = _draw_chunks(model, trials, n, stream, executor, count)
+        counts = _draw_chunks(model, trials, n, stream, executor, count_draw)
     else:
-        counts = _map_chunks(count_exceedances, -(-trials // chunk), executor)
+        chunk = max(1, int(CHUNK_SCALARS // per_trial))
+
+        def count_cells(index: int) -> tuple[int, int]:
+            take = min(chunk, trials - index * chunk)
+            rng = stream.substream(index).generator()
+            return count(_draw_cells(model, *cells, n, take, rng), take)
+
+        counts = _map_chunks(count_cells, -(-trials // chunk), executor)
     cw, alo = map(sum, zip(*counts))
     return (
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),

@@ -23,7 +23,6 @@ __all__ = [
     "GaussianMixture",
     "build_covariance",
     "sample_gaussian",
-    "sample_mixture",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -223,46 +222,3 @@ def sample_gaussian(
     out += model.mean
     return out
 
-
-def sample_mixture(
-    mixture: GaussianMixture,
-    stream: RandomStream,
-    out: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    masks: np.ndarray,
-) -> np.ndarray:
-    """Draw ``len(out)`` vectors from the mixture into ``out``, shape ``(count, d)``.
-
-    Component selection uses inverse-CDF lookup on a dedicated
-    substream, and the Gaussian noise comes from a second substream.
-    The selection draws therefore stay aligned with sample indices even
-    when weights change, keeping runs comparable across configurations.
-
-    ``z`` and ``y`` are C-contiguous scratch arrays shaped like ``out``,
-    ``masks`` a boolean ``(components - 1, *out.shape)`` scratch array.
-    The selection uniforms are drawn into ``y``'s storage and become one
-    mask per component after the first (``edges[j-1] <= u < edges[j]``,
-    the inverse-CDF pick).  ``out`` then takes the first component's
-    transform of every row, and ``y`` each later picked component's,
-    which ``out`` takes where its mask is set.
-    """
-    count = len(out)
-    u = y.reshape(-1)[:count]
-    stream.substream(0).generator().random(out=u)
-    # masks[j] is first u >= edges[j], then the picks of component j + 1.
-    edges = np.cumsum(mixture.weights)
-    for mask, edge in zip(masks, edges):
-        np.greater_equal(u[:, None], edge, out=mask)
-    for j in range(len(masks) - 1):
-        masks[j] ^= masks[j + 1]
-    stream.substream(1).generator().standard_normal(out=z)
-    first, *rest = mixture.components
-    np.matmul(z, first.covariance.chol_lower.T, out=out)
-    out += first.mean
-    for comp, mask in zip(rest, masks):
-        if mask.any():
-            np.matmul(z, comp.covariance.chol_lower.T, out=y)
-            y += comp.mean
-            np.copyto(out, y, where=mask)
-    return out

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import gaussmax as gm
+from gaussmax import estimate
 
 
 def random_spd(rng: np.random.Generator, d: int, low: float = 0.3, high: float = 2.5) -> np.ndarray:
@@ -77,10 +78,9 @@ def draw_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) 
 
 
 def draw_mixture(mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream) -> np.ndarray:
-    """``gm.sample_mixture`` of ``count`` rows into freshly allocated buffers."""
-    out = np.empty((count, mixture.dimension))
-    masks = np.empty((len(mixture.components) - 1, count, mixture.dimension), dtype=bool)
-    return gm.sample_mixture(mixture, stream, out, np.empty_like(out), np.empty_like(out), masks)
+    """One trial of ``count`` draws from the mixture's full-draw cells, rows in cell order."""
+    cells = estimate._draw_cells(mixture, None, mixture.weights, count, 1, stream.generator())
+    return np.concatenate([x for x, _ in cells])
 
 
 def fresh_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) -> np.ndarray:
@@ -90,22 +90,23 @@ def fresh_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream)
 
 
 def fancy_index_mixture(
-    mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture draws by inverse-CDF picks and fancy-indexed transforms; returns ``(draws, picks)``.
+    mixture: gm.GaussianMixture, n: int, trials: int, stream: gm.RandomStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full draw of ``trials`` blocks of ``n`` mixture draws, by picks and fancy indexing.
 
-    The uniforms from ``stream.substream(0)`` pick components with
-    ``searchsorted``; the normals from ``stream.substream(1)`` of the picked
-    rows are transformed per component and scattered back.
+    Returns ``(draws, picks, owners)``: each row's component and block.
+    The generator of ``stream`` gives the per-block component counts, then
+    the normals of all rows, ordered by component and, within one, by
+    block; each component's rows are selected by mask and transformed.
     """
-    u = stream.substream(0).generator().random(count)
-    edges = np.cumsum(mixture.weights)
-    edges[-1] = 1.0
-    picks = np.minimum(np.searchsorted(edges, u, side="right"), len(mixture.components) - 1)
-    z = stream.substream(1).generator().standard_normal((count, mixture.dimension))
+    rng = stream.generator()
+    counts = rng.multinomial(n, mixture.weights, size=trials)
+    picks = np.repeat(np.arange(len(mixture.components)), counts.sum(axis=0))
+    owners = np.concatenate([np.repeat(np.arange(trials), c) for c in counts.T])
+    z = rng.standard_normal((len(picks), mixture.dimension))
     out = np.empty_like(z)
-    for j, comp in enumerate(mixture.components):
-        mask = picks == j
+    for k, comp in enumerate(mixture.components):
+        mask = picks == k
         if np.any(mask):
             out[mask] = comp.mean + z[mask] @ comp.covariance.chol_lower.T
-    return out, picks
+    return out, picks, owners

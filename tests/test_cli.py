@@ -491,6 +491,54 @@ class TestEstimateCommand:
         assert payload["crude_at_least_one"]["method"] == "crude_at_least_one"
 
 
+class TestNonCentredGaussian:
+    """Importance sampling centres its proposal at A_n x*, whatever the mean."""
+
+    YAML = """\
+model:
+  kind: gaussian
+  mean: [99.0]
+  sigma: [[1.0]]
+set:
+  kind: halfspace
+  normal: [1.0]
+  offset: 100.0
+limit: [1.0]
+ladder: [2, 10]
+trials: 1000
+is_samples: 2000
+seed: 3
+"""
+
+    @staticmethod
+    def exact_log(n: int) -> tuple[float, float]:
+        """Exact ``(log q, log P(at least one))`` at block size ``n``."""
+        from scipy.stats import norm
+
+        log_q = float(norm.logsf(100.0 * math.sqrt(2.0 * math.log(n)) - 99.0))
+        # log(1 - (1 - q)^n) = log(n q) to a relative O(n q), and q is below 1e-70.
+        return log_q, math.log(n) + log_q
+
+    def test_estimate_and_verify_match_the_exact_log(self, tmp_path):
+        cfg = write_config(tmp_path, self.YAML)
+        out = tmp_path / "artifacts"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        log_q10, log_p10 = self.exact_log(10)
+        assert log_q10 == pytest.approx(-6686.96, abs=0.01)
+        assert abs(payload["importance_sampled"]["log_p_hat"] - log_q10) < 0.5
+        assert abs(payload["union_combined"]["log_p_hat"] - log_p10) < 0.5
+        # The exact reference lies below double range, yet both rows are compared with it.
+        assert payload["exact"]["q_single"] == 0.0
+        relative = payload["relative_errors"]
+        assert sorted(relative) == ["importance_sampled_vs_exact", "union_combined_vs_exact"]
+        assert all(value < 0.65 for value in relative.values())
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "verify_ladder.csv").read_text().splitlines()[1:]]
+        union = {int(r[0]): float(r[5]) for r in rows if r[2] == "union_combined"}
+        assert abs(union[2] - self.exact_log(2)[1]) < 0.5
+
+
 class TestVerifyCommand:
     def test_exact_ladder_csv_and_summary(self, tmp_path):
         cfg = write_config(tmp_path, BLOCK_YAML)
@@ -560,13 +608,13 @@ class TestVerifyCommand:
         )
         cfg = write_config(tmp_path, text)
         chunks = []
-        draw = gm.estimate._exceedances
+        draw = gm.estimate._draw_cells
 
         def counting(model, t, q, n, trials, rng):
             chunks.append(n)
             return draw(model, t, q, n, trials, rng)
 
-        monkeypatch.setattr(gm.estimate, "_exceedances", counting)
+        monkeypatch.setattr(gm.estimate, "_draw_cells", counting)
         outputs = []
         for workers in ("1", "2", "3"):
             out = tmp_path / f"w{workers}"
@@ -822,7 +870,7 @@ seed: 16
 
 
 SATURATING_YAML = """\
-model: {kind: gaussian, mean: [0.95, 0.0], sigma: [[1.0, 0.0], [0.0, 1.0]]}
+model: {kind: gaussian, mean: [0.95, 0.5], sigma: [[1.0, 0.0], [0.0, 1.0]]}
 set: {kind: halfspace, normal: [1, 0], offset: 1.0}
 limit: [1.0, 1.0]
 ladder: [2, 3, 4]
@@ -833,10 +881,12 @@ seed: 6
 
 
 class TestSaturatedSingle:
-    """A mean 0.05 from the set: one importance-sampled draw can weigh more
-    than 1, so q-hat, unbiased, lies above the probability range."""
+    """A mean 0.05 from the set and off the axis of x* = (1, 0): ``A_n x*`` is
+    the point of the scaled set nearest the origin, not the mean, so one
+    importance-sampled draw can weigh more than 1, and q-hat, unbiased,
+    lies above the probability range."""
 
-    @pytest.mark.parametrize("seed", ["6", "8"])
+    @pytest.mark.parametrize("seed", ["13", "16"])
     def test_verify_saturates_the_lifted_row(self, tmp_path, seed):
         cfg = write_config(tmp_path, SATURATING_YAML)
         out = tmp_path / "artifacts"
@@ -851,7 +901,7 @@ class TestSaturatedSingle:
     def test_estimate_keeps_q_hat_and_saturates_the_lifted_row(self, tmp_path):
         cfg = write_config(tmp_path, SATURATING_YAML.replace("ladder: [2, 3, 4]", "ladder: [2]"))
         out = tmp_path / "artifacts"
-        assert cli.main(["estimate", "--config", str(cfg), "--seed", "13", "--out", str(out)]) == 0
+        assert cli.main(["estimate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
         payload = json.loads((out / "estimate.json").read_text())
         single, lifted = payload["importance_sampled"], payload["union_combined"]
         assert single["p_hat"] > 1.0

@@ -11,7 +11,7 @@ from scipy import integrate
 
 import gaussmax as gm
 from gaussmax import estimate
-from helpers import draw_gaussian, draw_mixture, exact_block_pair, fresh_gaussian
+from helpers import draw_gaussian, exact_block_pair, fancy_index_mixture, fresh_gaussian
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
@@ -292,8 +292,10 @@ class TestFusedCrude:
         for i, start in enumerate(range(0, trials, chunk)):
             take = min(chunk, trials - start)
             rng = stream.substream(i).generator()
-            x, trial = estimate._exceedances(self.MODEL, t, q, n, take, rng)
-            assert (np.diff(trial) >= 0).all() and (x >= t).any(axis=1).all()
+            cells = list(estimate._draw_cells(self.MODEL, t, q, n, take, rng))
+            x = np.concatenate([rows for rows, _ in cells])
+            trial = np.concatenate([np.repeat(np.arange(take), c) for _, c in cells])
+            assert (x >= t).any(axis=1).all()
             top_in, any_in = np.zeros(take, bool), np.zeros(take, bool)
             for b in np.unique(trial):
                 rows = x[trial == b]
@@ -319,8 +321,9 @@ class TestFusedCrude:
             assert inline[1].p_hat > 0.0
 
     def test_mixture_chunks_match_unbuffered_draws_on_threads(self, monkeypatch):
-        # 50 trials per chunk: 2010 trials are forty full chunks and a tail
-        # of ten, so each thread's buffers serve chunks of both sizes.
+        # The polyhedron takes the mixture's full draw, by cells.  50 trials
+        # per chunk: 2010 trials are forty full chunks and a tail of ten,
+        # each redrawn here by the fancy-index oracle.
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 2_000)
         mixture = gm.GaussianMixture(
             np.array([0.4, 0.6]),
@@ -333,12 +336,15 @@ class TestFusedCrude:
         entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
         stream = gm.RandomStream(12)
         scaled = self.POLYHEDRON.scale(entry.scale_diag)
+        assert estimate._crude_pass(mixture, scaled, n) == (n * 2, (None, mixture.weights))
         cw = alo = 0
         for i, start in enumerate(range(0, trials, chunk)):
             take = min(chunk, trials - start)
-            x = draw_mixture(mixture, take * n, stream.substream(i))
-            cw += int(scaled.contains_many(x.reshape(take, n, 2).max(axis=1)).sum())
-            alo += int(scaled.contains_many(x).reshape(take, n).any(axis=1).sum())
+            x, _, owners = fancy_index_mixture(mixture, n, take, stream.substream(i))
+            order = np.argsort(owners, kind="stable")
+            blocks = x[order].reshape(take, n, 2)
+            cw += int(scaled.contains_many(blocks.max(axis=1)).sum())
+            alo += int(scaled.contains_many(x)[order].reshape(take, n).any(axis=1).sum())
         inline = gm.mc_crude(mixture, self.POLYHEDRON, entry, trials, stream)
         with ThreadPoolExecutor(3) as pool:
             pooled = gm.mc_crude(mixture, self.POLYHEDRON, entry, trials, stream, pool)
@@ -348,8 +354,9 @@ class TestFusedCrude:
 
 
 def _full_draw(model, scaled, n):
-    """``estimate._crude_pass`` that always picks the full draw."""
-    return n * model.dimension, None
+    """``estimate._crude_pass`` that always picks the full draw: a mixture's cells, or None."""
+    cells = (None, model.weights) if isinstance(model, gm.GaussianMixture) else None
+    return n * model.dimension, cells
 
 
 ELLIPSE_MIXTURE = gm.GaussianMixture(
@@ -427,13 +434,13 @@ class TestExceedancePass:
     def test_workers_do_not_change_reports(self, monkeypatch, workers):
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 3_000)
         chunks = []
-        draw = estimate._exceedances
+        draw = estimate._draw_cells
 
         def counting(model, t, q, n, trials, rng):
             chunks.append(trials)
             return draw(model, t, q, n, trials, rng)
 
-        monkeypatch.setattr(estimate, "_exceedances", counting)
+        monkeypatch.setattr(estimate, "_draw_cells", counting)
         entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (1000,)).entries()[0]
         args = (ELLIPSE_MIXTURE, ELLIPSE, entry, 2000, gm.RandomStream(74))
         inline = gm.mc_crude(*args)
@@ -444,6 +451,41 @@ class TestExceedancePass:
         assert pooled == inline
         assert sorted(chunks) == sorted(inline_chunks)
         assert inline[1].p_hat > 0.0
+
+
+class TestMixtureFullDraw:
+    """A mixture on a set without lower bounds: one unconditioned cell per component."""
+
+    def test_at_least_one_matches_the_halfspace_formula(self):
+        # Draws are independent, so P(at least one) = 1 - (1 - sum_k w_k Phi_bar_k)^n.
+        from scipy.stats import norm
+
+        n, trials = 20, 20_000
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (n,)).entries()[0]
+        target = gm.Halfspace(np.array([1.0, 1.0]), 1.35)
+        scaled = target.scale(entry.scale_diag)
+        assert estimate._crude_pass(ELLIPSE_MIXTURE, scaled, n)[1][0] is None
+        q = sum(
+            w * norm.sf((scaled.offset - scaled.normal @ c.mean)
+                        / math.sqrt(scaled.normal @ c.covariance.sigma @ scaled.normal))
+            for w, c in zip(ELLIPSE_MIXTURE.weights, ELLIPSE_MIXTURE.components)
+        )
+        exact = 1.0 - (1.0 - q) ** n
+        alo = gm.mc_crude(ELLIPSE_MIXTURE, target, entry, trials, gm.RandomStream(75))[1]
+        assert 0.1 < exact < 0.9
+        assert abs(alo.p_hat - exact) <= 4.0 * alo.std_error
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0), (0.5, 0.0, 0.5)], ids=["first", "middle"])
+    def test_zero_weight_component_is_never_drawn(self, weights):
+        # The zero-weight component sits deep inside the halfspace, so any
+        # draw of it would hit; the others lie 7.6 standard deviations out.
+        inside = gm.GaussianModel(np.array([50.0, 50.0]), gm.build_covariance(np.eye(2)))
+        comps = tuple(inside if w == 0.0 else STANDARD2 for w in weights)
+        mixture = gm.GaussianMixture(np.array(weights), comps)
+        entry = gm.ScalingLadder(gm.ScalingLimit.identity(2), (5,)).entries()[0]
+        target = gm.Halfspace(np.array([1.0, 1.0]), 6.0)
+        reports = gm.mc_crude(mixture, target, entry, 5000, gm.RandomStream(76))
+        assert [r.p_hat for r in reports] == [0.0, 0.0]
 
 
 class TestPlanRung:

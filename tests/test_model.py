@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaussmax as gm
+from gaussmax import estimate
 from helpers import draw_gaussian, draw_mixture, fancy_index_mixture, fresh_gaussian, random_spd
 
 
@@ -202,7 +203,9 @@ class TestMixture:
 
 
 class TestMixtureDraw:
-    """``sample_mixture`` into shared buffers against the fancy-index oracle."""
+    """The mixture's full-draw cells (``estimate._draw_cells``) against the fancy-index oracle."""
+
+    N = 3
 
     @staticmethod
     def _mixture(weights, d, seed):
@@ -221,30 +224,30 @@ class TestMixtureDraw:
     )
     @pytest.mark.parametrize("count", [1, 7, 1001, 4099])
     def test_matches_fancy_index_oracle(self, weights, d, count):
+        # count blocks of N draws; each drawn component is one cell, in
+        # component order, whose rows match the oracle's bit for bit.
         mixture = self._mixture(weights, d, seed=count + d)
         stream = gm.RandomStream(4242, count)
-        want, picks = fancy_index_mixture(mixture, count, stream)
-        # A component picked by one row of several is transformed there by a
-        # one-row product, which numpy rounds differently from a matrix
-        # product; every other row must match bit for bit.
-        sizes = np.bincount(picks, minlength=len(weights))
-        lone = (sizes[picks] == 1) & (count > 1)
-        big = 5000
-        out, z, y = np.full((big, d), np.nan), np.empty((big, d)), np.empty((big, d))
-        masks = np.empty((len(weights) - 1, big, d), dtype=bool)
-        got = gm.sample_mixture(
-            mixture, stream, out[:count], z[:count], y[:count], masks[:, :count]
+        want, picks, owners = fancy_index_mixture(mixture, self.N, count, stream)
+        cells = list(
+            estimate._draw_cells(mixture, None, mixture.weights, self.N, count, stream.generator())
         )
-        assert np.isnan(out[count:]).all()
-        np.testing.assert_array_equal(got[~lone].view(np.uint64), want[~lone].view(np.uint64))
-        np.testing.assert_allclose(got[lone], want[lone], rtol=1e-13, atol=1e-13)
+        drawn = np.unique(picks)
+        assert len(cells) == len(drawn)
+        assert all(weights[k] > 0.0 for k in drawn)
+        for k, (x, rows) in zip(drawn, cells):
+            assert rows.shape == (count,)
+            np.testing.assert_array_equal(np.repeat(np.arange(count), rows), owners[picks == k])
+            np.testing.assert_array_equal(x.view(np.uint64), want[picks == k].view(np.uint64))
+        blocks = np.bincount(owners, minlength=count)
+        assert (blocks == self.N).all()
 
     def test_oracle_cases_include_lone_and_shared_picks(self):
-        # The parametrization above checks both kinds of row.
+        # The parametrization above checks cells of one row and of several.
         lone = shared = 0
-        for count in (7, 1001):
+        for count in (1, 7):
             mixture = self._mixture((0.3, 0.7), 5, seed=count + 5)
-            _, picks = fancy_index_mixture(mixture, count, gm.RandomStream(4242, count))
+            _, picks, _ = fancy_index_mixture(mixture, self.N, count, gm.RandomStream(4242, count))
             sizes = np.bincount(picks)
             lone += int(np.sum(sizes == 1))
             shared += int(np.sum(sizes > 1))

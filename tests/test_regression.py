@@ -6,11 +6,14 @@ Each directory under ``fixtures/regression`` holds a config and the
 rows (``exact-block``), importance-sampled rows on a halfspace
 (``is-halfspace``) and on a 2-D polyhedron (``is-polyhedron``, which
 also records the pairwise corner check), and crude rows only on a
-mixture (``crude-mixture``, which also records the per-component
-solutions).  Most crude rows hit (is-halfspace's at-least-one rows at
-n = 100 and 1000 read 0, and its ``estimate`` crude row is skipped), so
-a change to the rung plan, to the row order or to which substream feeds
-which estimator fails here.  Each rung's crude pair has a substream of
+mixture: on an ellipsoid, which takes the exceedance pass
+(``crude-mixture``, which also records the per-component solutions),
+and on a 2-D polyhedron, which takes the mixture's full draw by
+per-trial component counts (``crude-mixture-polyhedron``).  Most crude
+rows hit (is-halfspace's at-least-one rows at n = 100 and 1000 read 0,
+and its ``estimate`` crude row is skipped), so a change to the rung
+plan, to the row order or to which substream feeds which estimator fails
+here.  Each rung's crude pair has a substream of
 its own; the importance-sampled rows of all rungs share one, substream
 3, so they weigh one draw.  Methods, block sizes, seeds and every other
 string or integer must match exactly; floats to a relative 1e-12, which
@@ -56,7 +59,9 @@ def _csv_rows(path: Path) -> list[dict]:
 
 
 def test_three_plan_branches_are_recorded():
-    assert CASES == ["crude-mixture", "exact-block", "is-halfspace", "is-polyhedron"]
+    assert CASES == [
+        "crude-mixture", "crude-mixture-polyhedron", "exact-block", "is-halfspace", "is-polyhedron"
+    ]
 
 
 @pytest.mark.parametrize("case", CASES)
