@@ -257,8 +257,13 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     log_q_exact = exact_single_log(model, target, entry)
     if log_q_exact is not None:
         q_exact = math.exp(log_q_exact)
-        exact = {"q_single": q_exact, "p_at_least_one": union_combine(q_exact, entry.n)}
         log_p_exact = _log_union_combine(log_q_exact, entry.n)
+        exact = {
+            "q_single": q_exact,
+            "p_at_least_one": union_combine(q_exact, entry.n),
+            "log_q_single": log_q_exact,
+            "log_p_at_least_one": log_p_exact,
+        }
         relative = {
             "importance_sampled_vs_exact": _relative_error(is_report.log_p_hat, log_q_exact),
             "union_combined_vs_exact": _relative_error(union_report.log_p_hat, log_p_exact),

@@ -16,21 +16,25 @@ only the vectors with some ``x_j >= t_j``, exactly in law, from their
 one-dimensional tails: no other vector can land in the set or lift the
 componentwise maximum into it.  ``_crude_pass`` holds the one rule that
 picks between them: the exceedance pass whenever its expected scalars
-are fewer.  A Gaussian's full draw shares its chunk driver
-(``_draw_chunks``) with the importance sampler.  Every other pass draws
-a chunk's trials by cells (``_draw_cells``): per-trial multinomial
-counts over the cells, then each cell's rows at once; a mixture's full
-draw has one unconditioned cell per component.  Either way each chunk
-of trials reduces the same way, to one componentwise maximum and one
-at-least-one flag per trial, and yields both hit counts together.  The
-importance sampler weighs one draw for several ``(target, shift)``
-passes: ``estimate``'s shifted row and its crude (zero-shift)
-counterpart come from the same chunks, each drawn once, unless the
-counterpart cannot hit (``_zero_shift_skip``); ``verify``'s
-importance-sampled rows of all rungs, each on its own scaled set and
-shift, come from one shared stream too.  Rows weighed on one draw share
-common random numbers, so their errors are correlated, while each stays
-unbiased with its own standard error.
+are fewer.  Both passes draw a chunk's trials by cells (``_draw_cells``):
+per-trial multinomial counts over the cells, then each cell's rows at
+once; the full draw has one unconditioned cell per mixture component, a
+Gaussian being a mixture of one.  Each chunk of trials reduces the same
+way, to one componentwise maximum and one at-least-one flag per trial,
+and yields both hit counts together.
+
+The importance sampler draws only standard normals ``z``.  In that
+frame the mean-shift proposal ``x = mean + shift + C z`` (``C C^T =
+sigma``) has likelihood ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L
+shift`` (``L = C^-1``, the whitener), and each target maps into it once
+(``ConvexSet.whitened``), so no pass forms ``x``.  One draw serves
+several ``(target, shift)`` passes: ``estimate``'s shifted row and its
+crude (zero-shift) counterpart come from the same chunks, each drawn
+once, unless the counterpart cannot hit (``_zero_shift_skip``);
+``verify``'s importance-sampled rows of all rungs, each on its own
+scaled set and shift, come from one shared stream too.  Rows weighed on
+one draw share common random numbers, so their errors are correlated,
+while each stays unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dominate import LadderEntry
-from .model import GaussianMixture, GaussianModel, RandomStream, sample_gaussian
+from .model import GaussianMixture, GaussianModel, RandomStream
 from .sets import Block, ConvexSet, Halfspace
 
 __all__ = [
@@ -149,16 +153,15 @@ def _crude_pass(model, scaled: ConvexSet, n: int):
     """``(scalars_per_trial, cells)`` of the crude pass ``mc_crude`` runs on ``scaled``.
 
     ``cells`` is what ``_draw_cells`` draws: ``(t, q)`` for the
-    exceedance pass, ``(None, weights)`` for a mixture's full draw, and
-    None for a Gaussian's full draw, which ``_draw_chunks`` draws.  The
-    exceedance pass needs a set with finite lower bounds ``t``
-    (``scaled.lower_bound()``); ``q[k, j] = w_k P_k(X_j >= t_j)`` per
-    component k and coordinate j, and ``r = q.sum()``.  Its expected
-    scalars a trial are ``q.size + n r (d + 2)``: one count per cell
-    ``(k, j)``, and per candidate ``d`` normals and a tail proposal of
-    two scalars.  It is chosen when that is below the full draw's
-    ``n d``, which needs ``r < 1``.  A mixture's full draw counts ``n d``
-    as well, its component counts aside.
+    exceedance pass and ``(None, weights)`` for the full draw, a
+    Gaussian's weights being ``(1.0,)``.  The exceedance pass needs a
+    set with finite lower bounds ``t`` (``scaled.lower_bound()``);
+    ``q[k, j] = w_k P_k(X_j >= t_j)`` per component k and coordinate j,
+    and ``r = q.sum()``.  Its expected scalars a trial are ``q.size + n
+    r (d + 2)``: one count per cell ``(k, j)``, and per candidate ``d``
+    normals and a tail proposal of two scalars.  It is chosen when that
+    is below the full draw's ``n d``, which needs ``r < 1``.  The full
+    draw counts ``n d``, a mixture's component counts aside.
     """
     d = model.dimension
     t = scaled.lower_bound()
@@ -170,9 +173,7 @@ def _crude_pass(model, scaled: ConvexSet, n: int):
         per_trial = q.size + n * float(q.sum()) * (d + 2)
         if per_trial < n * d:
             return per_trial, (t, q)
-    if isinstance(model, GaussianMixture):
-        return n * d, (None, model.weights)
-    return n * d, None
+    return n * d, (None, _components(model)[0])
 
 
 def plan_rung(
@@ -247,33 +248,6 @@ def _zero_shift_skip(model: GaussianModel, point: np.ndarray, samples: int, n: i
     if log_hits > math.log(CRUDE_MIN_EXPECTED_HITS):
         return None
     return {"n": n, "reason": "expected_hits", "expected_hits": math.exp(log_hits)}
-
-
-def _draw_chunks(model, units: int, unit_rows: int, stream: RandomStream, executor, body) -> list:
-    """``body(x, free)`` per chunk of ``units`` draws of ``unit_rows`` rows, results in chunk order.
-
-    Chunk ``i`` holds at most ``CHUNK_SCALARS // (unit_rows * d)`` units,
-    drawn into ``x`` from ``stream.substream(i)`` by ``sample_gaussian``;
-    ``free`` is a scratch array shaped like ``x`` whose contents the body
-    may overwrite.  It serves the importance sampler and a Gaussian's
-    full draw.  Chunks run on ``executor`` when given (anything with an
-    ordered ``map``), inline otherwise.  Each thread keeps its scratch
-    arrays for all its chunks, so pages fault in once.
-    """
-    d = model.dimension
-    chunk = max(1, CHUNK_SCALARS // (unit_rows * d))
-    rows = min(chunk, units) * unit_rows
-    local = threading.local()
-
-    def draw(index: int):
-        if not hasattr(local, "arrays"):
-            local.arrays = np.empty((2, rows, d))
-        take = min(chunk, units - index * chunk) * unit_rows
-        x, z = local.arrays[:, :take]
-        sample_gaussian(model, stream.substream(index), x, z)
-        return body(x, z)
-
-    return _map_chunks(draw, -(-units // chunk), executor)
 
 
 def _map_chunks(run, chunks: int, executor) -> list:
@@ -377,16 +351,16 @@ def mc_crude(
 
     The componentwise report counts trials whose componentwise maximum
     of ``n`` draws lands in ``scale(target, A_n)``, the at-least-one
-    report trials where any of the draws does.  ``_crude_pass`` picks the
-    pass.  The full draw draws all ``n`` vectors of a trial: a Gaussian's
-    through ``_draw_chunks``, a mixture's by per-trial component counts
-    (``_draw_cells``).  The exceedance pass (``_draw_cells`` too) draws
-    only the vectors that exceed the scaled set's lower bounds ``t``
-    somewhere: the set lies in ``{x >= t}``, so the others can neither
-    land in it nor lift the maximum into it, and a trial without such a
-    vector misses both.  Trials are chunked by the pass's scalars, chunk
-    ``i`` drawn from ``stream.substream(i)``, and every chunk reduces the
-    same way: each cell's rows of one trial to their maximum
+    report trials where any of the draws does.  ``_crude_pass`` picks
+    the pass, and ``_draw_cells`` draws it.  The full draw draws all
+    ``n`` vectors of a trial, by per-trial component counts (one
+    component for a Gaussian).  The exceedance pass draws only the
+    vectors that exceed the scaled set's lower bounds ``t`` somewhere:
+    the set lies in ``{x >= t}``, so the others can neither land in it
+    nor lift the maximum into it, and a trial without such a vector
+    misses both.  Trials are chunked by the pass's scalars, chunk ``i``
+    drawn from ``stream.substream(i)``, and every chunk reduces the same
+    way: each cell's rows of one trial to their maximum
     (``np.maximum.reduceat``) and to whether any lands in the set
     (``np.logical_or.reduceat``), then the cells to one maximum per
     trial.  Chunks run on ``executor`` when given (anything with an
@@ -398,11 +372,14 @@ def mc_crude(
     n, d = entry.n, model.dimension
     scaled = target.scale(entry.scale_diag)
     per_trial, cells = _crude_pass(model, scaled, n)
+    chunk = max(1, int(CHUNK_SCALARS // per_trial))
 
-    def count(drawn, take: int) -> tuple[int, int]:
+    def count(index: int) -> tuple[int, int]:
+        take = min(chunk, trials - index * chunk)
+        rng = stream.substream(index).generator()
         top = np.full((take, d), -np.inf)
         any_in = np.zeros(take, bool)
-        for x, sizes in drawn:
+        for x, sizes in _draw_cells(model, *cells, n, take, rng):
             (owners,) = np.nonzero(sizes)
             starts = (np.cumsum(sizes) - sizes)[owners]
             top[owners] = np.maximum(top[owners], np.maximum.reduceat(x, starts, axis=0))
@@ -411,20 +388,7 @@ def mc_crude(
         seen = top[:, 0] > -np.inf
         return int(scaled.contains_many(top[seen]).sum()), int(any_in.sum())
 
-    if cells is None:
-        def count_draw(x: np.ndarray, _free) -> tuple[int, int]:
-            return count([(x, np.full(len(x) // n, n))], len(x) // n)
-
-        counts = _draw_chunks(model, trials, n, stream, executor, count_draw)
-    else:
-        chunk = max(1, int(CHUNK_SCALARS // per_trial))
-
-        def count_cells(index: int) -> tuple[int, int]:
-            take = min(chunk, trials - index * chunk)
-            rng = stream.substream(index).generator()
-            return count(_draw_cells(model, *cells, n, take, rng), take)
-
-        counts = _map_chunks(count_cells, -(-trials // chunk), executor)
+    counts = _map_chunks(count, -(-trials // chunk), executor)
     cw, alo = map(sum, zip(*counts))
     return (
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),
@@ -443,18 +407,22 @@ def _is_single_shifts(
 ) -> tuple[tuple[EstimateReport, ...], tuple[int, ...]]:
     """``(reports, hits)``: ``is_single`` for each ``(target, shift)`` of ``passes``, one draw.
 
-    Reports and hits come in pass order.  Each chunk is drawn once from
-    the centred model; every pass then adds ``mean + shift`` to the draw
-    in the chunk's free scratch array and weighs the hits in its own
-    target.  Adding the zero mean is exact, so each report equals the one
-    ``is_single`` gives for its pass alone on the same stream, bit for
-    bit; the passes share common random numbers, so their errors are
-    correlated.  ``hits`` counts the samples that landed in each target.
-    Every report is a single-vector row (``n = 1``);
-    ``union_combined_report`` lifts it to a rung's ``n``.  The kernel is private, so
-    wrappers of the public functions (such as ``benchmarks/tracer.py``)
-    count its time to its caller: ``is_single``, or the command that
-    calls it directly.
+    Reports and hits come in pass order.  Chunk ``i`` holds at most
+    ``CHUNK_SCALARS // d`` standard normal vectors ``z``, drawn from
+    ``stream.substream(i)`` into a buffer each thread keeps for all its
+    chunks; chunks run on ``executor`` when given (anything with an
+    ordered ``map``), inline otherwise.  Each pass tests ``z`` against its
+    target mapped through ``x = mean + shift + C z``
+    (``target.whitened``) and weighs the hits by the log likelihood ratio
+    ``-<u, z> - |u|^2 / 2``, ``u = L shift``.  Passes never touch the
+    draw, so each report equals the one ``is_single`` gives for its pass
+    alone on the same stream, bit for bit; the passes share common random
+    numbers, so their errors are correlated.  ``hits`` counts the samples
+    that landed in each target.  Every report is a single-vector row
+    (``n = 1``); ``union_combined_report`` lifts it to a rung's ``n``.  The
+    kernel is private, so wrappers of the public functions (such as
+    ``benchmarks/tracer.py``) count its time to its caller: ``is_single``,
+    or the command that calls it directly.
 
     The weights stay in log space: each chunk reduces the log-weights
     ``lw`` of its hits to ``(max, sum exp(lw - max), sum exp(2 (lw -
@@ -468,35 +436,36 @@ def _is_single_shifts(
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
     d = model.dimension
-    mean = model.mean
+    cov = model.covariance
     prepared = []
     for target, shift in passes:
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (d,):
             raise ValueError(f"shift must have shape ({d},)")
-        prepared.append((target, shift, mean + shift, model.covariance.sigma_inv @ shift))
-    centred = GaussianModel(np.zeros(d), model.covariance)
+        u = cov.whitener @ shift
+        contains = target.whitened(model.mean + shift, cov.chol_lower)
+        prepared.append((contains, -u, 0.5 * float(u @ u)))
 
-    def weigh_pass(y, x, target, shift, centre, theta) -> tuple[float, float, float, int]:
-        # One pass's arrays are freed before the next pass allocates its own.
-        np.add(y, centre, out=x)
-        hit = target.contains_many(x)
-        # Log likelihood ratio -<theta, x - mean - shift/2> over the hits.
-        lifted = np.compress(hit, x, axis=0)
-        lifted -= mean
-        lifted -= 0.5 * shift
-        lw = lifted @ theta
+    def weigh_pass(z, contains, neg_u, half) -> tuple[float, float, float, int]:
+        lw = np.compress(contains(z), z, axis=0) @ neg_u
         if not len(lw):
             return -math.inf, 0.0, 0.0, 0
-        np.negative(lw, out=lw)
+        lw -= half
         top = float(lw.max())
         np.exp(np.subtract(lw, top, out=lw), out=lw)
         return top, float(lw.sum()), float(lw @ lw), len(lw)
 
-    def weigh(y: np.ndarray, x: np.ndarray) -> list[tuple[float, float, float, int]]:
-        return [weigh_pass(y, x, *p) for p in prepared]
+    chunk = max(1, CHUNK_SCALARS // d)
+    local = threading.local()
 
-    per_chunk = _draw_chunks(centred, samples, 1, stream, executor, weigh)
+    def weigh(index: int) -> list[tuple[float, float, float, int]]:
+        if not hasattr(local, "z"):
+            local.z = np.empty((min(chunk, samples), d))
+        z = local.z[: min(chunk, samples - index * chunk)]
+        stream.substream(index).generator().standard_normal(out=z)
+        return [weigh_pass(z, *p) for p in prepared]
+
+    per_chunk = _map_chunks(weigh, -(-samples // chunk), executor)
     reports, hits = [], []
     for chunks in zip(*per_chunk):
         tops, sums, sq_sums, counts = zip(*chunks)

@@ -22,7 +22,6 @@ __all__ = [
     "GaussianModel",
     "GaussianMixture",
     "build_covariance",
-    "sample_gaussian",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -205,20 +204,4 @@ class GaussianMixture:
     @property
     def dimension(self) -> int:
         return self.components[0].dimension
-
-
-def sample_gaussian(
-    model: GaussianModel, stream: RandomStream, out: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Draw ``len(out)`` vectors from the model into ``out``, shape ``(count, d)``.
-
-    The draw is ``mean + C z`` with ``C`` the Cholesky factor of the
-    covariance and ``z`` standard normal, so the whitened residual
-    ``L (x - mean)`` is standard normal again.  ``z`` is a C-contiguous
-    scratch array shaped like ``out``.
-    """
-    stream.generator().standard_normal(out=z)
-    np.matmul(z, model.covariance.chol_lower.T, out=out)
-    out += model.mean
-    return out
 

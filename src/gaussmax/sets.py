@@ -9,7 +9,9 @@ closed, so boundary points count as inside.  Each shape knows how to
 * rescale itself by a positive diagonal matrix so that membership of a
   scaled point in the scaled set matches the original pair,
 * give a finite lower bound ``b`` with the set inside ``{x >= b}``, where
-  the shape has one without solving a program (blocks and ellipsoids).
+  the shape has one without solving a program (blocks and ellipsoids),
+* fold an affine map ``x = centre + C z`` into its membership test, so
+  that standard normal ``z`` can be tested without forming ``x``.
 
 The linear shapes (blocks, halfspaces, polyhedra) also list their
 inequalities ``rows @ x >= offsets`` for the dominating-point solver.
@@ -78,6 +80,16 @@ class ConvexSet:
     def is_atypical(self) -> bool:
         """True when the origin lies outside the set."""
         return not self.contains(np.zeros(self.dimension))
+
+    def whitened(self, centre, chol):
+        """Membership of ``centre + z @ chol.T`` as a test on ``z``, shape (m, d) -> (m,).
+
+        A linear set becomes the polyhedron ``{z : rows @ chol @ z >= offsets
+        - rows @ centre}``; its test agrees with ``contains_many`` of the
+        mapped points except within rounding of the boundary.
+        """
+        rows, offsets = self.inequalities()
+        return Polyhedron(rows @ chol, offsets - rows @ centre).contains_many
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +242,21 @@ class Ellipsoid(ConvexSet):
 
     def slack_many(self, points):
         return self.radius**2 - self._quad(points)
+
+    def whitened(self, centre, chol):
+        # The eigenbasis is mapped through chol.T, never re-diagonalised: the
+        # mapped shape chol.T @ shape @ chol may be too ill-conditioned for
+        # __post_init__ to accept.
+        basis = chol.T @ self._evecs
+        offset = (centre - self.center) @ self._evecs
+        bound = self.radius**2
+
+        def contains_many(z):
+            w = z @ basis
+            w += offset
+            return np.square(w, out=w) @ self._evals <= bound
+
+        return contains_many
 
     def lower_bound(self):
         # min x_j over the ellipsoid is center_j - radius * sqrt((shape^-1)_jj).

@@ -72,9 +72,9 @@ def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, flo
 
 
 def draw_gaussian(model: gm.GaussianModel, count: int, stream: gm.RandomStream) -> np.ndarray:
-    """``gm.sample_gaussian`` of ``count`` rows into freshly allocated buffers."""
-    out = np.empty((count, model.dimension))
-    return gm.sample_gaussian(model, stream, out, np.empty_like(out))
+    """One trial of ``count`` draws from the Gaussian's one full-draw cell."""
+    ((x, _),) = estimate._draw_cells(model, None, (1.0,), count, 1, stream.generator())
+    return x
 
 
 def draw_mixture(mixture: gm.GaussianMixture, count: int, stream: gm.RandomStream) -> np.ndarray:

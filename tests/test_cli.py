@@ -46,6 +46,20 @@ is_samples: 5000
 seed: 910
 """
 
+
+def count_generators(monkeypatch) -> list:
+    """The streams whose generator is made, in call order, from now on."""
+    calls = []
+    generator = gm.RandomStream.generator
+
+    def counting(stream):
+        calls.append(stream)
+        return generator(stream)
+
+    monkeypatch.setattr(gm.RandomStream, "generator", counting)
+    return calls
+
+
 POLY_YAML = """\
 model:
   kind: gaussian
@@ -380,8 +394,9 @@ class TestEstimateCommand:
 
     def test_weights_that_are_not_finite_are_named(self, tmp_path):
         # A halfspace 1e160 out: each hit's log-weight, about -|A_n x*|**2 / 2,
-        # overflows to -inf (numpy warns), so every sample hits yet the row
-        # is degenerate.
+        # overflows to -inf (numpy warns), so the row is degenerate.  The
+        # whitened frame keeps the halfspace's boundary through A_n x*
+        # exact, so about half the samples hit: 50 of 100 on this stream.
         text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]")
         text = text.replace("offset: 2.4", "offset: 1.0e+160")
         text = text.replace("is_samples: 5000", "is_samples: 100")
@@ -392,7 +407,7 @@ class TestEstimateCommand:
         payload = json.loads((out / "estimate.json").read_text())
         assert payload["degenerate_weights"] is True
         assert payload["importance_sampled"]["log_p_hat"] == "-inf"
-        message = "importance sampler: log-weights of 100 hits are not finite (degenerate weights)"
+        message = "importance sampler: log-weights of 50 hits are not finite (degenerate weights)"
         assert message in payload["warnings"]
 
     def test_underflowing_weights_keep_a_finite_log(self, tmp_path):
@@ -412,6 +427,7 @@ class TestEstimateCommand:
         assert payload["exact"]["q_single"] == 0.0
         log_q = float(gm.estimate._log_ndtr(-10.0 * math.sqrt(2.0 * math.log(10000))))
         assert log_q < -900.0
+        assert payload["exact"]["log_q_single"] == log_q
         # About 10% relative SE at 5000 samples; 0.4 in log is 4 SE.
         assert abs(row["log_p_hat"] - log_q) < 0.4
         assert payload["union_combined"]["log_p_hat"] == pytest.approx(
@@ -421,20 +437,14 @@ class TestEstimateCommand:
 
     def test_one_draw_per_chunk(self, tmp_path, monkeypatch):
         # Both IS rows of estimate weigh the same draws: 5000 samples of
-        # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws.  At
-        # n = 5 the crude row expects about 6 hits, so it is weighed.
+        # dimension 2 at 1000 scalars a chunk are 10 chunks, 10 draws, one
+        # generator per chunk substream of the IS slot 800.  At n = 5 the
+        # crude row expects about 6 hits, so it is weighed.
         monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
-        calls = []
-        draw = gm.estimate.sample_gaussian
-
-        def counting(model, stream, out, z):
-            calls.append(len(out))
-            return draw(model, stream, out, z)
-
-        monkeypatch.setattr(gm.estimate, "sample_gaussian", counting)
+        calls = count_generators(monkeypatch)
         cfg = write_config(tmp_path, HALFSPACE_YAML.replace("[100, 1000, 10000]", "[2, 5]"))
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert calls == [500] * 10
+        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(10)]
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         assert payload["crude_single"]["trials"] == 5000
         assert "crude_skipped" not in payload
@@ -530,6 +540,8 @@ seed: 3
         assert abs(payload["union_combined"]["log_p_hat"] - log_p10) < 0.5
         # The exact reference lies below double range, yet both rows are compared with it.
         assert payload["exact"]["q_single"] == 0.0
+        assert payload["exact"]["log_q_single"] == pytest.approx(log_q10, rel=1e-12)
+        assert payload["exact"]["log_p_at_least_one"] == pytest.approx(log_p10, rel=1e-12)
         relative = payload["relative_errors"]
         assert sorted(relative) == ["importance_sampled_vs_exact", "union_combined_vs_exact"]
         assert all(value < 0.65 for value in relative.values())
@@ -774,18 +786,12 @@ class TestVerifySharedDraw:
         monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
 
     def test_one_draw_per_chunk_not_per_rung(self, tmp_path, monkeypatch):
+        # One generator per chunk substream of the shared IS slot 3.
         self._is_only(monkeypatch)
-        calls = []
-        draw = gm.estimate.sample_gaussian
-
-        def counting(model, stream, out, z):
-            calls.append(len(out))
-            return draw(model, stream, out, z)
-
-        monkeypatch.setattr(gm.estimate, "sample_gaussian", counting)
+        calls = count_generators(monkeypatch)
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert calls == [500] * 10
+        assert calls == [gm.RandomStream(910).substream(3).substream(i) for i in range(10)]
         rows = (tmp_path / "a" / "verify_ladder.csv").read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["union_combined"] * 3
 

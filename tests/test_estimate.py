@@ -264,7 +264,7 @@ class TestFusedCrude:
         n, chunk = self.ENTRY.n, 200
         stream = gm.RandomStream(6)
         scaled = self.POLYHEDRON.scale(self.ENTRY.scale_diag)
-        assert estimate._crude_pass(self.MODEL, scaled, n) == (n * 2, None)
+        assert estimate._crude_pass(self.MODEL, scaled, n) == (n * 2, (None, (1.0,)))
         union = conspiracies = 0
         for i in range(self.TRIALS // chunk):
             x = draw_gaussian(self.MODEL, chunk * n, stream.substream(i))
@@ -354,9 +354,8 @@ class TestFusedCrude:
 
 
 def _full_draw(model, scaled, n):
-    """``estimate._crude_pass`` that always picks the full draw: a mixture's cells, or None."""
-    cells = (None, model.weights) if isinstance(model, gm.GaussianMixture) else None
-    return n * model.dimension, cells
+    """``estimate._crude_pass`` that always picks the full draw."""
+    return n * model.dimension, (None, estimate._components(model)[0])
 
 
 ELLIPSE_MIXTURE = gm.GaussianMixture(
@@ -412,7 +411,9 @@ class TestExceedancePass:
             gm.Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([3.0, 3.0])),
         )
         for target in others:
-            assert estimate._crude_pass(STANDARD2, target.scale(entry.scale_diag), n) == (2 * n, None)
+            assert estimate._crude_pass(STANDARD2, target.scale(entry.scale_diag), n) == (
+                2 * n, (None, (1.0,))
+            )
 
     @pytest.mark.parametrize(
         "target, n, hits",
@@ -657,6 +658,26 @@ class TestImportanceSampling:
             pooled = gm.is_single(*args, scaling_norm_sq=1.5, executor=pool)
         assert pooled == inline
         assert not inline.degenerate_weights
+
+    def test_ill_conditioned_ellipsoid(self):
+        # With rho = 1 - 5e-12, X1 - X2 has sd 3e-6, so X = (t, t) with t
+        # standard normal up to that spread: the ellipsoid holds t in
+        # [2.50025, 3.49725], the roots of (t - 3)^2 + 1e-3 (t - 2)^2 = 0.25.
+        # Mapped into the whitened frame, its shape C^T S C is too
+        # ill-conditioned to build as an Ellipsoid.
+        from scipy.stats import norm
+
+        rho = 1.0 - 5e-12
+        cov = gm.build_covariance(np.array([[1.0, rho], [rho, 1.0]]))
+        model = gm.GaussianModel(np.zeros(2), cov)
+        target = gm.Ellipsoid(np.array([3.0, 2.0]), np.diag([1.0, 1e-3]), 0.5)
+        point = gm.dominating_point(target, cov, gm.ScalingLimit.identity(2)).x_star
+        report = gm.is_single(model, target, point, 1000, gm.RandomStream(1))
+        roots = np.roots([1.001, -6.004, 8.754])
+        truth = norm.sf(roots.min()) - norm.sf(roots.max())
+        assert not report.degenerate_weights
+        assert abs(report.p_hat - truth) <= 4.0 * report.std_error
+        assert report.std_error <= 0.1 * truth
 
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)

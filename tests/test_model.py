@@ -126,19 +126,18 @@ class TestGaussianSampling:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("d", [1, 3, 10])
-    def test_buffered_draw_matches_fresh_oracle(self, d):
-        # One pair of larger buffers serves draws of several sizes in turn;
-        # each must match the oracle bit for bit and leave the tail alone.
+    def test_cell_draw_matches_fresh_oracle(self, d):
+        # A Gaussian's full draw is one cell of estimate._draw_cells: trials
+        # of n draws each, in trial order, bit for bit the oracle's rows.
         rng = np.random.default_rng(d)
         gauss = gm.GaussianModel(rng.normal(size=d), gm.build_covariance(random_spd(rng, d)))
-        big = 1500
-        out, z = np.full((big, d), np.nan), np.empty((big, d))
-        for count in (1001, 1, 7, 1001):
-            stream = gm.RandomStream(8, count)
-            out[:] = np.nan
-            drawn = gm.sample_gaussian(gauss, stream, out[:count], z[:count])
-            want = fresh_gaussian(gauss, count, stream)
-            assert np.isnan(out[count:]).all()
+        for n, trials in ((1001, 1), (1, 7), (7, 143), (100, 20)):
+            stream = gm.RandomStream(8, n * trials)
+            ((drawn, sizes),) = estimate._draw_cells(
+                gauss, None, (1.0,), n, trials, stream.generator()
+            )
+            np.testing.assert_array_equal(sizes, np.full(trials, n))
+            want = fresh_gaussian(gauss, n * trials, stream)
             np.testing.assert_array_equal(drawn.view(np.uint64), want.view(np.uint64))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaussmax as gm
+from helpers import random_spd
 
 EXAMPLE_POLY = gm.Polyhedron(
     np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]]), np.array([4.0, 3.0, 4.0])
@@ -147,6 +148,24 @@ class TestScalingEquivariance:
             np.testing.assert_array_equal(
                 scaled.contains_many(pts), target.contains_many(pts)
             )
+
+
+class TestWhitened:
+    @pytest.mark.parametrize("index", range(len(_battery_sets())))
+    def test_hits_match_the_mapped_points(self, index):
+        # x = mean + shift + C z under a correlated sigma and a nonzero mean;
+        # the two tests may differ only within rounding of the boundary.
+        target = _battery_sets()[index]
+        d = target.dimension
+        rng = np.random.default_rng(97 + index)
+        chol = gm.build_covariance(random_spd(rng, d)).chol_lower
+        mean, shift = rng.normal(size=d), rng.uniform(1.0, 3.0, size=d)
+        z = 2.0 * rng.standard_normal((20_000, d))
+        x = mean + shift + z @ chol.T
+        got = target.whitened(mean + shift, chol)(z)
+        want = target.contains_many(x)
+        assert 0 < want.sum() < len(z)
+        assert np.abs(target.slack_many(x[got != want])).max(initial=0.0) <= 1e-9
 
 
 class TestAtypicality:
