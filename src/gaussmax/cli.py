@@ -30,8 +30,12 @@ from .config import ExperimentConfig, check_seed, load_config
 from .dominate import DominatingPoint, corner_pairwise, dominating_point, rate_mixture
 from .errors import ConfigError, GaussMaxError, SingularPair
 from .estimate import (
+    IS_MIN_HITS,
+    IS_TARGET_RELATIVE_SE,
     EstimateReport,
     Method,
+    _active_cone,
+    _is_single_cones,
     _is_single_shifts,
     _log_union_combine,
     _zero_shift_skip,
@@ -329,19 +333,26 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
                 rows.append(crude[method])
         return rows
 
-    # Workers share out the sampling chunks of one pass at a time; chunk
-    # results combine in chunk order, so the rows do not depend on them.
+    # Workers share out the sampling chunks of one crude pass, and the
+    # rungs of one IS chunk; results combine in chunk order, so the rows do
+    # not depend on them.
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # One draw on substream 3, the IS slot of rung 0, weighs every IS
-        # rung on its own scaled set, centred at its own point A_n x*.
-        singles, hits = {}, ()
+        # rung on its own scaled set, from its own active cone.
+        singles, records = {}, []
         if is_rungs:
-            scales = [entries[i].scale_diag for i in is_rungs]
-            qs, hits = _is_single_shifts(
-                model, [(target.scale(a), a * solved.x_star - model.mean) for a in scales],
+            limit = config.build_limit()
+            is_entries = [entries[i] for i in is_rungs]
+            cones = [_active_cone(model, target, limit, e, solved.x_star) for e in is_entries]
+            qs, stats = _is_single_cones(
+                model, [(target.scale(e.scale_diag), *c) for e, c in zip(is_entries, cones)],
                 config.is_samples, root.substream(3), executor=pool,
             )
             singles = dict(zip(is_rungs, qs))
+            records = [
+                {"n": e.n, "active_rows": len(c[1]), **r}
+                for e, c, r in zip(is_entries, cones, stats)
+            ]
         rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
     reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)
@@ -359,13 +370,22 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     skipped = [skip for skip in skips if skip]
     if skipped:
         summary["crude_skipped"] = skipped
+    if records:
+        summary["importance_sampling"] = records
     warnings = _solve_warnings(solved)
-    for i, h in zip(is_rungs, hits):
+    for i, record in zip(is_rungs, records):
         n, single = entries[i].n, singles[i]
         if single.degenerate_weights:
-            warnings.append(_degenerate_warning(f"importance sampler at n={n}", h))
-        elif single.p_hat > 1.0:
+            warnings.append(_degenerate_warning(f"importance sampler at n={n}", record["hits"]))
+            continue
+        if single.p_hat > 1.0:
             warnings.append(_saturated_warning(n, single.p_hat))
+        if not record["target_met"]:
+            warnings.append(
+                f"importance sampler at n={n}: relative SE {record['relative_se']:.3g}"
+                f" with {record['hits']} hits at its cap of {record['samples']} samples"
+                f" (target {IS_TARGET_RELATIVE_SE:g} with {IS_MIN_HITS} hits)"
+            )
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"
         for e, plan in zip(entries, methods)

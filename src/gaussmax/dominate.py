@@ -340,19 +340,22 @@ def _argmin(target: ConvexSet, covariance, limit, weight, center):
     return least_distance(rows, offsets, (rows / a) @ covariance.chol_lower, w_inv, center)
 
 
-def _kkt_residual(target: ConvexSet, covariance, limit, center, x) -> float:
-    """Largest scaled KKT violation at ``x``, with multipliers fitted at ``x``.
+def _kkt_fit(target: ConvexSet, covariance, a, center, x):
+    """``(g, y, values, multipliers)``: the KKT multipliers fitted at ``x``, or None.
 
-    In ``y = R (x - center)``, ``R = L^-1 A`` (``sigma = L L^T``), the
-    objective is ``|y|^2`` and the rows of the constraints ``c(x) >= 0`` are
-    ``G = J R^-1``.  Rows whose scaled slack ``c_i / |G_i|`` is at most
-    ``KKT_TOL |y|`` are active; their multipliers are the nonnegative
-    least-squares fit of ``G_active^T lam = 2 y``, so dual sign holds.  The
-    scaled conditions: primal slack ``c_i / |G_i|`` against ``|y|``,
-    stationarity ``|2 y - G^T lam|`` against ``|2 y|``, and complementary
-    slackness as the product of the scaled slack and the force
-    ``lam_i |G_i| / |2 y|``.  Infinite with no active row, at ``x = center``
-    or when the fit fails.
+    In ``y = R (x - center)``, ``R = L^-1 diag(a)`` (``sigma = L L^T``),
+    the objective is ``|y|^2`` and the rows of the constraints ``c(x) >= 0``
+    are ``G = J R^-1``; ``values`` holds ``c(x)``.  Rows whose scaled slack
+    ``c_i / |G_i|`` is at most ``KKT_TOL |y|`` are active; their
+    multipliers are the nonnegative least-squares fit of ``G_active^T lam
+    = 2 y``, so dual sign holds, and every other row's is 0.  None with no
+    active row, at ``x = center`` or when the fit fails.
+
+    ``c`` is concave (linear, or an ellipsoid's ``r^2 - |x - c|_S^2``), so
+    the set lies in ``{x : J_i (x - x0) >= -c_i(x0)}`` for every row and
+    every ``x0``.  With ``a = A_n`` and ``center = A_n^-1 mean`` the frame
+    is that of ``A_n x = mean + C z``: ``G`` and ``G y - values`` then state
+    those halfspaces of the scaled set at ``x`` in ``z``.
     """
     if isinstance(target, Ellipsoid):
         u = x - target.center
@@ -361,20 +364,35 @@ def _kkt_residual(target: ConvexSet, covariance, limit, center, x) -> float:
     else:
         jac, offsets = target.inequalities()
         values = jac @ x - offsets
-    a = limit.diagonal
     g = (jac / a) @ covariance.chol_lower
     y = covariance.whitener @ (a * (x - center))
     dist = math.sqrt(y @ y)
-    row = np.linalg.norm(g, axis=1)
     # Multiplied out, since an ellipsoid's gradient vanishes at its center.
-    active = values <= KKT_TOL * dist * row
+    active = values <= KKT_TOL * dist * np.linalg.norm(g, axis=1)
     if dist == 0.0 or not active.any():
-        return math.inf
+        return None
     multipliers = np.zeros(len(values))
     try:
         multipliers[active] = _nnls(g[active].T, 2.0 * y)[0]
     except (ConvergenceFailure, np.linalg.LinAlgError):
+        return None
+    return g, y, values, multipliers
+
+
+def _kkt_residual(target: ConvexSet, covariance, limit, center, x) -> float:
+    """Largest scaled KKT violation at ``x``, with multipliers fitted at ``x`` (``_kkt_fit``).
+
+    The scaled conditions: primal slack ``c_i / |G_i|`` against ``|y|``,
+    stationarity ``|2 y - G^T lam|`` against ``|2 y|``, and complementary
+    slackness as the product of the scaled slack and the force
+    ``lam_i |G_i| / |2 y|``.  Infinite where the fit gives None.
+    """
+    fit = _kkt_fit(target, covariance, limit.diagonal, center, x)
+    if fit is None:
         return math.inf
+    g, y, values, multipliers = fit
+    dist = math.sqrt(y @ y)
+    row = np.linalg.norm(g, axis=1)
     force = multipliers * row / (2.0 * dist)
     slack = values / row / dist
     resid = 2.0 * y - g.T @ multipliers

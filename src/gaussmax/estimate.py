@@ -2,12 +2,13 @@
 
 Two crude Monte Carlo estimators target the two event definitions (the
 componentwise maximum landing in the scaled set; at least one of the n
-vectors landing in it), a mean-shift importance sampler targets the
-single-vector probability, and closed-form references, in log space
-throughout, cover block sets under diagonal covariances
-(``exact_block_diagonal_log``) and single-vector halfspace events
-(``exact_single_log``).  A small regression helper turns a ladder of log
-probabilities into an empirical decay rate.
+vectors landing in it), two importance samplers (mean shift, and cone
+proposals from the active set) target the single-vector probability,
+and closed-form references, in log space throughout, cover block sets
+under diagonal covariances (``exact_block_diagonal_log``) and
+single-vector halfspace events (``exact_single_log``).  A small
+regression helper turns a ladder of log probabilities into an empirical
+decay rate.
 
 Both crude estimators come from one pass, which takes one of two forms.
 The full draw draws every vector of each trial.  On a set with finite
@@ -23,18 +24,31 @@ Gaussian being a mixture of one.  Each chunk of trials reduces the same
 way, to one componentwise maximum and one at-least-one flag per trial,
 and yields both hit counts together.
 
-The importance sampler draws only standard normals ``z``.  In that
-frame the mean-shift proposal ``x = mean + shift + C z`` (``C C^T =
-sigma``) has likelihood ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L
-shift`` (``L = C^-1``, the whitener), and each target maps into it once
-(``ConvexSet.whitened``), so no pass forms ``x``.  One draw serves
-several ``(target, shift)`` passes: ``estimate``'s shifted row and its
-crude (zero-shift) counterpart come from the same chunks, each drawn
-once, unless the counterpart cannot hit (``_zero_shift_skip``);
-``verify``'s importance-sampled rows of all rungs, each on its own
-scaled set and shift, come from one shared stream too.  Rows weighed on
-one draw share common random numbers, so their errors are correlated,
-while each stays unbiased with its own standard error.
+Both importance samplers draw standard normals ``z``, and each target
+maps once into the frame ``x = mean + C z`` (``C C^T = sigma``;
+``ConvexSet.whitened``), so no pass forms ``x``.  The mean-shift
+proposal ``x = mean + shift + C z`` has likelihood ratio ``exp(-<u, z> -
+|u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``, the whitener); it serves
+``estimate`` and the public ``is_single``.  One draw serves several
+``(target, shift)`` passes: ``estimate``'s shifted row and its crude
+(zero-shift) counterpart come from the same chunks, each drawn once,
+unless the counterpart cannot hit (``_zero_shift_skip``).
+
+``verify``'s importance-sampled rows come from cone proposals instead
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, ch.
+4.6 and 9).  A rung's scaled set lies in the cone ``{z : G z >= h}`` of
+the k constraints active at ``z*``, its point nearest the mean, with
+positive multipliers ``mu = (G G^T)^-1 h`` (``_active_cone``).  Across
+each active face the target density falls like ``exp(-mu_i u_i)``, which
+the proposal follows with exponential draws; a mean-shift Gaussian
+cannot, so the cone's weights are bounded where the shift's spread.
+Each row samples to a stated precision (Glynn & Whitt, *Ann. Appl.
+Prob.* 2, 1992): it stops at the first chunk, in chunk order, at which
+its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
+least ``IS_MIN_HITS`` hits, so ``is_samples`` is only its cap.  All
+rungs' rows share one draw, which ends when the last row stops.  Rows
+weighed on one draw share common random numbers, so their errors are
+correlated, while each stays unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -44,10 +58,12 @@ exceed a budget, or when its exact componentwise probability bounds the
 expected hits of both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
-in fixed-size chunks, chunk ``i`` from ``stream.substream(i)``.  Chunks
-may run on an executor's threads, but their results are combined in
-chunk order (integer sums for hit counts, ``math.fsum`` for importance
-weights, each chunk's scaled by its largest log-weight).  Results are
+in chunks whose sizes depend only on the problem shape, chunk ``i`` from
+``stream.substream(i)``.  Chunks (or, for the cone sampler, the rows of
+one chunk) may run on an executor's threads, but their results are
+combined in chunk order (integer sums for hit counts, ``math.fsum`` for
+importance weights, each chunk's scaled by its largest log-weight), and
+the cone sampler's stop is decided in chunk order.  Results are
 therefore a pure function of (arguments, stream) regardless of how
 callers schedule the work.
 """
@@ -62,7 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominate import LadderEntry
+from .dominate import LadderEntry, _kkt_fit, _solve
+from .errors import NotAtypical
 from .model import GaussianMixture, GaussianModel, RandomStream
 from .sets import Block, ConvexSet, Halfspace
 
@@ -95,6 +112,15 @@ CRUDE_SCALAR_BUDGET = 200_000_000
 # below this.  By Markov's inequality it is also the largest chance that
 # a skipped row would have seen any hit.
 CRUDE_MIN_EXPECTED_HITS = 0.01
+
+# verify's importance-sampled rows sample to a stated precision: a row
+# stops once its relative standard error is at most IS_TARGET_RELATIVE_SE
+# and it has at least IS_MIN_HITS hits, a floor against the small-count
+# bias of sequential stopping; is_samples caps it.  Its chunks double in
+# size from IS_FIRST_CHUNK samples, so the stop has a fine grain early.
+IS_TARGET_RELATIVE_SE = 0.005
+IS_MIN_HITS = 1000
+IS_FIRST_CHUNK = 4096
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -396,6 +422,53 @@ def mc_crude(
     )
 
 
+def _log_weight_sums(lw: np.ndarray) -> tuple[float, float, float, int]:
+    """One chunk's reduction of its hits' log-weights ``lw``, which it overwrites.
+
+    ``(max, sum exp(lw - max), sum exp(2 (lw - max)), hits)``; no hits
+    reduce to ``(-inf, 0, 0, 0)``.
+    """
+    if not len(lw):
+        return -math.inf, 0.0, 0.0, 0
+    top = float(lw.max())
+    np.exp(np.subtract(lw, top, out=lw), out=lw)
+    return top, float(lw.sum()), float(lw @ lw), len(lw)
+
+
+def _weighed_report(chunks, samples: int, seed: int, scaling_norm_sq: float):
+    """``(report, relative_se, ess)`` of one pass from its chunks' ``_log_weight_sums``.
+
+    The chunks combine in chunk order under their common maximum, so a
+    probability below double range keeps a finite ``log_p_hat`` and a
+    relative standard error, even where ``p_hat`` itself underflows to
+    zero.  ``ess`` is the effective sample size ``(sum w)^2 / sum w^2``.
+    A pass without hits, with log-weights that are not finite, or with an
+    estimate past double range gives a degenerate report, relative standard
+    error ``inf`` and ``ess`` 0.
+    """
+    tops, sums, sq_sums, _ = zip(*chunks)
+    top = max(tops)
+    log_p = math.nan
+    if math.isfinite(top):
+        s1 = math.fsum(s * math.exp(t - top) for t, s in zip(tops, sums))
+        s2 = math.fsum(s * math.exp(2.0 * (t - top)) for t, s in zip(tops, sq_sums))
+        log_p = top + math.log(s1 / samples)
+    if not log_p < _LOG_MAX:
+        report = EstimateReport(
+            0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
+            seed, 1, scaling_norm_sq, degenerate_weights=True,
+        )
+        return report, math.inf, 0.0
+    p = math.exp(log_p)
+    # var(w) / p^2 = E[w^2] / p^2 - 1, free of the common factor exp(top).
+    relative_se = math.sqrt(max(s2 * samples / (s1 * s1) - 1.0, 0.0) / samples)
+    report = EstimateReport(
+        p, p * relative_se, log_p, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
+        seed, 1, scaling_norm_sq,
+    )
+    return report, relative_se, s1 * s1 / s2
+
+
 def _is_single_shifts(
     model: GaussianModel,
     passes,
@@ -422,14 +495,8 @@ def _is_single_shifts(
     (``n = 1``); ``union_combined_report`` lifts it to a rung's ``n``.  The
     kernel is private, so wrappers of the public functions (such as
     ``benchmarks/tracer.py``) count its time to its caller: ``is_single``,
-    or the command that calls it directly.
-
-    The weights stay in log space: each chunk reduces the log-weights
-    ``lw`` of its hits to ``(max, sum exp(lw - max), sum exp(2 (lw -
-    max)))``, and the chunks combine in chunk order under their common
-    maximum.  A probability below double range thus keeps a finite
-    ``log_p_hat`` and a relative standard error, even where ``p_hat``
-    itself underflows to zero.
+    or the command that calls it directly.  The weights stay in log space
+    (``_log_weight_sums``, ``_weighed_report``).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -448,12 +515,8 @@ def _is_single_shifts(
 
     def weigh_pass(z, contains, neg_u, half) -> tuple[float, float, float, int]:
         lw = np.compress(contains(z), z, axis=0) @ neg_u
-        if not len(lw):
-            return -math.inf, 0.0, 0.0, 0
         lw -= half
-        top = float(lw.max())
-        np.exp(np.subtract(lw, top, out=lw), out=lw)
-        return top, float(lw.sum()), float(lw @ lw), len(lw)
+        return _log_weight_sums(lw)
 
     chunk = max(1, CHUNK_SCALARS // d)
     local = threading.local()
@@ -466,31 +529,9 @@ def _is_single_shifts(
         return [weigh_pass(z, *p) for p in prepared]
 
     per_chunk = _map_chunks(weigh, -(-samples // chunk), executor)
-    reports, hits = [], []
-    for chunks in zip(*per_chunk):
-        tops, sums, sq_sums, counts = zip(*chunks)
-        hits.append(sum(counts))
-        top = max(tops)
-        log_p = math.nan
-        if math.isfinite(top):
-            s1 = math.fsum(s * math.exp(t - top) for t, s in zip(tops, sums))
-            s2 = math.fsum(s * math.exp(2.0 * (t - top)) for t, s in zip(tops, sq_sums))
-            log_p = top + math.log(s1 / samples)
-        # No hits, log-weights that are not finite, or an estimate past double range.
-        if not log_p < _LOG_MAX:
-            reports.append(EstimateReport(
-                0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-                stream.seed, 1, scaling_norm_sq, degenerate_weights=True,
-            ))
-            continue
-        p = math.exp(log_p)
-        # var(w) / p^2 = E[w^2] / p^2 - 1, free of the common factor exp(top).
-        relative_variance = max(s2 * samples / (s1 * s1) - 1.0, 0.0)
-        reports.append(EstimateReport(
-            p, p * math.sqrt(relative_variance / samples), log_p, samples,
-            Method.IMPORTANCE_SAMPLED_SINGLE, stream.seed, 1, scaling_norm_sq,
-        ))
-    return tuple(reports), tuple(hits)
+    per_pass = list(zip(*per_chunk))
+    reports = [_weighed_report(c, samples, stream.seed, scaling_norm_sq)[0] for c in per_pass]
+    return tuple(reports), tuple(sum(h for *_, h in c) for c in per_pass)
 
 
 def is_single(
@@ -520,6 +561,147 @@ def is_single(
         scaling_norm_sq=scaling_norm_sq, executor=executor,
     )
     return reports[0]
+
+
+def _active_cone(model: GaussianModel, target: ConvexSet, limit, entry: LadderEntry, x_star):
+    """``(rows, offsets)``: the active cone ``{z : rows @ z >= offsets}`` of a rung's scaled set.
+
+    ``z`` is the whitened frame ``A_n x = mean + C z``.  The cone's apex
+    is ``z*``, the point of the scaled set nearest the mean: for a centred
+    model ``C^-1 A_n x*``, else the solve from ``A_n^-1 mean``.  Its rows
+    are the rows of ``_kkt_fit`` at ``z*`` with positive multipliers (an
+    ellipsoid's one gradient row, so its supporting halfspace), the
+    largest multipliers first, keeping a row only while the kept rows stay
+    independent with positive ``mu = S^-1 offsets``, ``S = rows rows^T``.
+    The scaled set lies in the cone.  A mean in the scaled set, on its
+    boundary to rounding or without an active row gives ``k = 0`` rows.
+    """
+    a = entry.scale_diag
+    cov = model.covariance
+    center = model.mean / a
+    none = np.zeros((0, model.dimension)), np.zeros(0)
+    x = x_star
+    if model.mean.any():
+        try:
+            x = _solve(target, cov, limit, center)[0]
+        except NotAtypical:
+            return none
+    fit = _kkt_fit(target, cov, a, center, x)
+    if fit is None:
+        return none
+    g, z_star, values, multipliers = fit
+    offsets = g @ z_star - values
+    keep = []
+    for i in sorted(np.flatnonzero(multipliers > 0.0), key=lambda i: -multipliers[i]):
+        rows = g[keep + [i]]
+        if np.linalg.matrix_rank(rows) == len(rows):
+            if (np.linalg.solve(rows @ rows.T, offsets[keep + [i]]) > 0.0).all():
+                keep.append(i)
+    return g[keep], offsets[keep]
+
+
+def _doubling_chunks(cap: int, d: int) -> list[int]:
+    """Chunk sizes of ``_is_single_cones``, summing to ``cap``.
+
+    They double from ``IS_FIRST_CHUNK`` up to ``CHUNK_SCALARS // d``.
+    """
+    largest = max(1, CHUNK_SCALARS // d)
+    sizes, size = [], IS_FIRST_CHUNK
+    while sum(sizes) < cap:
+        sizes.append(min(size, largest, cap - sum(sizes)))
+        size *= 2
+    return sizes
+
+
+def _is_single_cones(
+    model: GaussianModel, passes, cap: int, stream: RandomStream, *, executor=None
+) -> tuple[tuple[EstimateReport, ...], tuple[dict, ...]]:
+    """``(reports, records)``: cone importance sampling of ``(target, rows, offsets)`` passes.
+
+    Each pass is a set ``target`` inside its cone ``{z : G z >= h}``
+    (``rows``, ``offsets``; ``_active_cone``) in the frame ``x = mean + C
+    z``, with ``S = G G^T`` and ``mu = S^-1 h > 0``.  The proposal draws
+    ``u = G z = h + E / mu``, ``E ~ Exp(1)^k``, and standard normals in the
+    null space of ``G``: ``z = z0 + G^T S^-1 (u - G z0)`` for standard
+    normal ``z0``.  A hit weighs ``log w = -u^T S^-1 u / 2 - log det(2 pi
+    S) / 2 - sum log mu + sum E``; outside the cone the target density is
+    0, so the estimate is unbiased.  With ``k = 0`` it is a plain draw of
+    weight 1.
+
+    Chunk ``i`` draws ``z0``, then ``E`` as a ``(k_max, m)`` array, from
+    ``stream.substream(i)``; a pass with ``k`` rows reads the first ``k``,
+    so a pass run alone gets the same bits.  Chunk sizes double
+    (``_doubling_chunks``), so they depend only on ``(cap, d)``.  A pass
+    stops at the first chunk, in chunk order, after which its relative
+    standard error is at most ``IS_TARGET_RELATIVE_SE`` with at least
+    ``IS_MIN_HITS`` hits, or at ``cap`` samples; the draw ends when every
+    pass has stopped.  Passes of one chunk are weighed on ``executor`` when
+    given (anything with an ordered ``map``), inline otherwise; chunks are
+    drawn one at a time, so no chunk past the last stop is drawn, and
+    neither the reports nor the draws depend on the executor.  Each
+    report's ``trials`` is the samples its pass used, and each record is
+    ``{samples, hits, relative_se, effective_sample_size, target_met}``.
+    """
+    if cap < 1:
+        raise ValueError(f"samples must be >= 1, got {cap}")
+    if not isinstance(model, GaussianModel):
+        raise TypeError("importance sampling requires a single Gaussian model")
+    d = model.dimension
+    prepared = []
+    for target, rows, offsets in passes:
+        gram = rows @ rows.T
+        mu = np.linalg.solve(gram, offsets)
+        if not (mu > 0.0).all():
+            raise ValueError("a cone needs positive mu = S^-1 offsets")
+        chol = np.linalg.cholesky(gram)
+        constant = -float(np.log(np.diag(chol)).sum() + np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
+        prepared.append((
+            target.whitened(model.mean, model.covariance.chol_lower),
+            rows, offsets, mu, np.linalg.solve(gram, rows), np.linalg.inv(chol), constant,
+        ))
+    k_max = max((len(p[2]) for p in prepared), default=0)
+
+    def weigh(z0, exps, pass_) -> tuple[float, float, float, int]:
+        contains, rows, offsets, mu, lift, chol_inv, constant = pass_
+        e = exps[: len(mu)]
+        u = e / mu[:, None]
+        u += offsets[:, None]
+        z = (u - rows @ z0.T).T @ lift
+        z += z0
+        hit = contains(z)
+        root = chol_inv @ u[:, hit]
+        lw = e[:, hit].sum(axis=0)
+        lw -= 0.5 * np.einsum("ij,ij->j", root, root)
+        lw += constant
+        return _log_weight_sums(lw)
+
+    chunks = [[] for _ in prepared]
+    reports, records = [None] * len(prepared), [None] * len(prepared)
+    live = list(range(len(prepared)))
+    drawn = 0
+    for index, size in enumerate(_doubling_chunks(cap, d)):
+        if not live:
+            break
+        drawn += size
+        rng = stream.substream(index).generator()
+        z0 = rng.standard_normal((size, d))
+        exps = rng.standard_exponential((k_max, size))
+        run = functools.partial(weigh, z0, exps)
+        jobs = [prepared[j] for j in live]
+        weighed = map(run, jobs) if executor is None else executor.map(run, jobs)
+        for j, reduced in zip(live, weighed):
+            chunks[j].append(reduced)
+            reports[j], relative_se, ess = _weighed_report(chunks[j], drawn, stream.seed, math.nan)
+            hits = sum(c[3] for c in chunks[j])
+            records[j] = {
+                "samples": drawn,
+                "hits": hits,
+                "relative_se": relative_se,
+                "effective_sample_size": ess,
+                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits >= IS_MIN_HITS,
+            }
+        live = [j for j in live if not records[j]["target_met"]]
+    return tuple(reports), tuple(records)
 
 
 def union_combine(q: float, n: int) -> float:

@@ -776,6 +776,122 @@ class TestSharedShifts:
         assert single == report
 
 
+def cone_row(model, target, limit, entry, x_star, cap, seed):
+    """``(cone, report, record)`` of one rung's cone pass alone."""
+    cone = estimate._active_cone(model, target, limit, entry, x_star)
+    (report,), (record,) = estimate._is_single_cones(
+        model, [(target.scale(entry.scale_diag), *cone)], cap, gm.RandomStream(seed)
+    )
+    return cone, report, record
+
+
+def standard_error_gap(report, log_q) -> float:
+    """``(q_hat / q - 1) / relative SE``, from the logs."""
+    return math.expm1(report.log_p_hat - log_q) * report.p_hat / report.std_error
+
+
+class TestConeSampling:
+    """verify's importance sampler: proposals from each rung's active cone."""
+
+    def test_halfspace_is_calibrated_over_seeds(self):
+        # A non-centred model under a correlated covariance and an uneven
+        # limit: over 200 seeds the standardised errors of the one-row cone
+        # have mean 0 (SE 0.07) and SD 1 (SE 0.05).
+        target = gm.Halfspace(np.array([1.0, 0.5, -0.4]), 2.0)
+        limit = gm.ScalingLimit(np.array([1.0, 0.8, 0.6]))
+        x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
+        for entry in gm.ScalingLadder(limit, (10, 1000)).entries():
+            log_q = gm.exact_single_log(CORRELATED3, target, entry)
+            gaps = []
+            for seed in range(200):
+                cone, report, _ = cone_row(CORRELATED3, target, limit, entry, x_star, 2000, seed)
+                gaps.append(standard_error_gap(report, log_q))
+            assert len(cone[1]) == 1
+            assert abs(np.mean(gaps)) < 0.25
+            assert 0.85 < np.std(gaps) < 1.15
+
+    def test_ellipsoid_matches_a_one_dimensional_quadrature(self):
+        # k = 1: the supporting halfspace at z*.  Under diag(1, 2) the
+        # scaled ellipse's probability is one integral over x_1 of the x_2
+        # interval's normal mass.
+        from scipy.stats import norm
+
+        model = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.diag([1.0, 2.0])))
+        target = gm.Ellipsoid(np.array([2.0, 1.0]), np.diag([1.0, 0.25]), 0.8)
+        limit = gm.ScalingLimit.identity(2)
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        for entry in gm.ScalingLadder(limit, (10, 1000)).entries():
+            scaled = target.scale(entry.scale_diag)
+            c, s, r = scaled.center, np.diag(scaled.shape), scaled.radius
+
+            def mass(x1, c=c, s=s, r=r):
+                w = math.sqrt(max(r * r - s[0] * (x1 - c[0]) ** 2, 0.0) / s[1])
+                upper, lower = (c[1] + w) / math.sqrt(2.0), (c[1] - w) / math.sqrt(2.0)
+                return norm.pdf(x1) * (norm.cdf(upper) - norm.cdf(lower))
+
+            half = r / math.sqrt(s[0])
+            truth = integrate.quad(mass, c[0] - half, c[0] + half, epsabs=0.0, epsrel=1e-10)[0]
+            cone, report, record = cone_row(model, target, limit, entry, x_star, 200_000, 5)
+            assert len(cone[1]) == 1
+            assert record["target_met"] and record["samples"] < 200_000
+            assert abs(standard_error_gap(report, math.log(truth))) < 4.0
+
+    def test_non_centred_nearest_point_has_its_own_active_set(self):
+        # The orthant x >= A_n 1 under mean (0, 5): at n = 100 the point
+        # nearest the mean is (3.03, 5), on one face, while A_n x* is the
+        # corner; at n = 1e6 the corner (5.26, 5.26) is nearest, on both.
+        sd = np.array([1.0, 1.5])
+        model = gm.GaussianModel(np.array([0.0, 5.0]), gm.build_covariance(np.diag(sd**2)))
+        target = gm.Polyhedron(np.eye(2), np.ones(2))
+        limit = gm.ScalingLimit.identity(2)
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        centred = gm.GaussianModel(np.zeros(2), model.covariance)
+        for entry, rows in zip(gm.ScalingLadder(limit, (100, 10**6)).entries(), (1, 2)):
+            assert len(estimate._active_cone(centred, target, limit, entry, x_star)[1]) == 2
+            cone, report, _ = cone_row(model, target, limit, entry, x_star, 100_000, 5)
+            assert len(cone[1]) == rows
+            # The one face at n = 100 is x_1's.
+            assert cone[0][0, 0] > 0.0 and cone[0][0, 1] == 0.0
+            log_q = float(np.sum(estimate._log_ndtr((model.mean - entry.scale_diag) / sd)))
+            assert abs(standard_error_gap(report, log_q)) < 4.0
+
+    def test_degenerate_vertex_keeps_independent_rows(self):
+        # Three rows meet at the corner (1, 1) in 2-D; the third,
+        # x_1 + x_2 >= 2, is implied by the other two.
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        target = gm.Polyhedron(rows, np.array([1.0, 1.0, 2.0]))
+        limit = gm.ScalingLimit.identity(2)
+        x_star = gm.dominating_point(target, STANDARD2.covariance, limit).x_star
+        for entry in gm.ScalingLadder(limit, (10, 1000)).entries():
+            (kept, offsets), report, _ = cone_row(STANDARD2, target, limit, entry, x_star, 10**5, 6)
+            assert 1 <= len(offsets) <= 2
+            assert np.linalg.matrix_rank(kept) == len(offsets)
+            assert (np.linalg.solve(kept @ kept.T, offsets) > 0.0).all()
+            log_q = 2.0 * float(estimate._log_ndtr(-entry.scale_diag[0]))
+            assert abs(standard_error_gap(report, log_q)) < 4.0
+
+    def test_chunks_double_to_the_cap(self):
+        assert estimate._doubling_chunks(30_000, 10) == [4096, 8192, 16384, 1328]
+        assert estimate._doubling_chunks(1000, 10) == [1000]
+        largest = estimate.CHUNK_SCALARS // 10
+        sizes = estimate._doubling_chunks(2_000_000, 10)
+        assert sum(sizes) == 2_000_000
+        assert max(sizes) == largest
+        assert sizes[:8] == [4096 * 2**i for i in range(7)] + [largest]
+
+    def test_validation(self):
+        target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
+        cone = (np.array([[1.0, 1.0]]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            estimate._is_single_cones(STANDARD2, [(target, *cone)], 0, gm.RandomStream(1))
+        with pytest.raises(ValueError, match="positive mu"):
+            flipped = [(target, cone[0], -cone[1])]
+            estimate._is_single_cones(STANDARD2, flipped, 10, gm.RandomStream(1))
+        mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
+        with pytest.raises(TypeError):
+            estimate._is_single_cones(mixture, [(target, *cone)], 10, gm.RandomStream(1))
+
+
 class TestUnionCombinedReport:
     def test_delta_method_standard_error(self):
         single = gm.EstimateReport(
