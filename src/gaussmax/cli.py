@@ -35,9 +35,10 @@ from .estimate import (
     EstimateReport,
     Method,
     _active_cone,
-    _is_single_cones,
-    _is_single_shifts,
+    _cone_pass,
+    _importance_sample,
     _log_union_combine,
+    _shift_pass,
     _zero_shift_skip,
     exact_block_reports,
     exact_single_log,
@@ -223,17 +224,14 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
     # unless it cannot hit; under --zero-shift it is the importance-sampled
     # row itself.
     shifts = (shift,) if zero_shift or skip else (shift, zeros)
-    reports, (is_hits, *_) = _is_single_shifts(
-        model, [(scaled, s) for s in shifts], config.is_samples, root.substream(800),
-        scaling_norm_sq=entry.speed,
+    reports, (record, *_) = _importance_sample(
+        model, [_shift_pass(model, scaled, s) for s in shifts], config.is_samples,
+        root.substream(800), scaling_norm_sq=entry.speed,
     )
     is_report = reports[0]
     crude_report = None if skip else reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
-    if is_report.degenerate_weights:
-        warnings.append(_degenerate_warning("importance sampler", is_hits))
-    elif is_report.p_hat > 1.0:
-        warnings.append(_saturated_warning(entry.n, is_report.p_hat))
+    warnings += _sampler_warnings("importance sampler", entry.n, is_report, record)
 
     var_is = is_report.std_error**2 * is_report.trials
     crude_resolved = crude_report is not None and crude_report.p_hat > 0.0
@@ -248,6 +246,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "zero_shift": zero_shift,
             "shift": shift,
             "importance_sampled": asdict(is_report),
+            "importance_sampling": record,
             "crude_single": None if crude_report is None else asdict(crude_report),
             "union_combined": asdict(union_report),
             "crude_resolved": crude_resolved,
@@ -292,16 +291,32 @@ def _relative_error(log_p: float, log_exact: float) -> float:
     return abs(math.expm1(gap)) if gap < 700.0 else math.inf
 
 
-def _degenerate_warning(source: str, hits: int) -> str:
-    """Why an importance-sampled row is degenerate: no hits, or unusable weights."""
-    if hits == 0:
-        return f"{source} produced no hits (degenerate weights)"
-    return f"{source}: log-weights of {hits} hits are not finite (degenerate weights)"
+def _sampler_warnings(source: str, n: int, single: EstimateReport, record: dict) -> list[str]:
+    """The warnings of one importance-sampled row, named after ``source``.
 
-
-def _saturated_warning(n: int, q_hat: float) -> str:
-    """Why rung ``n``'s union_combined row reads 1 with standard error 0."""
-    return f"importance sampler at n={n}: q_hat {q_hat:.6g} > 1, union_combined row saturated at 1"
+    A degenerate row (no hits, or unusable weights) gets only that
+    warning.  Otherwise a ``q_hat`` above 1 warns that rung ``n``'s
+    union_combined row reads 1 with standard error 0, and a row that
+    stopped at its cap above the stated precision warns with its record.
+    """
+    hits = record["hits"]
+    if single.degenerate_weights:
+        if hits == 0:
+            return [f"{source} produced no hits (degenerate weights)"]
+        return [f"{source}: log-weights of {hits} hits are not finite (degenerate weights)"]
+    warnings = []
+    if single.p_hat > 1.0:
+        warnings.append(
+            f"importance sampler at n={n}: q_hat {single.p_hat:.6g} > 1,"
+            " union_combined row saturated at 1"
+        )
+    if not record["target_met"]:
+        warnings.append(
+            f"{source}: relative SE {record['relative_se']:.3g} with {hits} hits"
+            f" at its cap of {record['samples']} samples"
+            f" (target {IS_TARGET_RELATIVE_SE:g} with {IS_MIN_HITS} hits)"
+        )
+    return warnings
 
 
 # Methods whose ladder probabilities follow the at-least-one event.
@@ -344,9 +359,12 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             limit = config.build_limit()
             is_entries = [entries[i] for i in is_rungs]
             cones = [_active_cone(model, target, limit, e, solved.x_star) for e in is_entries]
-            qs, stats = _is_single_cones(
-                model, [(target.scale(e.scale_diag), *c) for e, c in zip(is_entries, cones)],
-                config.is_samples, root.substream(3), executor=pool,
+            passes = [
+                _cone_pass(model, target.scale(e.scale_diag), *c)
+                for e, c in zip(is_entries, cones)
+            ]
+            qs, stats = _importance_sample(
+                model, passes, config.is_samples, root.substream(3), executor=pool
             )
             singles = dict(zip(is_rungs, qs))
             records = [
@@ -374,18 +392,8 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
         summary["importance_sampling"] = records
     warnings = _solve_warnings(solved)
     for i, record in zip(is_rungs, records):
-        n, single = entries[i].n, singles[i]
-        if single.degenerate_weights:
-            warnings.append(_degenerate_warning(f"importance sampler at n={n}", record["hits"]))
-            continue
-        if single.p_hat > 1.0:
-            warnings.append(_saturated_warning(n, single.p_hat))
-        if not record["target_met"]:
-            warnings.append(
-                f"importance sampler at n={n}: relative SE {record['relative_se']:.3g}"
-                f" with {record['hits']} hits at its cap of {record['samples']} samples"
-                f" (target {IS_TARGET_RELATIVE_SE:g} with {IS_MIN_HITS} hits)"
-            )
+        n = entries[i].n
+        warnings += _sampler_warnings(f"importance sampler at n={n}", n, singles[i], record)
     warnings += [
         f"ladder entry n={e.n} does not fit the crude sampling budget"
         for e, plan in zip(entries, methods)

@@ -24,31 +24,31 @@ Gaussian being a mixture of one.  Each chunk of trials reduces the same
 way, to one componentwise maximum and one at-least-one flag per trial,
 and yields both hit counts together.
 
-Both importance samplers draw standard normals ``z``, and each target
-maps once into the frame ``x = mean + C z`` (``C C^T = sigma``;
-``ConvexSet.whitened``), so no pass forms ``x``.  The mean-shift
-proposal ``x = mean + shift + C z`` has likelihood ratio ``exp(-<u, z> -
-|u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``, the whitener); it serves
-``estimate`` and the public ``is_single``.  One draw serves several
-``(target, shift)`` passes: ``estimate``'s shifted row and its crude
-(zero-shift) counterpart come from the same chunks, each drawn once,
-unless the counterpart cannot hit (``_zero_shift_skip``).
-
-``verify``'s importance-sampled rows come from cone proposals instead
-(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, ch.
-4.6 and 9).  A rung's scaled set lies in the cone ``{z : G z >= h}`` of
-the k constraints active at ``z*``, its point nearest the mean, with
+Both importance samplers run on one driver (``_importance_sample``),
+which draws standard normals ``z`` and standard exponentials ``E`` and
+weighs any number of passes on that draw; each pass is a proposal that
+maps its target once into the frame ``x = mean + C z`` (``C C^T =
+sigma``; ``ConvexSet.whitened``), so no pass forms ``x``.  The mean-shift
+proposal (``_shift_pass``) ``x = mean + shift + C z`` has likelihood
+ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``,
+the whitener); it serves ``estimate``, whose shifted row and crude
+(zero-shift) counterpart share the draw unless the counterpart cannot
+hit (``_zero_shift_skip``), and the public ``is_single``.  The cone
+proposal (``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2004, ch. 4.6 and 9) serves ``verify``, whose rungs all
+share the draw.  A rung's scaled set lies in the cone ``{z : G z >= h}``
+of the k constraints active at ``z*``, its point nearest the mean, with
 positive multipliers ``mu = (G G^T)^-1 h`` (``_active_cone``).  Across
 each active face the target density falls like ``exp(-mu_i u_i)``, which
-the proposal follows with exponential draws; a mean-shift Gaussian
+the proposal follows with the exponential draws; a mean-shift Gaussian
 cannot, so the cone's weights are bounded where the shift's spread.
-Each row samples to a stated precision (Glynn & Whitt, *Ann. Appl.
+Every pass samples to a stated precision (Glynn & Whitt, *Ann. Appl.
 Prob.* 2, 1992): it stops at the first chunk, in chunk order, at which
 its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
-least ``IS_MIN_HITS`` hits, so ``is_samples`` is only its cap.  All
-rungs' rows share one draw, which ends when the last row stops.  Rows
-weighed on one draw share common random numbers, so their errors are
-correlated, while each stays unbiased with its own standard error.
+least ``IS_MIN_HITS`` hits, so ``is_samples`` is only its cap, and the
+draw ends when the last pass stops.  Passes weighed on one draw share
+common random numbers, so their errors are correlated, while each stays
+unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -59,11 +59,11 @@ expected hits of both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in chunks whose sizes depend only on the problem shape, chunk ``i`` from
-``stream.substream(i)``.  Chunks (or, for the cone sampler, the rows of
-one chunk) may run on an executor's threads, but their results are
+``stream.substream(i)``.  Crude chunks, or the passes of one importance
+sampling chunk, may run on an executor's threads, but their results are
 combined in chunk order (integer sums for hit counts, ``math.fsum`` for
 importance weights, each chunk's scaled by its largest log-weight), and
-the cone sampler's stop is decided in chunk order.  Results are
+every importance sampling stop is decided in chunk order.  Results are
 therefore a pure function of (arguments, stream) regardless of how
 callers schedule the work.
 """
@@ -73,7 +73,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +112,11 @@ CRUDE_SCALAR_BUDGET = 200_000_000
 # a skipped row would have seen any hit.
 CRUDE_MIN_EXPECTED_HITS = 0.01
 
-# verify's importance-sampled rows sample to a stated precision: a row
-# stops once its relative standard error is at most IS_TARGET_RELATIVE_SE
-# and it has at least IS_MIN_HITS hits, a floor against the small-count
-# bias of sequential stopping; is_samples caps it.  Its chunks double in
-# size from IS_FIRST_CHUNK samples, so the stop has a fine grain early.
+# Importance-sampled rows sample to a stated precision: a row stops once
+# its relative standard error is at most IS_TARGET_RELATIVE_SE and it has
+# at least IS_MIN_HITS hits, a floor against the small-count bias of
+# sequential stopping; is_samples caps it.  Its chunks double in size
+# from IS_FIRST_CHUNK samples, so the stop has a fine grain early.
 IS_TARGET_RELATIVE_SE = 0.005
 IS_MIN_HITS = 1000
 IS_FIRST_CHUNK = 4096
@@ -276,9 +275,8 @@ def _zero_shift_skip(model: GaussianModel, point: np.ndarray, samples: int, n: i
     return {"n": n, "reason": "expected_hits", "expected_hits": math.exp(log_hits)}
 
 
-def _map_chunks(run, chunks: int, executor) -> list:
-    """``run(i)`` for each chunk ``i``, on ``executor`` when given, results in chunk order."""
-    jobs = range(chunks)
+def _ordered_map(run, jobs, executor) -> list:
+    """``run(job)`` for each of ``jobs``, on ``executor`` when given, results in job order."""
     return list(map(run, jobs) if executor is None else executor.map(run, jobs))
 
 
@@ -414,7 +412,7 @@ def mc_crude(
         seen = top[:, 0] > -np.inf
         return int(scaled.contains_many(top[seen]).sum()), int(any_in.sum())
 
-    counts = _map_chunks(count, -(-trials // chunk), executor)
+    counts = _ordered_map(count, range(-(-trials // chunk)), executor)
     cw, alo = map(sum, zip(*counts))
     return (
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),
@@ -469,69 +467,109 @@ def _weighed_report(chunks, samples: int, seed: int, scaling_norm_sq: float):
     return report, relative_se, s1 * s1 / s2
 
 
-def _is_single_shifts(
+def _doubling_chunks(cap: int, d: int) -> list[int]:
+    """Chunk sizes of ``_importance_sample``, summing to ``cap``.
+
+    They double from ``IS_FIRST_CHUNK`` up to ``CHUNK_SCALARS // d``.
+    """
+    largest = max(1, CHUNK_SCALARS // d)
+    sizes, size = [], IS_FIRST_CHUNK
+    while sum(sizes) < cap:
+        sizes.append(min(size, largest, cap - sum(sizes)))
+        size *= 2
+    return sizes
+
+
+def _importance_sample(
     model: GaussianModel,
     passes,
-    samples: int,
+    cap: int,
     stream: RandomStream,
     *,
     scaling_norm_sq: float = math.nan,
     executor=None,
-) -> tuple[tuple[EstimateReport, ...], tuple[int, ...]]:
-    """``(reports, hits)``: ``is_single`` for each ``(target, shift)`` of ``passes``, one draw.
+) -> tuple[tuple[EstimateReport, ...], tuple[dict, ...]]:
+    """``(reports, records)``: importance sampling of ``(k, weigh)`` passes on one draw.
 
-    Reports and hits come in pass order.  Chunk ``i`` holds at most
-    ``CHUNK_SCALARS // d`` standard normal vectors ``z``, drawn from
-    ``stream.substream(i)`` into a buffer each thread keeps for all its
-    chunks; chunks run on ``executor`` when given (anything with an
-    ordered ``map``), inline otherwise.  Each pass tests ``z`` against its
-    target mapped through ``x = mean + shift + C z``
-    (``target.whitened``) and weighs the hits by the log likelihood ratio
-    ``-<u, z> - |u|^2 / 2``, ``u = L shift``.  Passes never touch the
-    draw, so each report equals the one ``is_single`` gives for its pass
-    alone on the same stream, bit for bit; the passes share common random
-    numbers, so their errors are correlated.  ``hits`` counts the samples
-    that landed in each target.  Every report is a single-vector row
-    (``n = 1``); ``union_combined_report`` lifts it to a rung's ``n``.  The
-    kernel is private, so wrappers of the public functions (such as
-    ``benchmarks/tracer.py``) count its time to its caller: ``is_single``,
-    or the command that calls it directly.  The weights stay in log space
-    (``_log_weight_sums``, ``_weighed_report``).
+    Each pass is a proposal (``_shift_pass``, ``_cone_pass``) whose
+    ``weigh(z0, exps)`` gives the log-weights of one chunk's hits.  Chunk
+    ``i`` draws ``m`` standard normal vectors ``z0``, into one buffer of the
+    largest chunk that every chunk reuses, then standard exponentials
+    ``exps`` as a ``(k_max, m)`` array, from ``stream.substream(i)``.  A
+    pass with ``k`` rows reads the first ``k`` and no pass writes to the
+    draw, so a pass weighed alone gets the same bits.  Chunk sizes double (``_doubling_chunks``), so they depend only
+    on ``(cap, d)``.  A pass stops at the first chunk, in chunk order,
+    after which its relative standard error is at most
+    ``IS_TARGET_RELATIVE_SE`` with at least ``IS_MIN_HITS`` hits, or at
+    ``cap`` samples; the draw ends when every pass has stopped.  The passes
+    of one chunk are weighed on ``executor`` when given (anything with an
+    ordered ``map``), inline otherwise, with the same reports and draws.
+    Each report is a single-vector row (``n = 1``) whose ``trials`` are the
+    samples its pass used, and each record is ``{samples, hits,
+    relative_se, effective_sample_size, target_met}``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if cap < 1:
+        raise ValueError(f"samples must be >= 1, got {cap}")
+    d = model.dimension
+    sizes = _doubling_chunks(cap, d)
+    k_max = max((k for k, _ in passes), default=0)
+    buffer = np.empty((max(sizes), d))
+    chunks = [[] for _ in passes]
+    reports, records = [None] * len(passes), [None] * len(passes)
+    live = list(range(len(passes)))
+    drawn = 0
+    for index, size in enumerate(sizes):
+        if not live:
+            break
+        drawn += size
+        rng = stream.substream(index).generator()
+        z0 = buffer[:size]
+        rng.standard_normal(out=z0)
+        exps = rng.standard_exponential((k_max, size))
+
+        def weigh(j: int) -> tuple[float, float, float, int]:
+            return _log_weight_sums(passes[j][1](z0, exps))
+
+        for j, reduced in zip(live, _ordered_map(weigh, live, executor)):
+            chunks[j].append(reduced)
+            reports[j], relative_se, ess = _weighed_report(
+                chunks[j], drawn, stream.seed, scaling_norm_sq
+            )
+            hits = sum(c[3] for c in chunks[j])
+            records[j] = {
+                "samples": drawn,
+                "hits": hits,
+                "relative_se": relative_se,
+                "effective_sample_size": ess,
+                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits >= IS_MIN_HITS,
+            }
+        live = [j for j in live if not records[j]["target_met"]]
+    return tuple(reports), tuple(records)
+
+
+def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
+    """``(0, weigh)``: the mean-shift proposal ``x = mean + shift + C z`` on ``scaled``.
+
+    ``weigh`` tests ``z0`` against ``scaled`` mapped through the proposal
+    (``scaled.whitened``) and weighs the hits by the log likelihood ratio
+    ``-<u, z0> - |u|^2 / 2``, ``u = L shift``; it reads no exponentials.
+    """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
-    d = model.dimension
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape != (model.dimension,):
+        raise ValueError(f"shift must have shape ({model.dimension},)")
     cov = model.covariance
-    prepared = []
-    for target, shift in passes:
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (d,):
-            raise ValueError(f"shift must have shape ({d},)")
-        u = cov.whitener @ shift
-        contains = target.whitened(model.mean + shift, cov.chol_lower)
-        prepared.append((contains, -u, 0.5 * float(u @ u)))
+    u = cov.whitener @ shift
+    contains = scaled.whitened(model.mean + shift, cov.chol_lower)
+    neg_u, half = -u, 0.5 * float(u @ u)
 
-    def weigh_pass(z, contains, neg_u, half) -> tuple[float, float, float, int]:
-        lw = np.compress(contains(z), z, axis=0) @ neg_u
+    def weigh(z0, exps) -> np.ndarray:
+        lw = np.compress(contains(z0), z0, axis=0) @ neg_u
         lw -= half
-        return _log_weight_sums(lw)
+        return lw
 
-    chunk = max(1, CHUNK_SCALARS // d)
-    local = threading.local()
-
-    def weigh(index: int) -> list[tuple[float, float, float, int]]:
-        if not hasattr(local, "z"):
-            local.z = np.empty((min(chunk, samples), d))
-        z = local.z[: min(chunk, samples - index * chunk)]
-        stream.substream(index).generator().standard_normal(out=z)
-        return [weigh_pass(z, *p) for p in prepared]
-
-    per_chunk = _map_chunks(weigh, -(-samples // chunk), executor)
-    per_pass = list(zip(*per_chunk))
-    reports = [_weighed_report(c, samples, stream.seed, scaling_norm_sq)[0] for c in per_pass]
-    return tuple(reports), tuple(sum(h for *_, h in c) for c in per_pass)
+    return 0, weigh
 
 
 def is_single(
@@ -542,23 +580,24 @@ def is_single(
     stream: RandomStream,
     *,
     scaling_norm_sq: float = math.nan,
-    executor=None,
 ) -> EstimateReport:
     """Mean-shift importance sampling of the single-vector probability.
 
     Samples ``x' ~ Gaussian(mean + shift, sigma)`` and averages the
     likelihood ratio ``exp(-<shift, sigma_inv (x' - shift/2 - mean)>)``
     over hits, in log space.  A zero shift reproduces crude Monte Carlo.
-    Below double range ``p_hat`` reads 0 but ``log_p_hat`` stays finite.
-    If no sample lands in the target, or the hits' log-weights are not
-    finite, the report carries ``p_hat = 0`` and ``log_p_hat = -inf``
-    with ``degenerate_weights`` set instead of raising.  Chunks run on
-    ``executor`` when given, inline otherwise, with the same result.
-    This is ``_is_single_shifts`` with one pass.
+    ``samples`` is a cap: the row stops once it meets the stated
+    precision (``IS_TARGET_RELATIVE_SE`` with ``IS_MIN_HITS`` hits), and
+    its ``trials`` are the samples it used.  Below double range ``p_hat``
+    reads 0 but ``log_p_hat`` stays finite.  If no sample lands in the
+    target, or the hits' log-weights are not finite, the report carries
+    ``p_hat = 0`` and ``log_p_hat = -inf`` with ``degenerate_weights``
+    set instead of raising.  This is ``_importance_sample`` with one
+    ``_shift_pass``.
     """
-    reports, _ = _is_single_shifts(
-        model, ((target, shift),), samples, stream,
-        scaling_norm_sq=scaling_norm_sq, executor=executor,
+    reports, _ = _importance_sample(
+        model, [_shift_pass(model, target, shift)], samples, stream,
+        scaling_norm_sq=scaling_norm_sq,
     )
     return reports[0]
 
@@ -600,69 +639,30 @@ def _active_cone(model: GaussianModel, target: ConvexSet, limit, entry: LadderEn
     return g[keep], offsets[keep]
 
 
-def _doubling_chunks(cap: int, d: int) -> list[int]:
-    """Chunk sizes of ``_is_single_cones``, summing to ``cap``.
+def _cone_pass(model: GaussianModel, scaled: ConvexSet, rows, offsets):
+    """``(k, weigh)``: the cone proposal of ``scaled`` inside ``{z : rows @ z >= offsets}``.
 
-    They double from ``IS_FIRST_CHUNK`` up to ``CHUNK_SCALARS // d``.
+    The cone is ``{z : G z >= h}`` (``_active_cone``) in the frame ``x =
+    mean + C z``, with ``k`` rows, ``S = G G^T`` and ``mu = S^-1 h > 0``.
+    The proposal draws ``u = G z = h + E / mu``, ``E ~ Exp(1)^k`` the
+    first ``k`` rows of ``exps``, and standard normals in the null space
+    of ``G``: ``z = z0 + G^T S^-1 (u - G z0)``.  A hit weighs ``log w =
+    -u^T S^-1 u / 2 - log det(2 pi S) / 2 - sum log mu + sum E``; outside
+    the cone the target density is 0, so the estimate is unbiased.  With
+    ``k = 0`` it is a plain draw of weight 1.
     """
-    largest = max(1, CHUNK_SCALARS // d)
-    sizes, size = [], IS_FIRST_CHUNK
-    while sum(sizes) < cap:
-        sizes.append(min(size, largest, cap - sum(sizes)))
-        size *= 2
-    return sizes
-
-
-def _is_single_cones(
-    model: GaussianModel, passes, cap: int, stream: RandomStream, *, executor=None
-) -> tuple[tuple[EstimateReport, ...], tuple[dict, ...]]:
-    """``(reports, records)``: cone importance sampling of ``(target, rows, offsets)`` passes.
-
-    Each pass is a set ``target`` inside its cone ``{z : G z >= h}``
-    (``rows``, ``offsets``; ``_active_cone``) in the frame ``x = mean + C
-    z``, with ``S = G G^T`` and ``mu = S^-1 h > 0``.  The proposal draws
-    ``u = G z = h + E / mu``, ``E ~ Exp(1)^k``, and standard normals in the
-    null space of ``G``: ``z = z0 + G^T S^-1 (u - G z0)`` for standard
-    normal ``z0``.  A hit weighs ``log w = -u^T S^-1 u / 2 - log det(2 pi
-    S) / 2 - sum log mu + sum E``; outside the cone the target density is
-    0, so the estimate is unbiased.  With ``k = 0`` it is a plain draw of
-    weight 1.
-
-    Chunk ``i`` draws ``z0``, then ``E`` as a ``(k_max, m)`` array, from
-    ``stream.substream(i)``; a pass with ``k`` rows reads the first ``k``,
-    so a pass run alone gets the same bits.  Chunk sizes double
-    (``_doubling_chunks``), so they depend only on ``(cap, d)``.  A pass
-    stops at the first chunk, in chunk order, after which its relative
-    standard error is at most ``IS_TARGET_RELATIVE_SE`` with at least
-    ``IS_MIN_HITS`` hits, or at ``cap`` samples; the draw ends when every
-    pass has stopped.  Passes of one chunk are weighed on ``executor`` when
-    given (anything with an ordered ``map``), inline otherwise; chunks are
-    drawn one at a time, so no chunk past the last stop is drawn, and
-    neither the reports nor the draws depend on the executor.  Each
-    report's ``trials`` is the samples its pass used, and each record is
-    ``{samples, hits, relative_se, effective_sample_size, target_met}``.
-    """
-    if cap < 1:
-        raise ValueError(f"samples must be >= 1, got {cap}")
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
-    d = model.dimension
-    prepared = []
-    for target, rows, offsets in passes:
-        gram = rows @ rows.T
-        mu = np.linalg.solve(gram, offsets)
-        if not (mu > 0.0).all():
-            raise ValueError("a cone needs positive mu = S^-1 offsets")
-        chol = np.linalg.cholesky(gram)
-        constant = -float(np.log(np.diag(chol)).sum() + np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
-        prepared.append((
-            target.whitened(model.mean, model.covariance.chol_lower),
-            rows, offsets, mu, np.linalg.solve(gram, rows), np.linalg.inv(chol), constant,
-        ))
-    k_max = max((len(p[2]) for p in prepared), default=0)
+    gram = rows @ rows.T
+    mu = np.linalg.solve(gram, offsets)
+    if not (mu > 0.0).all():
+        raise ValueError("a cone needs positive mu = S^-1 offsets")
+    chol = np.linalg.cholesky(gram)
+    constant = -float(np.log(np.diag(chol)).sum() + np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
+    contains = scaled.whitened(model.mean, model.covariance.chol_lower)
+    lift, chol_inv = np.linalg.solve(gram, rows), np.linalg.inv(chol)
 
-    def weigh(z0, exps, pass_) -> tuple[float, float, float, int]:
-        contains, rows, offsets, mu, lift, chol_inv, constant = pass_
+    def weigh(z0, exps) -> np.ndarray:
         e = exps[: len(mu)]
         u = e / mu[:, None]
         u += offsets[:, None]
@@ -673,35 +673,9 @@ def _is_single_cones(
         lw = e[:, hit].sum(axis=0)
         lw -= 0.5 * np.einsum("ij,ij->j", root, root)
         lw += constant
-        return _log_weight_sums(lw)
+        return lw
 
-    chunks = [[] for _ in prepared]
-    reports, records = [None] * len(prepared), [None] * len(prepared)
-    live = list(range(len(prepared)))
-    drawn = 0
-    for index, size in enumerate(_doubling_chunks(cap, d)):
-        if not live:
-            break
-        drawn += size
-        rng = stream.substream(index).generator()
-        z0 = rng.standard_normal((size, d))
-        exps = rng.standard_exponential((k_max, size))
-        run = functools.partial(weigh, z0, exps)
-        jobs = [prepared[j] for j in live]
-        weighed = map(run, jobs) if executor is None else executor.map(run, jobs)
-        for j, reduced in zip(live, weighed):
-            chunks[j].append(reduced)
-            reports[j], relative_se, ess = _weighed_report(chunks[j], drawn, stream.seed, math.nan)
-            hits = sum(c[3] for c in chunks[j])
-            records[j] = {
-                "samples": drawn,
-                "hits": hits,
-                "relative_se": relative_se,
-                "effective_sample_size": ess,
-                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits >= IS_MIN_HITS,
-            }
-        live = [j for j in live if not records[j]["target_met"]]
-    return tuple(reports), tuple(records)
+    return len(mu), weigh
 
 
 def union_combine(q: float, n: int) -> float:

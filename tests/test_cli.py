@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -353,20 +354,20 @@ class TestEstimateCommand:
             assert payload["variance_reduction_factor"] > 1.0
 
     def test_zero_shift_reduces_to_crude(self, tmp_path, monkeypatch):
-        # The zero shift is both rows, so the kernel weighs it once; the
+        # The zero shift is both rows, so the driver weighs it once; the
         # rows equal the crude row a shifted run draws on the same stream.
         text = BLOCK_YAML.replace("ladder: [100, 1000, 10000]", "ladder: [2, 5]")
         cfg = write_config(tmp_path, text)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "is")]) == 0
         shifted = json.loads((tmp_path / "is" / "estimate.json").read_text())
         calls = []
-        kernel = cli._is_single_shifts
+        driver = cli._importance_sample
 
         def counting(model, passes, *args, **kwargs):
             calls.append(len(passes))
-            return kernel(model, passes, *args, **kwargs)
+            return driver(model, passes, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_is_single_shifts", counting)
+        monkeypatch.setattr(cli, "_importance_sample", counting)
         out = tmp_path / "artifacts"
         assert (
             cli.main(["estimate", "--config", str(cfg), "--out", str(out), "--zero-shift"]) == 0
@@ -449,6 +450,45 @@ class TestEstimateCommand:
         assert payload["crude_single"]["trials"] == 5000
         assert "crude_skipped" not in payload
 
+    # x_1 + x_2 >= 0.1 at n = 5: the shifted proposal and the crude draw
+    # each land in the set about half the time.
+    EASY_YAML = HALFSPACE_YAML.replace("offset: 2.4", "offset: 0.1").replace(
+        "ladder: [100, 1000, 10000]", "ladder: [2, 5]"
+    ).replace("is_samples: 5000", "is_samples: 100000")
+
+    def test_rows_stop_at_their_target_before_the_cap(self, tmp_path, monkeypatch):
+        # A proposal centred on the set's boundary hits at most about half
+        # its draws, so by Cauchy-Schwarz a row needs 40000 samples or more
+        # for 0.005 relative SE.  Both rows meet it after 4 chunks (4096,
+        # 8192, 16384 and 32768 samples), and the draw ends there.
+        calls = count_generators(monkeypatch)
+        cfg = write_config(tmp_path, self.EASY_YAML)
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(4)]
+        payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
+        record = payload["importance_sampling"]
+        assert record["target_met"] and record["relative_se"] <= 0.005
+        assert record["samples"] == payload["importance_sampled"]["trials"] == 61440
+        assert payload["crude_single"]["trials"] == 61440
+        assert not any("at its cap" in w for w in payload["warnings"])
+
+    def test_shifted_row_is_is_single_on_its_slot(self, tmp_path):
+        # At 20000 samples the row spans chunks of 4096, 8192 and 7712.
+        text = HALFSPACE_YAML.replace("is_samples: 5000", "is_samples: 20000")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
+        config = parse_config(text)
+        model, target, solved = cli._solve(config)
+        entry = config.build_ladder().entries()[-1]
+        shift = entry.scale_diag * solved.x_star
+        alone = gm.is_single(
+            model, target.scale(entry.scale_diag), shift, 20000,
+            gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
+        )
+        assert payload["importance_sampled"] == json.loads(json.dumps(cli._jsonable(asdict(alone))))
+        assert payload["importance_sampling"]["samples"] == alone.trials == 20000
+
     def test_crude_row_that_cannot_hit_is_skipped(self, tmp_path, monkeypatch):
         # At n = 10000 the halfspace lies delta = 2.4 * sqrt(2 log n) / sqrt(2)
         # = 7.28 whitened units out: 5000 draws expect 8e-10 crude hits.
@@ -456,13 +496,13 @@ class TestEstimateCommand:
 
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         shifts = []
-        kernel = cli._is_single_shifts
+        driver = cli._importance_sample
 
         def counting(model, passes, *args, **kwargs):
             shifts.append(len(passes))
-            return kernel(model, passes, *args, **kwargs)
+            return driver(model, passes, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_is_single_shifts", counting)
+        monkeypatch.setattr(cli, "_importance_sample", counting)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         assert shifts == [1]
@@ -478,9 +518,12 @@ class TestEstimateCommand:
         model, target, solved = cli._solve(parse_config(HALFSPACE_YAML))
         entry = parse_config(HALFSPACE_YAML).build_ladder().entries()[-1]
         scaled = target.scale(entry.scale_diag)
-        (both, _), _ = kernel(
-            model, [(scaled, entry.scale_diag * solved.x_star), (scaled, np.zeros(2))], 5000,
-            gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
+        passes = [
+            cli._shift_pass(model, scaled, shift)
+            for shift in (entry.scale_diag * solved.x_star, np.zeros(2))
+        ]
+        (both, _), _ = driver(
+            model, passes, 5000, gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed
         )
         row = payload["importance_sampled"]
         assert (row["p_hat"], row["std_error"]) == (both.p_hat, both.std_error)
@@ -831,9 +874,9 @@ class TestVerifySharedDraw:
         assert len({r["samples"] for r in records}) > 1
         for row, record, entry in zip(rows, records, entries):
             cone = gm.estimate._active_cone(model, target, limit, entry, solved.x_star)
-            (q,), (alone,) = gm.estimate._is_single_cones(
-                model, [(target.scale(entry.scale_diag), *cone)], config.is_samples,
-                gm.RandomStream(31).substream(3),
+            cone_pass = cli._cone_pass(model, target.scale(entry.scale_diag), *cone)
+            (q,), (alone,) = cli._importance_sample(
+                model, [cone_pass], config.is_samples, gm.RandomStream(31).substream(3)
             )
             assert record == {"n": entry.n, "active_rows": len(cone[1]), **alone}
             assert q.trials == record["samples"]

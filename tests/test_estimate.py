@@ -649,16 +649,6 @@ class TestImportanceSampling:
         b = gm.is_single(STANDARD2, target, np.array([2.0, 2.0]), 3000, gm.RandomStream(46))
         assert a == b
 
-    def test_executor_does_not_change_report(self, monkeypatch):
-        monkeypatch.setattr(estimate, "CHUNK_SCALARS", 1_000)
-        target = gm.Halfspace(np.array([1.0, 1.0]), 4.0)
-        args = (STANDARD2, target, np.array([2.0, 2.0]), 30_000, gm.RandomStream(47))
-        inline = gm.is_single(*args, scaling_norm_sq=1.5)
-        with ThreadPoolExecutor(3) as pool:
-            pooled = gm.is_single(*args, scaling_norm_sq=1.5, executor=pool)
-        assert pooled == inline
-        assert not inline.degenerate_weights
-
     def test_ill_conditioned_ellipsoid(self):
         # With rho = 1 - 5e-12, X1 - X2 has sd 3e-6, so X = (t, t) with t
         # standard normal up to that spread: the ellipsoid holds t in
@@ -730,15 +720,17 @@ class TestSharedShifts:
         # 3000 samples of dimension 3 at 999 scalars a chunk: 10 chunks.
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
         kwargs = {"scaling_norm_sq": 2.5}
+        passes = [estimate._shift_pass(CORRELATED3, *pair) for pair in self.PASSES]
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
-            shared, hits = estimate._is_single_shifts(
-                CORRELATED3, self.PASSES, 3000, gm.RandomStream(48), executor=pool, **kwargs
+            shared, records = estimate._importance_sample(
+                CORRELATED3, passes, 3000, gm.RandomStream(48), executor=pool, **kwargs
             )
-            separate = tuple(
-                gm.is_single(CORRELATED3, *pair, 3000, gm.RandomStream(48), executor=pool, **kwargs)
-                for pair in self.PASSES
-            )
+        separate = tuple(
+            gm.is_single(CORRELATED3, *pair, 3000, gm.RandomStream(48), **kwargs)
+            for pair in self.PASSES
+        )
         assert shared == separate
+        hits = [r["hits"] for r in records]
         for report, count, pair in zip(shared, hits, self.PASSES):
             p, se, oracle_hits = separate_is_pass(CORRELATED3, *pair, 3000, gm.RandomStream(48), 333)
             assert count == oracle_hits
@@ -751,21 +743,22 @@ class TestSharedShifts:
         assert round(shared[1].p_hat * 3000) == hits[1]
 
     def test_zero_shift_pair_is_equal(self):
-        zeros = ((self.TARGET, np.zeros(3)), (self.TARGET, np.zeros(3)))
-        (a, b), (hits_a, hits_b) = estimate._is_single_shifts(
+        zeros = [estimate._shift_pass(CORRELATED3, self.TARGET, np.zeros(3)) for _ in range(2)]
+        (a, b), (record_a, record_b) = estimate._importance_sample(
             CORRELATED3, zeros, 2000, gm.RandomStream(49)
         )
         assert a == b
-        assert hits_a == hits_b
+        assert record_a == record_b
 
     def test_underflowing_weights_stay_in_log_space(self):
         # About half the shifted samples hit, and every weight is below
         # exp(-800): p_hat underflows, but log_p_hat stays an estimate.
         target = gm.Halfspace(np.array([1.0, 0.0]), 40.0)
-        (report,), (hits,) = estimate._is_single_shifts(
-            STANDARD2, ((target, np.array([40.0, 0.0])),), 4000, gm.RandomStream(1)
+        (report,), (record,) = estimate._importance_sample(
+            STANDARD2, [estimate._shift_pass(STANDARD2, target, np.array([40.0, 0.0]))], 4000,
+            gm.RandomStream(1),
         )
-        assert 1800 < hits < 2200
+        assert 1800 < record["hits"] < 2200
         assert not report.degenerate_weights
         assert report.p_hat == 0.0
         log_q = gm.exact_single_log(STANDARD2, target, gm.LadderEntry(1, np.ones(2), 1.0))
@@ -779,8 +772,9 @@ class TestSharedShifts:
 def cone_row(model, target, limit, entry, x_star, cap, seed):
     """``(cone, report, record)`` of one rung's cone pass alone."""
     cone = estimate._active_cone(model, target, limit, entry, x_star)
-    (report,), (record,) = estimate._is_single_cones(
-        model, [(target.scale(entry.scale_diag), *cone)], cap, gm.RandomStream(seed)
+    cone_pass = estimate._cone_pass(model, target.scale(entry.scale_diag), *cone)
+    (report,), (record,) = estimate._importance_sample(
+        model, [cone_pass], cap, gm.RandomStream(seed)
     )
     return cone, report, record
 
@@ -882,14 +876,54 @@ class TestConeSampling:
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
         cone = (np.array([[1.0, 1.0]]), np.array([1.0]))
+        passes = [estimate._cone_pass(STANDARD2, target, *cone)]
         with pytest.raises(ValueError):
-            estimate._is_single_cones(STANDARD2, [(target, *cone)], 0, gm.RandomStream(1))
+            estimate._importance_sample(STANDARD2, passes, 0, gm.RandomStream(1))
         with pytest.raises(ValueError, match="positive mu"):
-            flipped = [(target, cone[0], -cone[1])]
-            estimate._is_single_cones(STANDARD2, flipped, 10, gm.RandomStream(1))
+            estimate._cone_pass(STANDARD2, target, cone[0], -cone[1])
         mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
         with pytest.raises(TypeError):
-            estimate._is_single_cones(mixture, [(target, *cone)], 10, gm.RandomStream(1))
+            estimate._cone_pass(mixture, target, *cone)
+
+
+class TestImportanceSampleDriver:
+    """One draw weighs every proposal; a pass reads the draw and never writes it."""
+
+    def test_a_pass_alone_and_on_a_shared_draw_agree_across_chunk_sizes(self):
+        # 10000 samples are chunks of 4096 and 5904, the second drawn into a
+        # shorter slice of the same buffer.  A third pass, which never hits
+        # and so never stops, keeps a copy of each chunk it is shown.
+        target = TestSharedShifts.TARGET
+        limit = gm.ScalingLimit.identity(3)
+        entry = gm.ScalingLadder(limit, (10,)).entries()[0]
+        x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
+        cone = estimate._active_cone(CORRELATED3, target, limit, entry, x_star)
+        scaled = target.scale(entry.scale_diag)
+        seen = []
+
+        def keep(z0, exps):
+            seen.append((z0.copy(), exps.copy()))
+            return np.empty(0)
+
+        passes = [
+            estimate._shift_pass(CORRELATED3, scaled, entry.scale_diag * x_star),
+            estimate._cone_pass(CORRELATED3, scaled, *cone),
+            (0, keep),
+        ]
+        stream = gm.RandomStream(50)
+        shared, records = estimate._importance_sample(CORRELATED3, passes, 10_000, stream)
+        assert [r["samples"] for r in records] == [10_000] * 3
+        for pass_, report, record in zip(passes[:2], shared, records):
+            alone = estimate._importance_sample(CORRELATED3, [pass_], 10_000, stream)
+            assert alone == ((report,), (record,))
+            assert record["hits"] > 0
+        k = len(cone[1])
+        assert k == 2
+        assert [z0.shape for z0, _ in seen] == [(4096, 3), (5904, 3)]
+        for i, (z0, exps) in enumerate(seen):
+            rng = stream.substream(i).generator()
+            np.testing.assert_array_equal(z0, rng.standard_normal(z0.shape))
+            np.testing.assert_array_equal(exps, rng.standard_exponential((k, len(z0))))
 
 
 class TestUnionCombinedReport:
