@@ -36,9 +36,10 @@ from .estimate import (
     Method,
     _active_cone,
     _cone_pass,
+    _exact_block,
     _importance_sample,
     _log_union_combine,
-    _shift_pass,
+    _plain_cone,
     _zero_shift_skip,
     exact_block_reports,
     exact_single_log,
@@ -215,19 +216,22 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
 
     entry = entries[-1]
     scaled = target.scale(entry.scale_diag)
-    zeros = np.zeros(model.dimension)
-    # The proposal is centred at the scaled dominating point A_n x*.
     point = entry.scale_diag * solved.x_star
-    shift = zeros if zero_shift else point - model.mean
     skip = None if zero_shift else _zero_shift_skip(model, point, config.is_samples, entry.n)
-    # The crude counterpart is the zero shift, weighed on the same draws
-    # unless it cannot hit; under --zero-shift it is the importance-sampled
-    # row itself.
-    shifts = (shift,) if zero_shift or skip else (shift, zeros)
+    # The importance-sampled row draws from the top rung's active cone.  The
+    # crude counterpart is the plain draw (the cone without rows), weighed
+    # on the same draws unless it cannot hit; under --zero-shift it is the
+    # importance-sampled row itself.
+    cones = []
+    if not zero_shift:
+        cones.append(_active_cone(model, target, config.build_limit(), entry, solved.x_star))
+    if not skip:
+        cones.append(_plain_cone(model.dimension))
     reports, (record, *_) = _importance_sample(
-        model, [_shift_pass(model, scaled, s) for s in shifts], config.is_samples,
+        model, [_cone_pass(model, scaled, c) for c in cones], config.is_samples,
         root.substream(800), scaling_norm_sq=entry.speed,
     )
+    record = {"active_rows": len(cones[0].offsets), **record}
     is_report = reports[0]
     crude_report = None if skip else reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
@@ -244,7 +248,6 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "n": entry.n,
             "speed": entry.speed,
             "zero_shift": zero_shift,
-            "shift": shift,
             "importance_sampled": asdict(is_report),
             "importance_sampling": record,
             "crude_single": None if crude_report is None else asdict(crude_report),
@@ -271,7 +274,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "importance_sampled_vs_exact": _relative_error(is_report.log_p_hat, log_q_exact),
             "union_combined_vs_exact": _relative_error(union_report.log_p_hat, log_p_exact),
         }
-        if Method.EXACT_BLOCK_DIAGONAL in plan_rung(model, target, entry, config.trials)[0]:
+        if _exact_block(model, target, entry.scale_diag):
             cw, _ = exact_block_reports(np.diag(model.covariance.sigma), target.corner, entry, seed)
             exact["p_componentwise"] = cw.p_hat
         payload["exact"] = exact
@@ -360,7 +363,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             is_entries = [entries[i] for i in is_rungs]
             cones = [_active_cone(model, target, limit, e, solved.x_star) for e in is_entries]
             passes = [
-                _cone_pass(model, target.scale(e.scale_diag), *c)
+                _cone_pass(model, target.scale(e.scale_diag), c)
                 for e, c in zip(is_entries, cones)
             ]
             qs, stats = _importance_sample(
@@ -368,7 +371,7 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             )
             singles = dict(zip(is_rungs, qs))
             records = [
-                {"n": e.n, "active_rows": len(c[1]), **r}
+                {"n": e.n, "active_rows": len(c.offsets), **r}
                 for e, c, r in zip(is_entries, cones, stats)
             ]
         rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--zero-shift",
         action="store_true",
-        help="disable the importance-sampling shift (reduces IS to crude MC)",
+        help="draw the importance-sampled row without its cone (reduces IS to crude MC)",
     )
     p_est.set_defaults(func=_cmd_estimate)
 

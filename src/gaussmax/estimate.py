@@ -31,17 +31,18 @@ maps its target once into the frame ``x = mean + C z`` (``C C^T =
 sigma``; ``ConvexSet.whitened``), so no pass forms ``x``.  The mean-shift
 proposal (``_shift_pass``) ``x = mean + shift + C z`` has likelihood
 ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``,
-the whitener); it serves ``estimate``, whose shifted row and crude
-(zero-shift) counterpart share the draw unless the counterpart cannot
-hit (``_zero_shift_skip``), and the public ``is_single``.  The cone
-proposal (``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
+the whitener); it serves the public ``is_single``.  The cone proposal
+(``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
 Engineering*, 2004, ch. 4.6 and 9) serves ``verify``, whose rungs all
-share the draw.  A rung's scaled set lies in the cone ``{z : G z >= h}``
-of the k constraints active at ``z*``, its point nearest the mean, with
-positive multipliers ``mu = (G G^T)^-1 h`` (``_active_cone``).  Across
-each active face the target density falls like ``exp(-mu_i u_i)``, which
-the proposal follows with the exponential draws; a mean-shift Gaussian
-cannot, so the cone's weights are bounded where the shift's spread.
+share the draw, and ``estimate``, whose top-rung row shares its draw
+with its crude counterpart, the cone without rows (``_plain_cone``),
+unless that cannot hit (``_zero_shift_skip``).  A rung's scaled set lies
+in the cone ``{z : G z >= h}`` of the k constraints active at ``z*``,
+its point nearest the mean, with positive multipliers ``mu = (G G^T)^-1
+h`` (``_active_cone``, ``_cone``).  Across each active face the target
+density falls like ``exp(-mu_i u_i)``, which the proposal follows with
+the exponential draws; a mean-shift Gaussian cannot, so the cone's
+weights are bounded where the shift's spread.
 Every pass samples to a stated precision (Glynn & Whitt, *Ann. Appl.
 Prob.* 2, 1992): it stops at the first chunk, in chunk order, at which
 its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
@@ -74,6 +75,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,10 +118,12 @@ CRUDE_MIN_EXPECTED_HITS = 0.01
 # its relative standard error is at most IS_TARGET_RELATIVE_SE and it has
 # at least IS_MIN_HITS hits, a floor against the small-count bias of
 # sequential stopping; is_samples caps it.  Its chunks double in size
-# from IS_FIRST_CHUNK samples, so the stop has a fine grain early.
+# from IS_FIRST_CHUNK samples, so the stop has a fine grain early; no
+# row can stop on fewer samples than IS_MIN_HITS, so the first chunk is
+# the smallest power of two that holds them.
 IS_TARGET_RELATIVE_SE = 0.005
 IS_MIN_HITS = 1000
-IS_FIRST_CHUNK = 4096
+IS_FIRST_CHUNK = 1 << (IS_MIN_HITS - 1).bit_length()
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -201,6 +205,21 @@ def _crude_pass(model, scaled: ConvexSet, n: int):
     return n * d, (None, _components(model)[0])
 
 
+def _exact_block(model, target: ConvexSet, diag) -> bool:
+    """Whether the rung scaled by ``diag`` has exact rows (``EXACT_BLOCK_DIAGONAL``).
+
+    It has them when a block's scaled corner is positive under a centred
+    Gaussian with a diagonal covariance.
+    """
+    return (
+        isinstance(model, GaussianModel)
+        and isinstance(target, Block)
+        and _is_diagonal(model.covariance.sigma)
+        and np.all(model.mean == 0.0)
+        and np.all(diag * target.corner > 0.0)
+    )
+
+
 def plan_rung(
     model, target: ConvexSet, entry: LadderEntry, trials: int
 ) -> tuple[tuple[Method, ...], dict | None]:
@@ -229,13 +248,7 @@ def plan_rung(
     over-budget mixture rung runs nothing.
     """
     n, diag = entry.n, entry.scale_diag
-    exact = (
-        isinstance(model, GaussianModel)
-        and isinstance(target, Block)
-        and _is_diagonal(model.covariance.sigma)
-        and np.all(model.mean == 0.0)
-        and np.all(diag * target.corner > 0.0)
-    )
+    exact = _exact_block(model, target, diag)
     methods = []
     if isinstance(model, GaussianModel):
         methods.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
@@ -254,7 +267,7 @@ def plan_rung(
 
 
 def _zero_shift_skip(model: GaussianModel, point: np.ndarray, samples: int, n: int) -> dict | None:
-    """Why ``estimate`` weighs no zero-shift crude row beside its IS row, or None.
+    """Why ``estimate`` weighs no crude row (its plain draw) beside its IS row, or None.
 
     ``point`` is the scaled dominating point ``y* = A_n x*``, the point of
     the scaled set nearest the origin in the metric ``sigma_inv``, so the
@@ -602,8 +615,60 @@ def is_single(
     return reports[0]
 
 
+class _Cone(NamedTuple):
+    """The cone ``{z : rows @ z >= offsets}``, its ``k`` rows independent.
+
+    ``mu = S^-1 offsets > 0``, with ``S = rows rows^T``, whose inverse is
+    ``gram_inv`` and whose log determinant is ``log_det``.
+    """
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    mu: np.ndarray
+    gram_inv: np.ndarray
+    log_det: float
+
+
+def _cone(rows, offsets) -> _Cone:
+    """The cone of ``rows @ z >= offsets`` on the rows kept, in order.
+
+    A row is kept while the kept rows stay independent with positive ``mu
+    = S^-1 offsets``.  Each candidate ``i`` borders the kept rows' ``S``
+    with ``s = S[kept, i]`` and ``S_ii``; with ``t = S^-1 s``, the Schur
+    complement ``c = S_ii - s^T t`` is the squared distance of row ``i``
+    from the kept rows' span.  The row counts as dependent when ``c <= d
+    eps S_ii``, ``d`` the dimension: rounding in ``S`` resolves no finer.
+    Else the bordered ``mu`` is ``(mu - t m, m)``, ``m = (h_i - s^T mu) /
+    c``, and the bordered inverse and ``log det S += log c`` follow.  The
+    rows are few, so this runs on plain floats.
+    """
+    gram, h = (rows @ rows.T).tolist(), offsets.tolist()
+    floor = rows.shape[1] * _EPS
+    keep, inv, mu, log_det = [], [], [], 0.0
+    for i, row in enumerate(gram):
+        s = [row[j] for j in keep]
+        t = [sum(a * b for a, b in zip(r, s)) for r in inv]
+        c = row[i] - sum(a * b for a, b in zip(s, t))
+        if c <= floor * row[i]:
+            continue
+        m = (h[i] - sum(a * b for a, b in zip(s, mu))) / c
+        trial = [a - b * m for a, b in zip(mu, t)] + [m]
+        if min(trial) > 0.0:
+            inv = [[a + ti * tj / c for a, tj in zip(r, t)] + [-ti / c] for r, ti in zip(inv, t)]
+            inv.append([-tj / c for tj in t] + [1.0 / c])
+            keep.append(i)
+            mu, log_det = trial, log_det + math.log(c)
+    k = len(keep)
+    return _Cone(rows[keep], offsets[keep], np.array(mu), np.array(inv).reshape(k, k), log_det)
+
+
+def _plain_cone(d: int) -> _Cone:
+    """The cone without rows, whose proposal is the plain draw of weight 1."""
+    return _cone(np.zeros((0, d)), np.zeros(0))
+
+
 def _active_cone(model: GaussianModel, target: ConvexSet, limit, entry: LadderEntry, x_star):
-    """``(rows, offsets)``: the active cone ``{z : rows @ z >= offsets}`` of a rung's scaled set.
+    """The active cone ``{z : rows @ z >= offsets}`` of a rung's scaled set (``_Cone``).
 
     ``z`` is the whitened frame ``A_n x = mean + C z``.  The cone's apex
     is ``z*``, the point of the scaled set nearest the mean: for a centred
@@ -611,56 +676,48 @@ def _active_cone(model: GaussianModel, target: ConvexSet, limit, entry: LadderEn
     are the rows of ``_kkt_fit`` at ``z*`` with positive multipliers (an
     ellipsoid's one gradient row, so its supporting halfspace), the
     largest multipliers first, keeping a row only while the kept rows stay
-    independent with positive ``mu = S^-1 offsets``, ``S = rows rows^T``.
-    The scaled set lies in the cone.  A mean in the scaled set, on its
-    boundary to rounding or without an active row gives ``k = 0`` rows.
+    independent with positive ``mu = S^-1 offsets``, ``S = rows rows^T``
+    (``_cone``).  The scaled set lies in the cone.  A mean in the scaled
+    set, on its boundary to rounding or without an active row gives
+    ``k = 0`` rows.
     """
     a = entry.scale_diag
     cov = model.covariance
     center = model.mean / a
-    none = np.zeros((0, model.dimension)), np.zeros(0)
     x = x_star
     if model.mean.any():
         try:
             x = _solve(target, cov, limit, center)[0]
         except NotAtypical:
-            return none
+            return _plain_cone(model.dimension)
     fit = _kkt_fit(target, cov, a, center, x)
     if fit is None:
-        return none
+        return _plain_cone(model.dimension)
     g, z_star, values, multipliers = fit
-    offsets = g @ z_star - values
-    keep = []
-    for i in sorted(np.flatnonzero(multipliers > 0.0), key=lambda i: -multipliers[i]):
-        rows = g[keep + [i]]
-        if np.linalg.matrix_rank(rows) == len(rows):
-            if (np.linalg.solve(rows @ rows.T, offsets[keep + [i]]) > 0.0).all():
-                keep.append(i)
-    return g[keep], offsets[keep]
+    order = sorted(np.flatnonzero(multipliers > 0.0), key=lambda i: -multipliers[i])
+    return _cone(g[order], (g @ z_star - values)[order])
 
 
-def _cone_pass(model: GaussianModel, scaled: ConvexSet, rows, offsets):
-    """``(k, weigh)``: the cone proposal of ``scaled`` inside ``{z : rows @ z >= offsets}``.
+def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
+    """``(k, weigh)``: the cone proposal of ``scaled`` inside ``cone``.
 
-    The cone is ``{z : G z >= h}`` (``_active_cone``) in the frame ``x =
-    mean + C z``, with ``k`` rows, ``S = G G^T`` and ``mu = S^-1 h > 0``.
-    The proposal draws ``u = G z = h + E / mu``, ``E ~ Exp(1)^k`` the
-    first ``k`` rows of ``exps``, and standard normals in the null space
-    of ``G``: ``z = z0 + G^T S^-1 (u - G z0)``.  A hit weighs ``log w =
-    -u^T S^-1 u / 2 - log det(2 pi S) / 2 - sum log mu + sum E``; outside
-    the cone the target density is 0, so the estimate is unbiased.  With
-    ``k = 0`` it is a plain draw of weight 1.
+    The cone is ``{z : G z >= h}`` (``_cone``) in the frame ``x = mean +
+    C z``, with ``k`` rows, ``S = G G^T`` and ``mu = S^-1 h > 0``.  The
+    proposal draws ``u = G z = h + E / mu``, ``E ~ Exp(1)^k`` the first
+    ``k`` rows of ``exps``, and standard normals in the null space of
+    ``G``: ``z = z0 + G^T S^-1 (u - G z0)``.  A hit weighs ``log w = -u^T
+    S^-1 u / 2 - log det(2 pi S) / 2 - sum log mu + sum E``; outside the
+    cone the target density is 0, so the estimate is unbiased.  With ``k
+    = 0`` it is a plain draw of weight 1.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
-    gram = rows @ rows.T
-    mu = np.linalg.solve(gram, offsets)
+    rows, offsets, mu, gram_inv, log_det = cone
     if not (mu > 0.0).all():
         raise ValueError("a cone needs positive mu = S^-1 offsets")
-    chol = np.linalg.cholesky(gram)
-    constant = -float(np.log(np.diag(chol)).sum() + np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
+    constant = -0.5 * log_det - float(np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
     contains = scaled.whitened(model.mean, model.covariance.chol_lower)
-    lift, chol_inv = np.linalg.solve(gram, rows), np.linalg.inv(chol)
+    lift = gram_inv @ rows
 
     def weigh(z0, exps) -> np.ndarray:
         e = exps[: len(mu)]
@@ -669,9 +726,9 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, rows, offsets):
         z = (u - rows @ z0.T).T @ lift
         z += z0
         hit = contains(z)
-        root = chol_inv @ u[:, hit]
-        lw = e[:, hit].sum(axis=0)
-        lw -= 0.5 * np.einsum("ij,ij->j", root, root)
+        u = np.compress(hit, u, axis=1)
+        lw = np.compress(hit, e, axis=1).sum(axis=0)
+        lw -= 0.5 * np.einsum("ij,ij->j", u, gram_inv @ u)
         lw += constant
         return lw
 

@@ -353,9 +353,28 @@ class TestEstimateCommand:
         if payload["crude_resolved"]:
             assert payload["variance_reduction_factor"] > 1.0
 
+    def test_block_row_meets_its_target_within_four_se_of_the_exact_value(self, tmp_path):
+        # The README block config (the block-crude benchmark): at n = 10000
+        # the cone of the corner's two faces hits every draw, so the row
+        # stops at its first chunk, 1024 of its 4000 samples.
+        cfg = write_config(tmp_path, BLOCK_YAML)
+        out = tmp_path / "artifacts"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        row, record = payload["importance_sampled"], payload["importance_sampling"]
+        assert record["target_met"] and record["active_rows"] == 2
+        assert record["samples"] == row["trials"] == 1024
+        assert not any("at its cap" in w for w in payload["warnings"])
+        config = parse_config(BLOCK_YAML)
+        model, target, _ = cli._solve(config)
+        log_q = gm.exact_single_log(model, target, config.build_ladder().entries()[-1])
+        assert payload["exact"]["log_q_single"] == log_q
+        assert abs(math.expm1(row["log_p_hat"] - log_q)) <= 4.0 * row["std_error"] / row["p_hat"]
+
     def test_zero_shift_reduces_to_crude(self, tmp_path, monkeypatch):
-        # The zero shift is both rows, so the driver weighs it once; the
-        # rows equal the crude row a shifted run draws on the same stream.
+        # The plain draw, the cone without rows, is both rows, so the driver
+        # weighs it once; the rows equal the crude row a cone run draws on
+        # the same stream.
         text = BLOCK_YAML.replace("ladder: [100, 1000, 10000]", "ladder: [2, 5]")
         cfg = write_config(tmp_path, text)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "is")]) == 0
@@ -375,7 +394,9 @@ class TestEstimateCommand:
         assert calls == [1]
         payload = json.loads((out / "estimate.json").read_text())
         assert payload["zero_shift"] is True
-        assert payload["shift"] == [0.0, 0.0]
+        assert "shift" not in payload and "shift" not in shifted
+        assert payload["importance_sampling"]["active_rows"] == 0
+        assert shifted["importance_sampling"]["active_rows"] == 2
         assert payload["importance_sampled"] == payload["crude_single"] == shifted["crude_single"]
 
     def test_degenerate_weights_flagged(self, tmp_path):
@@ -396,8 +417,7 @@ class TestEstimateCommand:
     def test_weights_that_are_not_finite_are_named(self, tmp_path):
         # A halfspace 1e160 out: each hit's log-weight, about -|A_n x*|**2 / 2,
         # overflows to -inf (numpy warns), so the row is degenerate.  The
-        # whitened frame keeps the halfspace's boundary through A_n x*
-        # exact, so about half the samples hit: 50 of 100 on this stream.
+        # halfspace is its own active cone, so every draw lands in it.
         text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]")
         text = text.replace("offset: 2.4", "offset: 1.0e+160")
         text = text.replace("is_samples: 5000", "is_samples: 100")
@@ -408,13 +428,14 @@ class TestEstimateCommand:
         payload = json.loads((out / "estimate.json").read_text())
         assert payload["degenerate_weights"] is True
         assert payload["importance_sampled"]["log_p_hat"] == "-inf"
-        message = "importance sampler: log-weights of 50 hits are not finite (degenerate weights)"
+        message = "importance sampler: log-weights of 100 hits are not finite (degenerate weights)"
         assert message in payload["warnings"]
 
     def test_underflowing_weights_keep_a_finite_log(self, tmp_path):
-        # At n = 10000 the shift is (42.9, 0): about half the samples hit,
-        # and each weight is below exp(-900).  The weights stay in log
-        # space, so the row resolves although p_hat underflows to zero.
+        # At n = 10000 the halfspace is x_1 >= 42.9, its own active cone:
+        # every sample hits, and each weight is below exp(-900).  The weights
+        # stay in log space, so the row resolves although p_hat underflows
+        # to zero.
         text = HALFSPACE_YAML.replace("normal: [1.0, 1.0]", "normal: [1.0, 0.0]").replace(
             "offset: 2.4", "offset: 10.0"
         )
@@ -429,8 +450,9 @@ class TestEstimateCommand:
         log_q = float(gm.estimate._log_ndtr(-10.0 * math.sqrt(2.0 * math.log(10000))))
         assert log_q < -900.0
         assert payload["exact"]["log_q_single"] == log_q
-        # About 10% relative SE at 5000 samples; 0.4 in log is 4 SE.
-        assert abs(row["log_p_hat"] - log_q) < 0.4
+        # The row stops at its 0.005 relative SE target; 0.02 in log is 4 SE.
+        assert payload["importance_sampling"]["target_met"]
+        assert abs(row["log_p_hat"] - log_q) < 0.02
         assert payload["union_combined"]["log_p_hat"] == pytest.approx(
             row["log_p_hat"] + math.log(10000), rel=1e-12
         )
@@ -450,44 +472,46 @@ class TestEstimateCommand:
         assert payload["crude_single"]["trials"] == 5000
         assert "crude_skipped" not in payload
 
-    # x_1 + x_2 >= 0.1 at n = 5: the shifted proposal and the crude draw
-    # each land in the set about half the time.
-    EASY_YAML = HALFSPACE_YAML.replace("offset: 2.4", "offset: 0.1").replace(
+    # x_1 + x_2 >= 0.5 at n = 5: the set lies 0.63 whitened units from the
+    # mean, so the crude draw lands in it about a quarter of the time.
+    EASY_YAML = HALFSPACE_YAML.replace("offset: 2.4", "offset: 0.5").replace(
         "ladder: [100, 1000, 10000]", "ladder: [2, 5]"
-    ).replace("is_samples: 5000", "is_samples: 100000")
+    ).replace("is_samples: 5000", "is_samples: 200000")
 
     def test_rows_stop_at_their_target_before_the_cap(self, tmp_path, monkeypatch):
-        # A proposal centred on the set's boundary hits at most about half
-        # its draws, so by Cauchy-Schwarz a row needs 40000 samples or more
-        # for 0.005 relative SE.  Both rows meet it after 4 chunks (4096,
-        # 8192, 16384 and 32768 samples), and the draw ends there.
+        # Chunks of 1024, 2048, 4096, ... samples: the cone row meets its
+        # 0.005 relative SE after 5 chunks (31744 samples), the crude row
+        # after 7 (130048), and the draw ends there, a chunk before the cap.
         calls = count_generators(monkeypatch)
         cfg = write_config(tmp_path, self.EASY_YAML)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(4)]
+        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(7)]
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         record = payload["importance_sampling"]
         assert record["target_met"] and record["relative_se"] <= 0.005
-        assert record["samples"] == payload["importance_sampled"]["trials"] == 61440
-        assert payload["crude_single"]["trials"] == 61440
+        assert record["samples"] == payload["importance_sampled"]["trials"] == 31744
+        assert payload["crude_single"]["trials"] == 130048
         assert not any("at its cap" in w for w in payload["warnings"])
 
-    def test_shifted_row_is_is_single_on_its_slot(self, tmp_path):
-        # At 20000 samples the row spans chunks of 4096, 8192 and 7712.
-        text = HALFSPACE_YAML.replace("is_samples: 5000", "is_samples: 20000")
+    def test_row_is_its_cone_pass_on_its_slot(self, tmp_path):
+        # At 20000 samples the row, short of its target, spans chunks of
+        # 1024, 2048, 4096, 8192 and 4640.
+        text = self.EASY_YAML.replace("is_samples: 200000", "is_samples: 20000")
         cfg = write_config(tmp_path, text)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         config = parse_config(text)
         model, target, solved = cli._solve(config)
         entry = config.build_ladder().entries()[-1]
-        shift = entry.scale_diag * solved.x_star
-        alone = gm.is_single(
-            model, target.scale(entry.scale_diag), shift, 20000,
+        cone = cli._active_cone(model, target, config.build_limit(), entry, solved.x_star)
+        (alone,), (record,) = cli._importance_sample(
+            model, [cli._cone_pass(model, target.scale(entry.scale_diag), cone)], 20000,
             gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
         )
         assert payload["importance_sampled"] == json.loads(json.dumps(cli._jsonable(asdict(alone))))
-        assert payload["importance_sampling"]["samples"] == alone.trials == 20000
+        expected = {"active_rows": 1, **record}
+        assert payload["importance_sampling"] == json.loads(json.dumps(cli._jsonable(expected)))
+        assert alone.trials == 20000 and not record["target_met"]
 
     def test_crude_row_that_cannot_hit_is_skipped(self, tmp_path, monkeypatch):
         # At n = 10000 the halfspace lies delta = 2.4 * sqrt(2 log n) / sqrt(2)
@@ -514,14 +538,13 @@ class TestEstimateCommand:
             "n": 10000, "reason": "expected_hits",
             "expected_hits": pytest.approx(5000 * norm.sf(delta), rel=1e-12),
         }
-        # The IS row is the one a two-shift pass gives on the same stream.
-        model, target, solved = cli._solve(parse_config(HALFSPACE_YAML))
-        entry = parse_config(HALFSPACE_YAML).build_ladder().entries()[-1]
+        # The IS row is the one a cone and a plain pass give on the same stream.
+        config = parse_config(HALFSPACE_YAML)
+        model, target, solved = cli._solve(config)
+        entry = config.build_ladder().entries()[-1]
         scaled = target.scale(entry.scale_diag)
-        passes = [
-            cli._shift_pass(model, scaled, shift)
-            for shift in (entry.scale_diag * solved.x_star, np.zeros(2))
-        ]
+        cone = cli._active_cone(model, target, config.build_limit(), entry, solved.x_star)
+        passes = [cli._cone_pass(model, scaled, c) for c in (cone, cli._plain_cone(2))]
         (both, _), _ = driver(
             model, passes, 5000, gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed
         )
@@ -874,7 +897,7 @@ class TestVerifySharedDraw:
         assert len({r["samples"] for r in records}) > 1
         for row, record, entry in zip(rows, records, entries):
             cone = gm.estimate._active_cone(model, target, limit, entry, solved.x_star)
-            cone_pass = cli._cone_pass(model, target.scale(entry.scale_diag), *cone)
+            cone_pass = cli._cone_pass(model, target.scale(entry.scale_diag), cone)
             (q,), (alone,) = cli._importance_sample(
                 model, [cone_pass], config.is_samples, gm.RandomStream(31).substream(3)
             )
@@ -1017,12 +1040,12 @@ seed: 6
 
 class TestSaturatedSingle:
     """A mean 0.05 from the set and off the axis of x* = (1, 0), and one
-    sample, so q-hat, unbiased, can lie above the probability range.  In
-    ``estimate``, ``A_n x*`` is the point of the scaled set nearest the
-    origin, not the mean, so a draw can weigh more than 1.  In ``verify``,
-    the rung n = 2's cone is the halfspace 0.23 whitened units from the
-    mean, with rate mu = 0.27: a draw near its face weighs up to 1.7, and
-    the seeds here draw one that weighs more than 1 (8 of seeds 1-40 do)."""
+    sample, so q-hat, unbiased, can lie above the probability range.  The
+    rung n = 2's cone is the halfspace 0.23 whitened units from the mean,
+    with rate mu = 0.27: a draw near its face weighs up to 1.7, and the
+    seeds here draw one that weighs more than 1 (8 of seeds 1-40 do in
+    ``verify``, 7 of seeds 1-60 in ``estimate``, which draws on another
+    substream)."""
 
     @pytest.mark.parametrize("seed", ["13", "15"])
     def test_verify_saturates_the_lifted_row(self, tmp_path, seed):
@@ -1039,7 +1062,7 @@ class TestSaturatedSingle:
     def test_estimate_keeps_q_hat_and_saturates_the_lifted_row(self, tmp_path):
         cfg = write_config(tmp_path, SATURATING_YAML.replace("ladder: [2, 3, 4]", "ladder: [2]"))
         out = tmp_path / "artifacts"
-        assert cli.main(["estimate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        assert cli.main(["estimate", "--config", str(cfg), "--seed", "16", "--out", str(out)]) == 0
         payload = json.loads((out / "estimate.json").read_text())
         single, lifted = payload["importance_sampled"], payload["union_combined"]
         assert single["p_hat"] > 1.0

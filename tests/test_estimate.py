@@ -3,6 +3,7 @@
 import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,10 +12,13 @@ from scipy import integrate
 
 import gaussmax as gm
 from gaussmax import estimate
+from gaussmax.config import load_config
+from gaussmax.dominate import _kkt_fit
 from helpers import draw_gaussian, exact_block_pair, fancy_index_mixture, fresh_gaussian
 
 STANDARD2 = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.eye(2)))
 STANDARD1 = gm.GaussianModel(np.zeros(1), gm.build_covariance(np.eye(1)))
+POLYHEDRON_IS = Path(__file__).resolve().parents[1] / "benchmarks/configs/polyhedron-is.yaml"
 
 
 def mp_union(q, n):
@@ -772,11 +776,43 @@ class TestSharedShifts:
 def cone_row(model, target, limit, entry, x_star, cap, seed):
     """``(cone, report, record)`` of one rung's cone pass alone."""
     cone = estimate._active_cone(model, target, limit, entry, x_star)
-    cone_pass = estimate._cone_pass(model, target.scale(entry.scale_diag), *cone)
+    cone_pass = estimate._cone_pass(model, target.scale(entry.scale_diag), cone)
     (report,), (record,) = estimate._importance_sample(
         model, [cone_pass], cap, gm.RandomStream(seed)
     )
     return cone, report, record
+
+
+def reference_cone(model, target, limit, entry, x_star):
+    """``(rows, offsets)`` of a centred model's active cone, by the plain loop.
+
+    Each candidate row, largest multiplier first, is kept while
+    ``matrix_rank`` finds the kept rows independent and ``np.linalg.solve``
+    gives them a positive ``mu``.
+    """
+    assert not model.mean.any()
+    fit = _kkt_fit(target, model.covariance, entry.scale_diag, np.zeros(model.dimension), x_star)
+    g, z_star, values, multipliers = fit
+    offsets = g @ z_star - values
+    keep = []
+    for i in sorted(np.flatnonzero(multipliers > 0.0), key=lambda i: -multipliers[i]):
+        rows = g[keep + [i]]
+        if np.linalg.matrix_rank(rows) == len(rows):
+            if (np.linalg.solve(rows @ rows.T, offsets[keep + [i]]) > 0.0).all():
+                keep.append(i)
+    return g[keep], offsets[keep]
+
+
+def assert_same_cone(cone, reference):
+    """Rows and offsets bit for bit; ``mu``, ``S^-1`` and ``log det S`` to rounding."""
+    rows, offsets = reference
+    np.testing.assert_array_equal(cone.rows, rows)
+    np.testing.assert_array_equal(cone.offsets, offsets)
+    gram = rows @ rows.T
+    inv = np.linalg.inv(gram)
+    np.testing.assert_allclose(cone.mu, np.linalg.solve(gram, offsets), rtol=1e-12)
+    np.testing.assert_allclose(cone.gram_inv, inv, rtol=1e-12, atol=1e-12 * np.abs(inv).max())
+    assert cone.log_det == pytest.approx(np.linalg.slogdet(gram)[1], rel=1e-12, abs=1e-12)
 
 
 def standard_error_gap(report, log_q) -> float:
@@ -857,42 +893,59 @@ class TestConeSampling:
         limit = gm.ScalingLimit.identity(2)
         x_star = gm.dominating_point(target, STANDARD2.covariance, limit).x_star
         for entry in gm.ScalingLadder(limit, (10, 1000)).entries():
-            (kept, offsets), report, _ = cone_row(STANDARD2, target, limit, entry, x_star, 10**5, 6)
+            cone, report, _ = cone_row(STANDARD2, target, limit, entry, x_star, 10**5, 6)
+            kept, offsets = cone.rows, cone.offsets
             assert 1 <= len(offsets) <= 2
             assert np.linalg.matrix_rank(kept) == len(offsets)
             assert (np.linalg.solve(kept @ kept.T, offsets) > 0.0).all()
+            assert_same_cone(cone, reference_cone(STANDARD2, target, limit, entry, x_star))
             log_q = 2.0 * float(estimate._log_ndtr(-entry.scale_diag[0]))
             assert abs(standard_error_gap(report, log_q)) < 4.0
 
+    def test_cones_match_the_plain_loop_on_polyhedron_is(self):
+        # _cone borders the kept rows' Gram matrix in plain floats; the
+        # plain loop, a matrix_rank and a solve a candidate, keeps the same rows.
+        config = load_config(POLYHEDRON_IS)
+        model, target, limit = config.build_model(), config.build_set(), config.build_limit()
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        for entry in config.build_ladder().entries():
+            cone = estimate._active_cone(model, target, limit, entry, x_star)
+            assert len(cone.offsets) == 2
+            assert_same_cone(cone, reference_cone(model, target, limit, entry, x_star))
+
     def test_chunks_double_to_the_cap(self):
-        assert estimate._doubling_chunks(30_000, 10) == [4096, 8192, 16384, 1328]
+        # No row stops on fewer than IS_MIN_HITS samples, so the first chunk
+        # is the smallest power of two that holds them.
+        assert estimate.IS_MIN_HITS <= estimate.IS_FIRST_CHUNK == 1024 < 2 * estimate.IS_MIN_HITS
+        assert estimate._doubling_chunks(30_000, 10) == [1024, 2048, 4096, 8192, 14640]
         assert estimate._doubling_chunks(1000, 10) == [1000]
         largest = estimate.CHUNK_SCALARS // 10
         sizes = estimate._doubling_chunks(2_000_000, 10)
         assert sum(sizes) == 2_000_000
         assert max(sizes) == largest
-        assert sizes[:8] == [4096 * 2**i for i in range(7)] + [largest]
+        assert sizes[:10] == [1024 * 2**i for i in range(9)] + [largest]
 
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
-        cone = (np.array([[1.0, 1.0]]), np.array([1.0]))
-        passes = [estimate._cone_pass(STANDARD2, target, *cone)]
+        cone = estimate._cone(np.array([[1.0, 1.0]]), np.array([1.0]))
+        passes = [estimate._cone_pass(STANDARD2, target, cone)]
         with pytest.raises(ValueError):
             estimate._importance_sample(STANDARD2, passes, 0, gm.RandomStream(1))
         with pytest.raises(ValueError, match="positive mu"):
-            estimate._cone_pass(STANDARD2, target, cone[0], -cone[1])
+            estimate._cone_pass(STANDARD2, target, cone._replace(mu=-cone.mu))
         mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
         with pytest.raises(TypeError):
-            estimate._cone_pass(mixture, target, *cone)
+            estimate._cone_pass(mixture, target, cone)
 
 
 class TestImportanceSampleDriver:
     """One draw weighs every proposal; a pass reads the draw and never writes it."""
 
     def test_a_pass_alone_and_on_a_shared_draw_agree_across_chunk_sizes(self):
-        # 10000 samples are chunks of 4096 and 5904, the second drawn into a
-        # shorter slice of the same buffer.  A third pass, which never hits
-        # and so never stops, keeps a copy of each chunk it is shown.
+        # 10000 samples are chunks of 1024, 2048, 4096 and 2832, the last
+        # drawn into a shorter slice of the same buffer.  A third pass, which
+        # never hits and so never stops, keeps a copy of each chunk it is
+        # shown.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         entry = gm.ScalingLadder(limit, (10,)).entries()[0]
@@ -907,7 +960,7 @@ class TestImportanceSampleDriver:
 
         passes = [
             estimate._shift_pass(CORRELATED3, scaled, entry.scale_diag * x_star),
-            estimate._cone_pass(CORRELATED3, scaled, *cone),
+            estimate._cone_pass(CORRELATED3, scaled, cone),
             (0, keep),
         ]
         stream = gm.RandomStream(50)
@@ -919,7 +972,7 @@ class TestImportanceSampleDriver:
             assert record["hits"] > 0
         k = len(cone[1])
         assert k == 2
-        assert [z0.shape for z0, _ in seen] == [(4096, 3), (5904, 3)]
+        assert [z0.shape for z0, _ in seen] == [(1024, 3), (2048, 3), (4096, 3), (2832, 3)]
         for i, (z0, exps) in enumerate(seen):
             rng = stream.substream(i).generator()
             np.testing.assert_array_equal(z0, rng.standard_normal(z0.shape))
