@@ -13,6 +13,7 @@ canonical form ties output artifacts to their inputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,8 +33,11 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 _TOP_KEYS = {"model", "set", "limit", "ladder", "trials", "is_samples", "seed", "outputs"}
 
 
-class _Loader(yaml.SafeLoader):
-    """The safe loader, also reading ``1e-3`` and ``1.2e10`` as floats (YAML 1.1 reads strings)."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's where installed), also reading ``1e-3`` and ``1.2e10`` as floats.
+
+    YAML 1.1 reads them as strings.
+    """
 
 
 _Loader.add_implicit_resolver(
@@ -155,7 +159,11 @@ def _parse_kind(raw, name: str, table: dict, kinds: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Canonical, validated experiment description."""
+    """Canonical, validated experiment description.
+
+    The model and the set are built once per config, on first use; both
+    are immutable, so every caller shares them.
+    """
 
     model: dict
     set_spec: dict
@@ -167,14 +175,22 @@ class ExperimentConfig:
     seed: int
     outputs: str
 
-    def build_model(self):
+    @functools.cached_property
+    def _model(self):
         return _MODELS[self.model["kind"]][0](self.model)
 
-    def build_set(self) -> ConvexSet:
+    @functools.cached_property
+    def _set(self) -> ConvexSet:
         spec = self.set_spec
         cls, schema = _SHAPES[spec["kind"]]
         fields = {k: np.array(spec[k]) if isinstance(spec[k], list) else spec[k] for k in schema}
         return cls(**fields)
+
+    def build_model(self):
+        return self._model
+
+    def build_set(self) -> ConvexSet:
+        return self._set
 
     def build_limit(self) -> ScalingLimit:
         return ScalingLimit(np.array(self.limit_diagonal))
@@ -248,8 +264,9 @@ def parse_config(text: str) -> ExperimentConfig:
         outputs=outputs,
     )
 
-    # Build everything once so covariance, shape, weight and ladder-order
-    # validation runs now; every validation failure is a ValueError.
+    # Build everything now so covariance, shape, weight and ladder-order
+    # validation runs at parse time (the runners reuse the built model and
+    # set); every validation failure is a ValueError.
     try:
         built_model = config.build_model()
         built_set = config.build_set()

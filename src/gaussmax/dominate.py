@@ -17,8 +17,8 @@ The minimizer is computed exactly, one method per shape:
   ``least_distance`` (Lawson & Hanson 1974, ch. 23);
 * ellipsoids have one active quadratic constraint whose multiplier is
   the root of a strictly decreasing secular function in the generalized
-  eigenbasis of (weight, shape) (More & Sorensen 1983), found by
-  bisection.
+  eigenbasis of (weight, shape) (More & Sorensen 1983), found by Newton's
+  method and finished by bisection to adjacent floats.
 
 On an empty linear set the NNLS solution is a Farkas vector instead,
 whose lower bound on every feasible distance proves the set empty.
@@ -67,6 +67,8 @@ KKT_TOL = 1e-9
 # nonempty set that bound is the least distance itself (duality), so a bound
 # above this multiple of the re-solved |y| proves the set empty.
 FARKAS_FACTOR = 2.0
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +153,10 @@ class DominatingPoint:
 
 @dataclass(frozen=True, eq=False)
 class ComponentSolution:
-    """Recentered solution for one mixture component (1-based ``component``)."""
+    """Recentered solution for one mixture component (1-based ``component``).
+
+    ``iterations`` counts solver steps as ``dominating_point`` does.
+    """
 
     component: int
     x_star: np.ndarray
@@ -196,18 +201,42 @@ def secular_root(weights, rates, level: float) -> tuple[float, int]:
     """Root ``lam >= 0`` of ``sum(weights / (1 + lam * rates)**2) = level``.
 
     ``weights`` is nonnegative, ``rates`` is positive, and the sum must
-    exceed ``level`` at ``lam = 0``.  The sum falls strictly in ``lam``, so
-    doubling brackets the root and bisection runs until the bracket holds
-    two adjacent floats.  Returns the root and the number of bracketing
-    and bisection steps.
+    exceed ``level`` at ``lam = 0``.  Newton's method on
+    ``psi(lam) = sum**-1/2 - level**-1/2``, which is concave and increasing
+    (More & Sorensen 1983), climbs from 0 towards the root until a step no
+    longer raises ``lam`` or is at most ``4 eps lam``.  A bracket a few ulps
+    wide around that value is widened on each side until the sum exceeds
+    ``level`` at its left end and not at its right, then bisected until it
+    holds two adjacent floats: the float that bisection from ``[0, inf)``
+    would reach wherever the rounded sum falls monotonically near the root.
+    Returns the root and the number of Newton, widening and bisection steps.
     """
 
     def over(lam):
         return float((weights / (1.0 + lam * rates) ** 2).sum()) > level
 
-    lo, hi, steps = 0.0, 1.0, 0
-    while over(hi):
-        hi *= 2.0
+    pairs = list(zip(weights.tolist(), rates.tolist()))
+    lam, steps = 0.0, 0
+    while True:
+        steps += 1
+        total = slope = 0.0
+        for w, r in pairs:
+            t = 1.0 / (1.0 + lam * r)
+            total += w * t * t
+            slope += w * r * t * t * t
+        # -psi / psi' with psi' = total**-3/2 * slope.
+        step = total * (math.sqrt(total / level) - 1.0) / slope
+        if not lam + step > lam:
+            break
+        lam += step
+        if step <= 4.0 * _EPS * lam:
+            break
+    down = up = 4.0 * math.ulp(lam)
+    while not over(lo := max(0.0, lam - down)):
+        down *= 2.0
+        steps += 1
+    while over(hi := lam + up):
+        up *= 2.0
         steps += 1
     while True:
         mid = 0.5 * (lo + hi)
@@ -233,9 +262,6 @@ def _ellipsoid_argmin(target: Ellipsoid, weight, center):
     lam, steps = secular_root(s0**2, rates, target.radius**2)
     x = target.center + basis @ (s0 / (1.0 + lam * rates))
     return x, steps
-
-
-_EPS = np.finfo(float).eps
 
 
 def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -417,7 +443,8 @@ def dominating_point(
     """Minimize ``Q_A`` over the set and package the rates it implies.
 
     ``solver_iterations`` counts active-set least-squares solves for
-    linear sets and bracketing plus bisection steps for ellipsoids.
+    linear sets, and the Newton, widening and bisection steps of
+    ``secular_root`` for ellipsoids.
 
     Raises
     ------

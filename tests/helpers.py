@@ -65,6 +65,32 @@ def secular_argmin(weight, center, ellipsoid: gm.Ellipsoid) -> np.ndarray:
     return point(brentq(excess, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500))
 
 
+def bisect_secular_root(weights, rates, level: float) -> tuple[float, int]:
+    """Root of ``sum(weights / (1 + lam * rates)**2) = level`` by bisection alone.
+
+    Doubling from 1 brackets the root and bisection runs until the bracket
+    holds two adjacent floats; the sum must exceed ``level`` at 0.  Returns
+    the root and the number of doubling and bisection steps.
+    """
+
+    def over(lam):
+        return float((weights / (1.0 + lam * rates) ** 2).sum()) > level
+
+    lo, hi, steps = 0.0, 1.0, 0
+    while over(hi):
+        hi *= 2.0
+        steps += 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid, steps
+        if over(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+
+
 def exact_block_pair(sigma_diag, corner, a_n: float, n: int) -> tuple[float, float]:
     """Exact ``(p_componentwise, p_at_least_one)`` for a diagonal block, in linear space."""
     log_cw, log_alo = gm.exact_block_diagonal_log(sigma_diag, a_n * np.asarray(corner), n)

@@ -5,16 +5,33 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 import gaussmax as gm
-from gaussmax import cli
-from gaussmax.config import parse_config
+from gaussmax import cli, config as config_module
+from gaussmax.config import load_config, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+REPO_CONFIGS = sorted(ROOT.glob("tests/fixtures/regression/*/config.yaml")) + sorted(
+    ROOT.glob("benchmarks/configs/*.yaml")
+)
+
+
+class PureSafeLoader(yaml.SafeLoader):
+    """The pure-Python safe loader with the exponent-float resolver: the reference parse."""
+
+
+PureSafeLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 BLOCK_YAML = """\
 model:
@@ -170,6 +187,35 @@ class TestParseConfig:
     def test_invalid_yaml(self):
         with pytest.raises(gm.ConfigError, match="not valid YAML"):
             parse_config("model: [unclosed")
+
+    def test_repo_configs_parse_as_under_pure_loader(self):
+        # libyaml, where installed, parses; the pure loader is the reference.
+        assert len(REPO_CONFIGS) == 8
+        for path in REPO_CONFIGS:
+            text = path.read_text(encoding="utf-8")
+            got = yaml.load(text, Loader=config_module._Loader)
+            assert repr(got) == repr(yaml.load(text, Loader=PureSafeLoader)), path
+
+    def test_model_and_set_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(sigma):
+            built.append(sigma)
+            return gm.build_covariance(sigma)
+
+        monkeypatch.setattr(config_module, "build_covariance", counted)
+        config = load_config(ROOT / "tests/fixtures/regression/crude-mixture/config.yaml")
+        cli.run_dominate(config, config.seed, tmp_path)
+        cli.run_estimate(config, config.seed, tmp_path, False)
+        cli.run_verify(config, config.seed, tmp_path, 1)
+        assert len(built) == len(config.model["components"]) == 2
+        assert config.build_model() is config.build_model()
+        assert config.build_set() is config.build_set()
+        other = replace(config, seed=config.seed + 1)
+        assert other.build_model() is not config.build_model()
+        assert other.build_set() is not config.build_set()
+        assert len(built) == 4
+        assert replace(other, seed=config.seed) == config
 
     def test_typical_set_message(self):
         text = BLOCK_YAML.replace("corner: [1.2, 1.2]", "corner: [-1.0, -1.0]")

@@ -7,7 +7,7 @@ import pytest
 
 import gaussmax as gm
 from gaussmax.dominate import KKT_TOL, _pencil_eigh, _weight_matrix, secular_root
-from helpers import least_distance_argmin, random_spd, secular_argmin
+from helpers import bisect_secular_root, least_distance_argmin, random_spd, secular_argmin
 
 IDENTITY2 = gm.build_covariance(np.eye(2))
 CORRELATED2 = gm.build_covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -233,8 +233,8 @@ class TestExactSolver:
 
     def test_ellipsoids_match_secular_root(self):
         rng = np.random.default_rng(167)
-        # Bracketing plus bisection steps, pinned so the bisection's stopping rule cannot drift.
-        for d, steps in ((2, 54), (3, 56), (6, 56), (10, 56)):
+        # Newton, widening and bisection steps, pinned so the root's stopping rules cannot drift.
+        for d, steps in ((2, 9), (3, 8), (6, 9), (10, 9)):
             cov = gm.build_covariance(random_spd(rng, d))
             limit = _random_limit(rng, d)
             target = gm.Ellipsoid(rng.uniform(2.0, 4.0, size=d), random_spd(rng, d), 1.0)
@@ -250,9 +250,27 @@ class TestExactSolver:
             rates = 1.0 / omega
             lam, root_steps = secular_root(s0**2, rates, 1.0)
             assert type(lam) is float and lam > 0.0 and root_steps == steps
+            assert lam == bisect_secular_root(s0**2, rates, 1.0)[0]
             np.testing.assert_array_equal(
                 point.x_star, target.center + basis @ (s0 / (1.0 + lam * rates))
             )
+
+    def test_secular_root_matches_bisection(self):
+        # Weights over six decades, rates over eight and levels down to 1e-8
+        # of the sum: Newton's finish lands on the float that bisection
+        # alone reaches, in a handful of steps where bisection takes ~65.
+        rng = np.random.default_rng(181)
+        most = 0
+        for _ in range(3000):
+            d = int(rng.integers(1, 21))
+            weights = rng.uniform(0.0, 1.0, d) ** 2 * 10.0 ** rng.uniform(-3.0, 3.0, d)
+            rates = 10.0 ** rng.uniform(-4.0, 4.0, d)
+            level = float(weights.sum()) * 10.0 ** rng.uniform(-8.0, 0.0)
+            lam, steps = secular_root(weights, rates, level)
+            assert lam == bisect_secular_root(weights, rates, level)[0]
+            most = max(most, steps)
+        # Pinned, so a slower root shows here.
+        assert most == 23
 
     def test_mixture_components_match_oracles(self):
         rng = np.random.default_rng(173)
