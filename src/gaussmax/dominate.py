@@ -200,13 +200,14 @@ def _pencil_eigh(weight, shape):
 def secular_root(weights, rates, level: float) -> tuple[float, int]:
     """Root ``lam >= 0`` of ``sum(weights / (1 + lam * rates)**2) = level``.
 
-    ``weights`` is nonnegative, ``rates`` is positive, and the sum must
-    exceed ``level`` at ``lam = 0``.  Newton's method on
-    ``psi(lam) = sum**-1/2 - level**-1/2``, which is concave and increasing
-    (More & Sorensen 1983), climbs from 0 towards the root until a step no
-    longer raises ``lam`` or is at most ``4 eps lam``.  A bracket a few ulps
-    wide around that value is widened on each side until the sum exceeds
-    ``level`` at its left end and not at its right, then bisected until it
+    ``weights`` is nonnegative, ``rates`` is positive, and the sum should
+    exceed ``level`` at ``lam = 0``; where it does not, the root is 0.
+    Newton's method on ``psi(lam) = sum**-1/2 - level**-1/2``, which is
+    concave and increasing (More & Sorensen 1983), climbs from 0 towards
+    the root until a step no longer raises ``lam`` or is at most
+    ``4 eps lam``.  A bracket a few ulps wide around that value is widened
+    on each side until the sum exceeds ``level`` at its left end (or that
+    end is 0) and not at its right, then bisected until it
     holds two adjacent floats: the float that bisection from ``[0, inf)``
     would reach wherever the rounded sum falls monotonically near the root.
     Returns the root and the number of Newton, widening and bisection steps.
@@ -232,7 +233,9 @@ def secular_root(weights, rates, level: float) -> tuple[float, int]:
         if step <= 4.0 * _EPS * lam:
             break
     down = up = 4.0 * math.ulp(lam)
-    while not over(lo := max(0.0, lam - down)):
+    # The left end stops at 0 even where the sum there does not exceed
+    # level in this rounding; the bisection then returns 0, as from [0, inf).
+    while (lo := max(0.0, lam - down)) > 0.0 and not over(lo):
         down *= 2.0
         steps += 1
     while over(hi := lam + up):

@@ -24,14 +24,9 @@ REPO_CONFIGS = sorted(ROOT.glob("tests/fixtures/regression/*/config.yaml")) + so
 
 
 class PureSafeLoader(yaml.SafeLoader):
-    """The pure-Python safe loader with the exponent-float resolver: the reference parse."""
+    """The pure-Python safe loader with the config loader's resolvers: the reference parse."""
 
-
-PureSafeLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+    yaml_implicit_resolvers = config_module._Loader.yaml_implicit_resolvers
 
 BLOCK_YAML = """\
 model:

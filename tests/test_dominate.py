@@ -272,6 +272,39 @@ class TestExactSolver:
         # Pinned, so a slower root shows here.
         assert most == 23
 
+    def test_secular_root_at_the_sum_at_zero(self):
+        # Levels at and just below the sum at lam = 0: the finish must stop
+        # widening at 0 and land where bisection alone does, 0 for the first.
+        rng = np.random.default_rng(191)
+        for _ in range(100):
+            d = int(rng.integers(1, 21))
+            weights = rng.uniform(0.0, 1.0, d) ** 2 * 10.0 ** rng.uniform(-3.0, 3.0, d)
+            rates = 10.0 ** rng.uniform(-4.0, 4.0, d)
+            total = float(weights.sum())
+            for level in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
+                lam = secular_root(weights, rates, float(level))[0]
+                assert lam == bisect_secular_root(weights, rates, float(level))[0]
+            assert secular_root(weights, rates, total)[0] == 0.0
+
+    def test_ellipsoid_on_the_pencil_boundary_terminates(self):
+        # The shape's eigenbasis puts the origin outside, the pencil basis
+        # on the boundary: the root is 0 and x* is the origin up to
+        # rounding, where the certificate fails.
+        rng = np.random.default_rng(193)
+        cov, limit = gm.build_covariance(np.eye(3)), gm.ScalingLimit.identity(3)
+        weight = _weight_matrix(cov, limit)
+        while True:
+            shape, center = random_spd(rng, 3), rng.uniform(-3.0, 3.0, 3)
+            omega, basis = _pencil_eigh(weight, shape)
+            s0 = basis.T @ shape @ -center
+            radius = math.sqrt(float((s0**2).sum()))
+            target = gm.Ellipsoid(center, shape, radius)
+            if radius**2 >= (s0**2).sum() and target.is_atypical():
+                break
+        point = gm.dominating_point(target, cov, limit)
+        np.testing.assert_array_equal(point.x_star, center + basis @ s0)
+        assert not point.optimality_certificate
+
     def test_mixture_components_match_oracles(self):
         rng = np.random.default_rng(173)
         d = 3
