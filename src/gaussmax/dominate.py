@@ -205,12 +205,14 @@ def secular_root(weights, rates, level: float) -> tuple[float, int]:
     Newton's method on ``psi(lam) = sum**-1/2 - level**-1/2``, which is
     concave and increasing (More & Sorensen 1983), climbs from 0 towards
     the root until a step no longer raises ``lam`` or is at most
-    ``4 eps lam``.  A bracket a few ulps wide around that value is widened
-    on each side until the sum exceeds ``level`` at its left end (or that
-    end is 0) and not at its right, then bisected until it
-    holds two adjacent floats: the float that bisection from ``[0, inf)``
-    would reach wherever the rounded sum falls monotonically near the root.
-    Returns the root and the number of Newton, widening and bisection steps.
+    ``4 eps lam``.  A bracket around that value, a few ulps wide but at
+    least ``eps / max(rates)``, is widened on each side until the sum
+    exceeds ``level`` at its left end and not at its right (a left end
+    that reaches 0 without it gives 0), then bisected until it holds two
+    adjacent floats: the float that bisection from ``[0, inf)`` would
+    reach wherever the rounded sum falls monotonically near the root.
+    Returns the root and the number of Newton, widening and bisection
+    steps.
     """
 
     def over(lam):
@@ -232,10 +234,15 @@ def secular_root(weights, rates, level: float) -> tuple[float, int]:
         lam += step
         if step <= 4.0 * _EPS * lam:
             break
-    down = up = 4.0 * math.ulp(lam)
-    # The left end stops at 0 even where the sum there does not exceed
-    # level in this rounding; the bisection then returns 0, as from [0, inf).
-    while (lo := max(0.0, lam - down)) > 0.0 and not over(lo):
+    # Near 0, 1 + lam * rate moves by ulps of 1, so the rounded sum changes
+    # only every eps / rate or so in lam: the bracket is at least that wide,
+    # not 4 ulp(lam), a thousand doublings short at lam = 0.
+    down = up = max(4.0 * math.ulp(lam), float(_EPS) / float(rates.max()))
+    while not over(lo := max(0.0, lam - down)):
+        if lo == 0.0:
+            # The sum at 0 does not exceed level in this rounding: bisection
+            # from [0, inf) returns 0.
+            return 0.0, steps + 1
         down *= 2.0
         steps += 1
     while over(hi := lam + up):

@@ -47,9 +47,13 @@ Every pass samples to a stated precision (Glynn & Whitt, *Ann. Appl.
 Prob.* 2, 1992): it stops at the first chunk, in chunk order, at which
 its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
 least ``IS_MIN_HITS`` hits, so ``is_samples`` is only its cap, and the
-draw ends when the last pass stops.  Passes weighed on one draw share
-common random numbers, so their errors are correlated, while each stays
-unbiased with its own standard error.
+draw ends when the last pass stops.  Chunks double up to
+``IS_LARGEST_CHUNK`` samples and then repeat it, so late stops come
+every ``IS_LARGEST_CHUNK`` samples.  Each pass weighs a chunk in blocks
+of at most ``IS_BLOCK`` samples, in workspaces it allocates once, so its
+arrays stay a few hundred kilobytes however large the chunk.  Passes
+weighed on one draw share common random numbers, so their errors are
+correlated, while each stays unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -60,13 +64,14 @@ expected hits of both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in chunks whose sizes depend only on the problem shape, chunk ``i`` from
-``stream.substream(i)``.  Crude chunks, or the passes of one importance
-sampling chunk, may run on an executor's threads, but their results are
-combined in chunk order (integer sums for hit counts, ``math.fsum`` for
-importance weights, each chunk's scaled by its largest log-weight), and
-every importance sampling stop is decided in chunk order.  Results are
-therefore a pure function of (arguments, stream) regardless of how
-callers schedule the work.
+``stream.substream(i)``, and an importance sampling pass weighs a chunk
+in blocks cut by its size alone.  Crude chunks, or the passes of one
+importance sampling chunk, may run on an executor's threads, but their
+results are combined in chunk order (integer sums for hit counts,
+``math.fsum`` for importance weights, each chunk's scaled by its largest
+log-weight), and every importance sampling stop is decided in chunk
+order.  Results are therefore a pure function of (arguments, stream)
+regardless of how callers schedule the work.
 """
 
 from __future__ import annotations
@@ -118,12 +123,20 @@ CRUDE_MIN_EXPECTED_HITS = 0.01
 # its relative standard error is at most IS_TARGET_RELATIVE_SE and it has
 # at least IS_MIN_HITS hits, a floor against the small-count bias of
 # sequential stopping; is_samples caps it.  Its chunks double in size
-# from IS_FIRST_CHUNK samples, so the stop has a fine grain early; no
-# row can stop on fewer samples than IS_MIN_HITS, so the first chunk is
-# the smallest power of two that holds them.
+# from IS_FIRST_CHUNK samples up to IS_LARGEST_CHUNK and then repeat
+# that size, so the stop has a fine grain early and a late one comes
+# every IS_LARGEST_CHUNK samples; no row can stop on fewer samples than
+# IS_MIN_HITS, so the first chunk is the smallest power of two that
+# holds them.
 IS_TARGET_RELATIVE_SE = 0.005
 IS_MIN_HITS = 1000
 IS_FIRST_CHUNK = 1 << (IS_MIN_HITS - 1).bit_length()
+IS_LARGEST_CHUNK = 8 * IS_FIRST_CHUNK
+
+# Each pass weighs a chunk in blocks of at most IS_BLOCK samples, in
+# workspaces of that size that it allocates once, so that its arrays stay
+# small and are not allocated afresh per chunk; a multiple of 64 (_blocks).
+IS_BLOCK = 2048
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -483,14 +496,32 @@ def _weighed_report(chunks, samples: int, seed: int, scaling_norm_sq: float):
 def _doubling_chunks(cap: int, d: int) -> list[int]:
     """Chunk sizes of ``_importance_sample``, summing to ``cap``.
 
-    They double from ``IS_FIRST_CHUNK`` up to ``CHUNK_SCALARS // d``.
+    They double from ``IS_FIRST_CHUNK`` up to ``IS_LARGEST_CHUNK``, or to
+    ``CHUNK_SCALARS // d`` where that is smaller, then repeat that size.
     """
-    largest = max(1, CHUNK_SCALARS // d)
-    sizes, size = [], IS_FIRST_CHUNK
-    while sum(sizes) < cap:
-        sizes.append(min(size, largest, cap - sum(sizes)))
+    largest = max(1, min(IS_LARGEST_CHUNK, CHUNK_SCALARS // d))
+    sizes, size = [], min(IS_FIRST_CHUNK, largest)
+    while cap > 0 and size < largest:
+        sizes.append(min(size, cap))
+        cap -= size
         size *= 2
-    return sizes
+    full, rest = divmod(max(cap, 0), largest)
+    return sizes + [largest] * full + [rest] * (rest > 0)
+
+
+def _blocks(size: int) -> list[slice]:
+    """The fewest blocks of at most ``IS_BLOCK`` samples that cut a chunk of ``size``.
+
+    Every block but the last has one length, a multiple of 64, so each
+    starts at a multiple of 64 and none is much shorter than the rest.
+    numpy and BLAS pick their kernels by shape (a one-sample block is a
+    matrix-vector product), and on a few samples they can round
+    differently from the same samples weighed in one array.
+    """
+    count = -(-size // IS_BLOCK)
+    step = -(-size // count)
+    step += -step % 64
+    return [slice(start, start + step) for start in range(0, size, step)]
 
 
 def _importance_sample(
@@ -505,29 +536,34 @@ def _importance_sample(
     """``(reports, records)``: importance sampling of ``(k, weigh)`` passes on one draw.
 
     Each pass is a proposal (``_shift_pass``, ``_cone_pass``) whose
-    ``weigh(z0, exps)`` gives the log-weights of one chunk's hits.  Chunk
-    ``i`` draws ``m`` standard normal vectors ``z0``, into one buffer of the
-    largest chunk that every chunk reuses, then standard exponentials
-    ``exps`` as a ``(k_max, m)`` array, from ``stream.substream(i)``.  A
-    pass with ``k`` rows reads the first ``k`` and no pass writes to the
-    draw, so a pass weighed alone gets the same bits.  Chunk sizes double (``_doubling_chunks``), so they depend only
-    on ``(cap, d)``.  A pass stops at the first chunk, in chunk order,
-    after which its relative standard error is at most
+    ``weigh(z0, exps)`` gives the log-weights of one block's hits.  Chunk
+    ``i`` draws ``m`` standard normal vectors ``z0``, then standard
+    exponentials ``exps`` as a ``(k_max, m)`` array, from
+    ``stream.substream(i)``, into buffers of the largest chunk that every
+    chunk reuses.  A pass with ``k`` rows reads the first ``k`` and no
+    pass writes to the draw, so a pass weighed alone gets the same bits.
+    Each pass weighs the chunk in blocks (``_blocks``), and its hits'
+    log-weights, in sample order, reduce to one chunk sum.  Chunk sizes
+    (``_doubling_chunks``) depend only on ``(cap, d)``, and block cuts
+    only on the chunk size.  A pass stops at the first chunk, in chunk
+    order, after which its relative standard error is at most
     ``IS_TARGET_RELATIVE_SE`` with at least ``IS_MIN_HITS`` hits, or at
-    ``cap`` samples; the draw ends when every pass has stopped.  The passes
-    of one chunk are weighed on ``executor`` when given (anything with an
-    ordered ``map``), inline otherwise, with the same reports and draws.
-    Each report is a single-vector row (``n = 1``) whose ``trials`` are the
-    samples its pass used, and each record is ``{samples, hits,
-    relative_se, effective_sample_size, target_met}``.
+    ``cap`` samples; the draw ends when every pass has stopped.  The
+    passes of one chunk are weighed on ``executor`` when given (anything
+    with an ordered ``map``), inline otherwise, with the same reports and
+    draws.  Each report is a single-vector row (``n = 1``) whose
+    ``trials`` are the samples its pass used, and each record is
+    ``{samples, hits, relative_se, effective_sample_size, target_met}``.
     """
     if cap < 1:
         raise ValueError(f"samples must be >= 1, got {cap}")
     d = model.dimension
     sizes = _doubling_chunks(cap, d)
     k_max = max((k for k, _ in passes), default=0)
-    buffer = np.empty((max(sizes), d))
+    largest = max(sizes)
+    normals, exponentials = np.empty((largest, d)), np.empty(k_max * largest)
     chunks = [[] for _ in passes]
+    hits = [0] * len(passes)
     reports, records = [None] * len(passes), [None] * len(passes)
     live = list(range(len(passes)))
     drawn = 0
@@ -536,25 +572,27 @@ def _importance_sample(
             break
         drawn += size
         rng = stream.substream(index).generator()
-        z0 = buffer[:size]
-        rng.standard_normal(out=z0)
-        exps = rng.standard_exponential((k_max, size))
+        z0 = rng.standard_normal(out=normals[:size])
+        exps = rng.standard_exponential(out=exponentials[: k_max * size].reshape(k_max, size))
+        blocks = _blocks(size)
 
         def weigh(j: int) -> tuple[float, float, float, int]:
-            return _log_weight_sums(passes[j][1](z0, exps))
+            weigh_block = passes[j][1]
+            lw = [weigh_block(z0[b], exps[:, b]) for b in blocks]
+            return _log_weight_sums(np.concatenate(lw))
 
         for j, reduced in zip(live, _ordered_map(weigh, live, executor)):
             chunks[j].append(reduced)
+            hits[j] += reduced[3]
             reports[j], relative_se, ess = _weighed_report(
                 chunks[j], drawn, stream.seed, scaling_norm_sq
             )
-            hits = sum(c[3] for c in chunks[j])
             records[j] = {
                 "samples": drawn,
-                "hits": hits,
+                "hits": hits[j],
                 "relative_se": relative_se,
                 "effective_sample_size": ess,
-                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits >= IS_MIN_HITS,
+                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits[j] >= IS_MIN_HITS,
             }
         live = [j for j in live if not records[j]["target_met"]]
     return tuple(reports), tuple(records)
@@ -563,9 +601,11 @@ def _importance_sample(
 def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
     """``(0, weigh)``: the mean-shift proposal ``x = mean + shift + C z`` on ``scaled``.
 
-    ``weigh`` tests ``z0`` against ``scaled`` mapped through the proposal
-    (``scaled.whitened``) and weighs the hits by the log likelihood ratio
-    ``-<u, z0> - |u|^2 / 2``, ``u = L shift``; it reads no exponentials.
+    ``weigh`` tests ``z0``, a block of at most ``IS_BLOCK`` samples,
+    against ``scaled`` mapped through the proposal (``scaled.whitened``)
+    and weighs the hits by the log likelihood ratio ``-<u, z0> - |u|^2 /
+    2``, ``u = L shift``, in a workspace of that size, so one thread at a
+    time may call it; it reads no exponentials.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
@@ -576,9 +616,12 @@ def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
     u = cov.whitener @ shift
     contains = scaled.whitened(model.mean + shift, cov.chol_lower)
     neg_u, half = -u, 0.5 * float(u @ u)
+    space = np.empty(IS_BLOCK)
 
     def weigh(z0, exps) -> np.ndarray:
-        lw = np.compress(contains(z0), z0, axis=0) @ neg_u
+        # <u, z0> of every sample, then the hits': a sample's product does
+        # not depend on which others hit.
+        lw = np.compress(contains(z0), np.matmul(z0, neg_u, out=space[: len(z0)]))
         lw -= half
         return lw
 
@@ -708,22 +751,32 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
     ``G``: ``z = z0 + G^T S^-1 (u - G z0)``.  A hit weighs ``log w = -u^T
     S^-1 u / 2 - log det(2 pi S) / 2 - sum log mu + sum E``; outside the
     cone the target density is 0, so the estimate is unbiased.  With ``k
-    = 0`` it is a plain draw of weight 1.
+    = 0`` it is a plain draw of weight 1.  ``weigh`` takes a block of at
+    most ``IS_BLOCK`` samples and writes its ``u``, ``G z0`` and ``z``
+    into workspaces of that size, so one thread at a time may call it.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
     rows, offsets, mu, gram_inv, log_det = cone
     if not (mu > 0.0).all():
         raise ValueError("a cone needs positive mu = S^-1 offsets")
-    constant = -0.5 * log_det - float(np.log(mu).sum()) - len(mu) * _HALF_LOG_2PI
+    k, d = len(mu), model.dimension
+    constant = -0.5 * log_det - float(np.log(mu).sum()) - k * _HALF_LOG_2PI
     contains = scaled.whitened(model.mean, model.covariance.chol_lower)
     lift = gram_inv @ rows
+    # Flat workspaces of one block: a view at a block's length is laid out
+    # as a fresh array would be, so BLAS sees the same operands.
+    u_space, gap_space = np.empty(k * IS_BLOCK), np.empty(k * IS_BLOCK)
+    z_space = np.empty(IS_BLOCK * d)
 
     def weigh(z0, exps) -> np.ndarray:
-        e = exps[: len(mu)]
-        u = e / mu[:, None]
+        m = len(z0)
+        e = exps[:k]
+        u = np.divide(e, mu[:, None], out=u_space[: k * m].reshape(k, m))
         u += offsets[:, None]
-        z = (u - rows @ z0.T).T @ lift
+        gap = np.matmul(rows, z0.T, out=gap_space[: k * m].reshape(k, m))
+        np.subtract(u, gap, out=gap)
+        z = np.matmul(gap.T, lift, out=z_space[: m * d].reshape(m, d))
         z += z0
         hit = contains(z)
         u = np.compress(hit, u, axis=1)
@@ -732,7 +785,7 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
         lw += constant
         return lw
 
-    return len(mu), weigh
+    return k, weigh
 
 
 def union_combine(q: float, n: int) -> float:

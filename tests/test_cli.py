@@ -520,18 +520,19 @@ class TestEstimateCommand:
     ).replace("is_samples: 5000", "is_samples: 200000")
 
     def test_rows_stop_at_their_target_before_the_cap(self, tmp_path, monkeypatch):
-        # Chunks of 1024, 2048, 4096, ... samples: the cone row meets its
-        # 0.005 relative SE after 5 chunks (31744 samples), the crude row
-        # after 7 (130048), and the draw ends there, a chunk before the cap.
+        # Chunks of 1024, 2048, 4096, then 8192 samples each: the cone row
+        # meets its 0.005 relative SE after 5 chunks (23552 samples), the
+        # crude row after 16 (113664), and the draw ends there, well before
+        # the cap.
         calls = count_generators(monkeypatch)
         cfg = write_config(tmp_path, self.EASY_YAML)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(7)]
+        assert calls == [gm.RandomStream(910).substream(800).substream(i) for i in range(16)]
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         record = payload["importance_sampling"]
         assert record["target_met"] and record["relative_se"] <= 0.005
-        assert record["samples"] == payload["importance_sampled"]["trials"] == 31744
-        assert payload["crude_single"]["trials"] == 130048
+        assert record["samples"] == payload["importance_sampled"]["trials"] == 23552
+        assert payload["crude_single"]["trials"] == 113664
         assert not any("at its cap" in w for w in payload["warnings"])
 
     def test_row_is_its_cone_pass_on_its_slot(self, tmp_path):

@@ -273,18 +273,31 @@ class TestExactSolver:
         assert most == 23
 
     def test_secular_root_at_the_sum_at_zero(self):
-        # Levels at and just below the sum at lam = 0: the finish must stop
-        # widening at 0 and land where bisection alone does, 0 for the first.
+        # Levels at, above and a few ulps below the sum at lam = 0: the
+        # finish must stop widening at 0 and land where bisection alone
+        # does, 0 for the first two.  Below, the root is about eps / rate,
+        # and the bracket starts that wide rather than at 4 ulp(0), from
+        # which the widening took 1,073 steps.
         rng = np.random.default_rng(191)
+        most = 0
         for _ in range(100):
             d = int(rng.integers(1, 21))
             weights = rng.uniform(0.0, 1.0, d) ** 2 * 10.0 ** rng.uniform(-3.0, 3.0, d)
             rates = 10.0 ** rng.uniform(-4.0, 4.0, d)
             total = float(weights.sum())
-            for level in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
-                lam = secular_root(weights, rates, float(level))[0]
+            levels = [np.nextafter(total, np.inf), total]
+            for _ in range(3):
+                levels.append(np.nextafter(levels[-1], 0.0))
+            for level in levels:
+                lam, steps = secular_root(weights, rates, float(level))
+                assert type(lam) is float
                 assert lam == bisect_secular_root(weights, rates, float(level))[0]
-            assert secular_root(weights, rates, total)[0] == 0.0
+                most = max(most, steps)
+            assert secular_root(weights, rates, total) == (0.0, 2)
+        assert most <= 80
+        weights, rates = np.array([0.3, 1.7]), np.array([0.5, 2.0])
+        level = float(np.nextafter(2.0, 0.0))
+        assert secular_root(weights, rates, level) == (2.0**-54, 54)
 
     def test_ellipsoid_on_the_pencil_boundary_terminates(self):
         # The shape's eigenbasis puts the origin outside, the pencil basis

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -915,15 +916,22 @@ class TestConeSampling:
 
     def test_chunks_double_to_the_cap(self):
         # No row stops on fewer than IS_MIN_HITS samples, so the first chunk
-        # is the smallest power of two that holds them.
+        # is the smallest power of two that holds them.  Chunks double up to
+        # IS_LARGEST_CHUNK and then repeat it: the checkpoints up to 15360
+        # samples are the doubling ones, and past them a stop comes every
+        # 8192 samples.
         assert estimate.IS_MIN_HITS <= estimate.IS_FIRST_CHUNK == 1024 < 2 * estimate.IS_MIN_HITS
-        assert estimate._doubling_chunks(30_000, 10) == [1024, 2048, 4096, 8192, 14640]
+        assert estimate.IS_LARGEST_CHUNK == 8192
+        assert estimate._doubling_chunks(30_000, 10) == [1024, 2048, 4096, 8192, 8192, 6448]
         assert estimate._doubling_chunks(1000, 10) == [1000]
-        largest = estimate.CHUNK_SCALARS // 10
         sizes = estimate._doubling_chunks(2_000_000, 10)
         assert sum(sizes) == 2_000_000
-        assert max(sizes) == largest
-        assert sizes[:10] == [1024 * 2**i for i in range(9)] + [largest]
+        assert len(sizes) == 247
+        assert np.cumsum(sizes[:4]).tolist() == [1024, 3072, 7168, 15360]
+        assert set(sizes[3:-1]) == {8192} and sizes[-1] == 2176
+        # In a dimension above CHUNK_SCALARS // 8192, chunks stop at
+        # CHUNK_SCALARS // d scalars' worth.
+        assert estimate._doubling_chunks(10_000, 1000) == [1024, 2048, 4000, 2928]
 
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
@@ -943,9 +951,10 @@ class TestImportanceSampleDriver:
 
     def test_a_pass_alone_and_on_a_shared_draw_agree_across_chunk_sizes(self):
         # 10000 samples are chunks of 1024, 2048, 4096 and 2832, the last
-        # drawn into a shorter slice of the same buffer.  A third pass, which
-        # never hits and so never stops, keeps a copy of each chunk it is
-        # shown.
+        # drawn into shorter slices of the same buffers, which every pass
+        # weighs in blocks of 1024, 2048, 2048 + 2048 and 1472 + 1360.  A
+        # third pass, which never hits and so never stops, keeps a copy of
+        # each block it is shown.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         entry = gm.ScalingLadder(limit, (10,)).entries()[0]
@@ -972,11 +981,94 @@ class TestImportanceSampleDriver:
             assert record["hits"] > 0
         k = len(cone[1])
         assert k == 2
-        assert [z0.shape for z0, _ in seen] == [(1024, 3), (2048, 3), (4096, 3), (2832, 3)]
-        for i, (z0, exps) in enumerate(seen):
+        assert [len(z0) for z0, _ in seen] == [1024, 2048, 2048, 2048, 1472, 1360]
+        z0s = np.concatenate([z0 for z0, _ in seen])
+        exps = np.concatenate([e for _, e in seen], axis=1)
+        start = 0
+        for i, size in enumerate([1024, 2048, 4096, 2832]):
             rng = stream.substream(i).generator()
-            np.testing.assert_array_equal(z0, rng.standard_normal(z0.shape))
-            np.testing.assert_array_equal(exps, rng.standard_exponential((k, len(z0))))
+            chunk = slice(start, start + size)
+            np.testing.assert_array_equal(z0s[chunk], rng.standard_normal((size, 3)))
+            np.testing.assert_array_equal(exps[:, chunk], rng.standard_exponential((k, size)))
+            start += size
+
+    def test_blocks_cut_chunks_evenly(self):
+        block = estimate.IS_BLOCK
+        assert block % 64 == 0
+        for size in (1, 63, block - 1, block, block + 1, 3 * block + 17, 4 * block):
+            blocks = estimate._blocks(size)
+            assert len(blocks) == -(-size // block)
+            lengths = [len(range(size)[b]) for b in blocks]
+            assert sum(lengths) == size and max(lengths) <= block
+            assert all(b.start % 64 == 0 for b in blocks)
+            assert all(length == lengths[0] for length in lengths[:-1])
+        assert [len(range(2049)[b]) for b in estimate._blocks(2049)] == [1088, 961]
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_blocks_weigh_as_the_whole_chunk(self, monkeypatch, d):
+        # The per-sample arithmetic does not depend on the block a sample
+        # is weighed in: every pass gives the same log-weights, bit for
+        # bit, weighing a chunk in blocks or in one array.
+        if d == 3:
+            model, target = CORRELATED3, TestSharedShifts.TARGET
+            limit = gm.ScalingLimit.identity(3)
+            entries = gm.ScalingLadder(limit, (10, 1000)).entries()
+        else:
+            config = load_config(POLYHEDRON_IS)
+            model, target, limit = config.build_model(), config.build_set(), config.build_limit()
+            entries = config.build_ladder().entries()
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+
+        def passes():
+            made = [estimate._cone_pass(model, target, estimate._plain_cone(d))]
+            for entry in entries:
+                scaled = target.scale(entry.scale_diag)
+                cone = estimate._active_cone(model, target, limit, entry, x_star)
+                made.append(estimate._cone_pass(model, scaled, cone))
+                made.append(estimate._shift_pass(model, scaled, entry.scale_diag * x_star))
+            return made
+
+        block = estimate.IS_BLOCK
+        sizes = (1, block - 1, block, block + 1, 3 * block + 17)
+        cuts = [estimate._blocks(size) for size in sizes]
+        blocked = passes()
+        monkeypatch.setattr(estimate, "IS_BLOCK", 4 * block)
+        whole = passes()
+        rng = np.random.default_rng(d)
+        for size, blocks in zip(sizes, cuts):
+            z0 = rng.standard_normal((size, d))
+            exps = rng.standard_exponential((d, size))
+            hits = []
+            for (_, weigh), (_, weigh_whole) in zip(blocked, whole):
+                lw = np.concatenate([weigh(z0[b], exps[:, b]) for b in blocks])
+                np.testing.assert_array_equal(lw, weigh_whole(z0, exps))
+                hits.append(len(lw))
+        # On the largest chunk every pass but the plain draw's hits.
+        assert all(hits[1:])
+
+    def test_a_chunk_is_weighed_in_small_buffers(self):
+        # polyhedron-is's top rung under a 2,000,000-sample cap: the draw
+        # buffers hold one 8192-sample chunk and the pass's workspaces one
+        # block, so the traced peak stays under 2 MB (a buffer of the whole
+        # 400,000-sample chunk would take 32 MB).  A first call warms up
+        # what numpy sets up once.
+        config = load_config(POLYHEDRON_IS)
+        model, target, limit = config.build_model(), config.build_set(), config.build_limit()
+        entry = config.build_ladder().entries()[-1]
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        cone = estimate._active_cone(model, target, limit, entry, x_star)
+        scaled = target.scale(entry.scale_diag)
+        estimate._importance_sample(
+            model, [estimate._cone_pass(model, scaled, cone)], 1024, gm.RandomStream(7)
+        )
+        tracemalloc.start()
+        try:
+            pass_ = estimate._cone_pass(model, scaled, cone)
+            estimate._importance_sample(model, [pass_], 2_000_000, gm.RandomStream(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestUnionCombinedReport:
