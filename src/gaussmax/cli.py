@@ -34,15 +34,11 @@ from .estimate import (
     IS_TARGET_RELATIVE_SE,
     EstimateReport,
     Method,
-    _active_cone,
-    _cone_pass,
-    _exact_block,
-    _importance_sample,
     _log_union_combine,
-    _plain_cone,
     _zero_shift_skip,
     exact_block_reports,
     exact_single_log,
+    is_cones,
     mc_crude,
     plan_rung,
     slope_fit,
@@ -69,8 +65,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, Method):
-        return value.value
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
@@ -215,23 +209,17 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
         return payload
 
     entry = entries[-1]
-    scaled = target.scale(entry.scale_diag)
     point = entry.scale_diag * solved.x_star
     skip = None if zero_shift else _zero_shift_skip(model, point, config.is_samples, entry.n)
     # The importance-sampled row draws from the top rung's active cone.  The
     # crude counterpart is the plain draw (the cone without rows), weighed
     # on the same draws unless it cannot hit; under --zero-shift it is the
     # importance-sampled row itself.
-    cones = []
-    if not zero_shift:
-        cones.append(_active_cone(model, target, config.build_limit(), entry, solved.x_star))
-    if not skip:
-        cones.append(_plain_cone(model.dimension))
-    reports, (record, *_) = _importance_sample(
-        model, [_cone_pass(model, scaled, c) for c in cones], config.is_samples,
-        root.substream(800), scaling_norm_sq=entry.speed,
+    rungs = [(entry, not zero_shift)] + [(entry, False)] * (not (skip or zero_shift))
+    reports, (record, *_) = is_cones(
+        model, target, config.build_limit(), solved.x_star, rungs, config.is_samples,
+        root.substream(800),
     )
-    record = {"active_rows": len(cones[0].offsets), **record}
     is_report = reports[0]
     crude_report = None if skip else reports[-1]
     union_report = union_combined_report(is_report, entry.n, entry.speed)
@@ -274,7 +262,7 @@ def run_estimate(config: ExperimentConfig, seed: int, outdir: Path, zero_shift: 
             "importance_sampled_vs_exact": _relative_error(is_report.log_p_hat, log_q_exact),
             "union_combined_vs_exact": _relative_error(union_report.log_p_hat, log_p_exact),
         }
-        if _exact_block(model, target, entry.scale_diag):
+        if Method.EXACT_BLOCK_DIAGONAL in plan_rung(model, target, entry, config.trials)[0]:
             cw, _ = exact_block_reports(np.diag(model.covariance.sigma), target.corner, entry, seed)
             exact["p_componentwise"] = cw.p_hat
         payload["exact"] = exact
@@ -334,21 +322,17 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     is_rungs = [i for i, plan in enumerate(methods) if Method.IMPORTANCE_SAMPLED_SINGLE in plan]
 
     def entry_rows(i, entry, plan, pool) -> list[EstimateReport]:
+        # In plan order: the exact pair or the IS row, then both crude rows
+        # from one pass over the rung's crude stream.
         rows: list[EstimateReport] = []
-        crude = {}
-        for method in plan:
-            if method is Method.EXACT_BLOCK_DIAGONAL:
-                sigma_diag = np.diag(model.covariance.sigma)
-                rows.extend(exact_block_reports(sigma_diag, target.corner, entry, seed))
-            elif method is Method.IMPORTANCE_SAMPLED_SINGLE:
-                rows.append(union_combined_report(singles[i], entry.n, entry.speed))
-            else:
-                # Both crude rows come from one pass over the rung's crude stream.
-                if not crude:
-                    stream = root.substream(16 * i + 1)
-                    pair = mc_crude(model, target, entry, config.trials, stream, pool)
-                    crude = {r.method: r for r in pair}
-                rows.append(crude[method])
+        if Method.EXACT_BLOCK_DIAGONAL in plan:
+            sigma_diag = np.diag(model.covariance.sigma)
+            rows += exact_block_reports(sigma_diag, target.corner, entry, seed)
+        if i in singles:
+            rows.append(union_combined_report(singles[i], entry.n, entry.speed))
+        if Method.CRUDE_COMPONENTWISE in plan:
+            stream = root.substream(16 * i + 1)
+            rows += mc_crude(model, target, entry, config.trials, stream, pool)
         return rows
 
     # Workers share out the sampling chunks of one crude pass, and the
@@ -357,23 +341,13 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # One draw on substream 3, the IS slot of rung 0, weighs every IS
         # rung on its own scaled set, from its own active cone.
-        singles, records = {}, []
-        if is_rungs:
-            limit = config.build_limit()
-            is_entries = [entries[i] for i in is_rungs]
-            cones = [_active_cone(model, target, limit, e, solved.x_star) for e in is_entries]
-            passes = [
-                _cone_pass(model, target.scale(e.scale_diag), c)
-                for e, c in zip(is_entries, cones)
-            ]
-            qs, stats = _importance_sample(
-                model, passes, config.is_samples, root.substream(3), executor=pool
-            )
-            singles = dict(zip(is_rungs, qs))
-            records = [
-                {"n": e.n, "active_rows": len(c.offsets), **r}
-                for e, c, r in zip(is_entries, cones, stats)
-            ]
+        is_entries = [entries[i] for i in is_rungs]
+        qs, stats = is_cones(
+            model, target, config.build_limit(), solved.x_star,
+            [(e, True) for e in is_entries], config.is_samples, root.substream(3), executor=pool,
+        )
+        singles = dict(zip(is_rungs, qs))
+        records = [{"n": e.n, **r} for e, r in zip(is_entries, stats)]
         rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
     reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)

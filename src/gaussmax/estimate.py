@@ -33,9 +33,11 @@ proposal (``_shift_pass``) ``x = mean + shift + C z`` has likelihood
 ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``,
 the whitener); it serves the public ``is_single``.  The cone proposal
 (``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
-Engineering*, 2004, ch. 4.6 and 9) serves ``verify``, whose rungs all
-share the draw, and ``estimate``, whose top-rung row shares its draw
-with its crude counterpart, the cone without rows (``_plain_cone``),
+Engineering*, 2004, ch. 4.6 and 9) serves both commands through one
+entry point, ``is_cones``, which builds the cone and pass of each rung
+it is given and weighs them all on one draw: ``verify`` gives it every
+importance-sampled rung, and ``estimate`` its top rung beside that
+rung's crude counterpart, the cone without rows (``_plain_cone``),
 unless that cannot hit (``_zero_shift_skip``).  A rung's scaled set lies
 in the cone ``{z : G z >= h}`` of the k constraints active at ``z*``,
 its point nearest the mean, with positive multipliers ``mu = (G G^T)^-1
@@ -57,10 +59,12 @@ correlated, while each stays unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
-it drops the crude pair, returns why; the command line only runs what it
-lists.  A rung skips its crude pass when the chosen pass's scalars
-exceed a budget, or when its exact componentwise probability bounds the
-expected hits of both crude rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
+it drops the crude pair, returns why; ``verify`` runs what it lists, and
+``estimate`` reads it for which top rung gets a mixture's crude pair and
+whether to report the exact componentwise probability.  A rung skips its
+crude pass when the chosen pass's scalars exceed a budget, or when its
+exact componentwise probability bounds the expected hits of both crude
+rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in chunks whose sizes depend only on the problem shape, chunk ``i`` from
@@ -79,7 +83,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +100,7 @@ __all__ = [
     "plan_rung",
     "mc_crude",
     "is_single",
+    "is_cones",
     "union_combine",
     "union_combined_report",
     "exact_block_diagonal_log",
@@ -218,21 +223,6 @@ def _crude_pass(model, scaled: ConvexSet, n: int):
     return n * d, (None, _components(model)[0])
 
 
-def _exact_block(model, target: ConvexSet, diag) -> bool:
-    """Whether the rung scaled by ``diag`` has exact rows (``EXACT_BLOCK_DIAGONAL``).
-
-    It has them when a block's scaled corner is positive under a centred
-    Gaussian with a diagonal covariance.
-    """
-    return (
-        isinstance(model, GaussianModel)
-        and isinstance(target, Block)
-        and _is_diagonal(model.covariance.sigma)
-        and np.all(model.mean == 0.0)
-        and np.all(diag * target.corner > 0.0)
-    )
-
-
 def plan_rung(
     model, target: ConvexSet, entry: LadderEntry, trials: int
 ) -> tuple[tuple[Method, ...], dict | None]:
@@ -261,7 +251,13 @@ def plan_rung(
     over-budget mixture rung runs nothing.
     """
     n, diag = entry.n, entry.scale_diag
-    exact = _exact_block(model, target, diag)
+    exact = (
+        isinstance(model, GaussianModel)
+        and isinstance(target, Block)
+        and _is_diagonal(model.covariance.sigma)
+        and np.all(model.mean == 0.0)
+        and np.all(diag * target.corner > 0.0)
+    )
     methods = []
     if isinstance(model, GaussianModel):
         methods.append(Method.EXACT_BLOCK_DIAGONAL if exact else Method.IMPORTANCE_SAMPLED_SINGLE)
@@ -786,6 +782,35 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
         return lw
 
     return k, weigh
+
+
+def is_cones(
+    model: GaussianModel, target: ConvexSet, limit, x_star, rungs, samples: int,
+    stream: RandomStream, *, executor=None,
+) -> tuple[list[EstimateReport], list[dict]]:
+    """``(reports, records)``: cone importance sampling of ladder rungs on one draw.
+
+    ``rungs`` is a list of ``(entry, active)`` pairs.  An active rung
+    draws from its active cone (``_active_cone``, from ``x_star`` under
+    ``limit``), any other from the plain draw, the cone without rows
+    (``_plain_cone``); each is weighed on its own scaled set
+    (``_cone_pass``).  ``_importance_sample`` weighs all of them on one
+    draw from ``stream``, capped at ``samples``, on ``executor`` when
+    given; an empty ``rungs`` draws nothing.  Each report carries its
+    rung's speed as ``scaling_norm_sq``, and each record adds its cone's
+    row count, ``active_rows``.
+    """
+    d = model.dimension
+    cones = [
+        _active_cone(model, target, limit, e, x_star) if active else _plain_cone(d)
+        for e, active in rungs
+    ]
+    passes = [_cone_pass(model, target.scale(e.scale_diag), c) for (e, _), c in zip(rungs, cones)]
+    reports, records = _importance_sample(model, passes, samples, stream, executor=executor)
+    return (
+        [replace(r, scaling_norm_sq=e.speed) for (e, _), r in zip(rungs, reports)],
+        [{"active_rows": len(c.offsets), **r} for c, r in zip(cones, records)],
+    )
 
 
 def union_combine(q: float, n: int) -> float:

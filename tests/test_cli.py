@@ -421,13 +421,13 @@ class TestEstimateCommand:
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "is")]) == 0
         shifted = json.loads((tmp_path / "is" / "estimate.json").read_text())
         calls = []
-        driver = cli._importance_sample
+        driver = gm.estimate._importance_sample
 
         def counting(model, passes, *args, **kwargs):
             calls.append(len(passes))
             return driver(model, passes, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_importance_sample", counting)
+        monkeypatch.setattr(gm.estimate, "_importance_sample", counting)
         out = tmp_path / "artifacts"
         assert (
             cli.main(["estimate", "--config", str(cfg), "--out", str(out), "--zero-shift"]) == 0
@@ -545,14 +545,13 @@ class TestEstimateCommand:
         config = parse_config(text)
         model, target, solved = cli._solve(config)
         entry = config.build_ladder().entries()[-1]
-        cone = cli._active_cone(model, target, config.build_limit(), entry, solved.x_star)
-        (alone,), (record,) = cli._importance_sample(
-            model, [cli._cone_pass(model, target.scale(entry.scale_diag), cone)], 20000,
-            gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed,
+        (alone,), (record,) = gm.is_cones(
+            model, target, config.build_limit(), solved.x_star, [(entry, True)], 20000,
+            gm.RandomStream(910).substream(800),
         )
         assert payload["importance_sampled"] == json.loads(json.dumps(cli._jsonable(asdict(alone))))
-        expected = {"active_rows": 1, **record}
-        assert payload["importance_sampling"] == json.loads(json.dumps(cli._jsonable(expected)))
+        assert record["active_rows"] == 1
+        assert payload["importance_sampling"] == json.loads(json.dumps(cli._jsonable(record)))
         assert alone.trials == 20000 and not record["target_met"]
 
     def test_crude_row_that_cannot_hit_is_skipped(self, tmp_path, monkeypatch):
@@ -562,13 +561,13 @@ class TestEstimateCommand:
 
         cfg = write_config(tmp_path, HALFSPACE_YAML)
         shifts = []
-        driver = cli._importance_sample
+        driver = gm.estimate._importance_sample
 
         def counting(model, passes, *args, **kwargs):
             shifts.append(len(passes))
             return driver(model, passes, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_importance_sample", counting)
+        monkeypatch.setattr(gm.estimate, "_importance_sample", counting)
         assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         payload = json.loads((tmp_path / "a" / "estimate.json").read_text())
         assert shifts == [1]
@@ -584,11 +583,9 @@ class TestEstimateCommand:
         config = parse_config(HALFSPACE_YAML)
         model, target, solved = cli._solve(config)
         entry = config.build_ladder().entries()[-1]
-        scaled = target.scale(entry.scale_diag)
-        cone = cli._active_cone(model, target, config.build_limit(), entry, solved.x_star)
-        passes = [cli._cone_pass(model, scaled, c) for c in (cone, cli._plain_cone(2))]
-        (both, _), _ = driver(
-            model, passes, 5000, gm.RandomStream(910).substream(800), scaling_norm_sq=entry.speed
+        (both, _), _ = gm.is_cones(
+            model, target, config.build_limit(), solved.x_star, [(entry, True), (entry, False)],
+            5000, gm.RandomStream(910).substream(800),
         )
         row = payload["importance_sampled"]
         assert (row["p_hat"], row["std_error"]) == (both.p_hat, both.std_error)
@@ -939,11 +936,12 @@ class TestVerifySharedDraw:
         assert len({r["samples"] for r in records}) > 1
         for row, record, entry in zip(rows, records, entries):
             cone = gm.estimate._active_cone(model, target, limit, entry, solved.x_star)
-            cone_pass = cli._cone_pass(model, target.scale(entry.scale_diag), cone)
-            (q,), (alone,) = cli._importance_sample(
-                model, [cone_pass], config.is_samples, gm.RandomStream(31).substream(3)
+            (q,), (alone,) = gm.is_cones(
+                model, target, limit, solved.x_star, [(entry, True)], config.is_samples,
+                gm.RandomStream(31).substream(3),
             )
-            assert record == {"n": entry.n, "active_rows": len(cone[1]), **alone}
+            assert alone["active_rows"] == len(cone[1])
+            assert record == {"n": entry.n, **alone}
             assert q.trials == record["samples"]
             lifted = gm.union_combined_report(q, entry.n, entry.speed)
             assert row == ",".join([

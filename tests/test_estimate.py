@@ -776,12 +776,10 @@ class TestSharedShifts:
 
 def cone_row(model, target, limit, entry, x_star, cap, seed):
     """``(cone, report, record)`` of one rung's cone pass alone."""
-    cone = estimate._active_cone(model, target, limit, entry, x_star)
-    cone_pass = estimate._cone_pass(model, target.scale(entry.scale_diag), cone)
-    (report,), (record,) = estimate._importance_sample(
-        model, [cone_pass], cap, gm.RandomStream(seed)
+    (report,), (record,) = gm.is_cones(
+        model, target, limit, x_star, [(entry, True)], cap, gm.RandomStream(seed)
     )
-    return cone, report, record
+    return estimate._active_cone(model, target, limit, entry, x_star), report, record
 
 
 def reference_cone(model, target, limit, entry, x_star):
@@ -1069,6 +1067,36 @@ class TestImportanceSampleDriver:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestIsCones:
+    """Both commands' cone sampler: each rung from its own cone, all on one draw."""
+
+    def test_each_rung_is_itself_weighed_alone(self):
+        # Two cone rungs with a plain rung between them, on a non-centred
+        # model: the n = 1000 cone has one row, the n = 10 cone two.  The
+        # cone rungs stop at 23552 and 97280 samples, while the plain draw
+        # runs to the cap, short of its target.
+        target = TestSharedShifts.TARGET
+        limit = gm.ScalingLimit.identity(3)
+        low, high = gm.ScalingLadder(limit, (10, 1000)).entries()
+        x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
+        rungs = [(high, True), (low, False), (low, True)]
+        stream = gm.RandomStream(51)
+        reports, records = gm.is_cones(CORRELATED3, target, limit, x_star, rungs, 100_000, stream)
+        for rung, report, record in zip(rungs, reports, records):
+            alone = gm.is_cones(CORRELATED3, target, limit, x_star, [rung], 100_000, stream)
+            assert alone == ([report], [record])
+            assert report.scaling_norm_sq == rung[0].speed
+            assert record["hits"] > 0
+        assert [r["active_rows"] for r in records] == [1, 0, 2]
+        assert [r["target_met"] for r in records] == [True, False, True]
+        assert [r["samples"] for r in records] == [23552, 100_000, 97280]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = gm.is_cones(
+                CORRELATED3, target, limit, x_star, rungs, 100_000, stream, executor=pool
+            )
+        assert threaded == (reports, records)
 
 
 class TestUnionCombinedReport:
