@@ -44,7 +44,16 @@ its point nearest the mean, with positive multipliers ``mu = (G G^T)^-1
 h`` (``_active_cone``, ``_cone``).  Across each active face the target
 density falls like ``exp(-mu_i u_i)``, which the proposal follows with
 the exponential draws; a mean-shift Gaussian cannot, so the cone's
-weights are bounded where the shift's spread.
+weights are bounded where the shift's spread.  On a linear set with
+``0 < k < d``, a cone pass integrates one null-space coordinate of each
+draw exactly (``_chord``): along the unit projection ``e = P a / |P a|``
+(``P = I - G^T S^-1 G``) of the set row ``a`` whose face is nearest the
+apex, the smallest ``slack(apex) / |P a|``, the set cuts the line
+through the draw to a chord ``[lo, hi]``, and the hit indicator becomes
+``Phi(hi) - Phi(lo)`` (``_log_ndtr_interval``).  ``z.e`` is standard
+normal and independent of ``u`` and of the rest of ``z``, and the weight
+depends on ``u`` alone, so this conditional expectation keeps the pass
+unbiased, can only lower its variance, and draws nothing more.
 Every pass samples to a stated precision (Glynn & Whitt, *Ann. Appl.
 Prob.* 2, 1992): it stops at the first chunk, in chunk order, at which
 its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
@@ -455,23 +464,49 @@ def _log_weight_sums(lw: np.ndarray) -> tuple[float, float, float, int]:
     return top, float(lw.sum()), float(lw @ lw), len(lw)
 
 
-def _weighed_report(chunks, samples: int, seed: int, scaling_norm_sq: float):
-    """``(report, relative_se, ess)`` of one pass from its chunks' ``_log_weight_sums``.
+class _WeightSums:
+    """One pass's chunk reductions (``_log_weight_sums``) under their running maximum.
 
-    The chunks combine in chunk order under their common maximum, so a
-    probability below double range keeps a finite ``log_p_hat`` and a
-    relative standard error, even where ``p_hat`` itself underflows to
-    zero.  ``ess`` is the effective sample size ``(sum w)^2 / sum w^2``.
-    A pass without hits, with log-weights that are not finite, or with an
-    estimate past double range gives a degenerate report, relative standard
-    error ``inf`` and ``ess`` 0.
+    ``terms`` holds each chunk's ``(s exp(t - top), s2 exp(2 (t - top)))``
+    for the largest chunk maximum ``top`` so far, in chunk order.  They are
+    rebuilt only when a chunk raises ``top``, else the new chunk's are
+    appended, so the terms are those a rescaling of every chunk would give,
+    at one pair of ``exp`` a chunk while the maximum holds.
     """
-    tops, sums, sq_sums, _ = zip(*chunks)
-    top = max(tops)
+
+    def __init__(self):
+        self.chunks, self.terms, self.top, self.hits = [], [], -math.inf, 0
+
+    def add(self, chunk: tuple[float, float, float, int]) -> None:
+        self.chunks.append(chunk)
+        self.hits += chunk[3]
+        if chunk[0] > self.top:
+            self.top = chunk[0]
+            self.terms = [self._scaled(c) for c in self.chunks]
+        else:
+            self.terms.append(self._scaled(chunk))
+
+    def _scaled(self, chunk) -> tuple[float, float]:
+        top, s, sq, _ = chunk
+        return s * math.exp(top - self.top), sq * math.exp(2.0 * (top - self.top))
+
+
+def _weighed_report(sums: _WeightSums, samples: int, seed: int, scaling_norm_sq: float):
+    """``(report, relative_se, ess)`` of one pass from its chunks' ``_WeightSums``.
+
+    The chunks combine in chunk order under their common maximum, each sum
+    by ``math.fsum``, so a probability below double range keeps a finite
+    ``log_p_hat`` and a relative standard error, even where ``p_hat``
+    itself underflows to zero.  ``ess`` is the effective sample size
+    ``(sum w)^2 / sum w^2``.  A pass without hits, with log-weights that
+    are not finite, or with an estimate past double range gives a
+    degenerate report, relative standard error ``inf`` and ``ess`` 0.
+    """
+    top = sums.top
     log_p = math.nan
     if math.isfinite(top):
-        s1 = math.fsum(s * math.exp(t - top) for t, s in zip(tops, sums))
-        s2 = math.fsum(s * math.exp(2.0 * (t - top)) for t, s in zip(tops, sq_sums))
+        s1 = math.fsum(s for s, _ in sums.terms)
+        s2 = math.fsum(sq for _, sq in sums.terms)
         log_p = top + math.log(s1 / samples)
     if not log_p < _LOG_MAX:
         report = EstimateReport(
@@ -558,8 +593,7 @@ def _importance_sample(
     k_max = max((k for k, _ in passes), default=0)
     largest = max(sizes)
     normals, exponentials = np.empty((largest, d)), np.empty(k_max * largest)
-    chunks = [[] for _ in passes]
-    hits = [0] * len(passes)
+    sums = [_WeightSums() for _ in passes]
     reports, records = [None] * len(passes), [None] * len(passes)
     live = list(range(len(passes)))
     drawn = 0
@@ -578,17 +612,17 @@ def _importance_sample(
             return _log_weight_sums(np.concatenate(lw))
 
         for j, reduced in zip(live, _ordered_map(weigh, live, executor)):
-            chunks[j].append(reduced)
-            hits[j] += reduced[3]
+            sums[j].add(reduced)
             reports[j], relative_se, ess = _weighed_report(
-                chunks[j], drawn, stream.seed, scaling_norm_sq
+                sums[j], drawn, stream.seed, scaling_norm_sq
             )
+            hits = sums[j].hits
             records[j] = {
                 "samples": drawn,
-                "hits": hits[j],
+                "hits": hits,
                 "relative_se": relative_se,
                 "effective_sample_size": ess,
-                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits[j] >= IS_MIN_HITS,
+                "target_met": relative_se <= IS_TARGET_RELATIVE_SE and hits >= IS_MIN_HITS,
             }
         live = [j for j in live if not records[j]["target_met"]]
     return tuple(reports), tuple(records)
@@ -737,6 +771,82 @@ def _active_cone(model: GaussianModel, target: ConvexSet, limit, entry: LadderEn
     return _cone(g[order], (g @ z_star - values)[order])
 
 
+def _chord(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
+    """``(row, e, rows, offsets, pace)``: the direction a cone pass integrates exactly, or None.
+
+    ``rows @ z >= offsets`` is ``scaled`` in the frame ``x = mean + C z``.
+    With ``G`` the cone's rows, ``S = G G^T`` and ``P = I - G^T S^-1 G``
+    the projection on their null space, a set row ``a`` moves along ``e``
+    only through ``P a``; a row with ``|P a|^2 <= d eps |a|^2`` (``_cone``'s
+    rounding floor) lies in the rows' span, and its slack does not change
+    along any null-space direction.  Of the other rows, ``row`` is the one
+    whose face is nearest the cone's apex ``G^T mu`` along its own
+    null-space direction, the smallest ``slack(apex) / |P a|``, and ``e =
+    P a / |P a|``.  ``pace`` holds each row's ``a.e``, the rate its slack
+    changes along ``e``, set to 0 for the rows in the span.  None for a
+    cone with no row or no null space (``k = 0`` or ``k = d``), a set
+    without inequalities (an ellipsoid), or one whose every row lies in
+    the cone rows' span (a halfspace).
+    """
+    k, d = len(cone.mu), model.dimension
+    if not 0 < k < d or not hasattr(scaled, "inequalities"):
+        return None
+    rows, offsets = scaled.inequalities()
+    a = rows @ model.covariance.chol_lower
+    b = offsets - rows @ model.mean
+    moved = a - (a @ cone.rows.T) @ (cone.gram_inv @ cone.rows)
+    reach_sq = np.einsum("ij,ij->i", moved, moved)
+    free = reach_sq > d * _EPS * np.einsum("ij,ij->i", a, a)
+    if not free.any():
+        return None
+    reach = np.sqrt(reach_sq[free])
+    depth = np.full(len(b), np.inf)
+    depth[free] = (a[free] @ (cone.rows.T @ cone.mu) - b[free]) / reach
+    row = int(np.argmin(depth))
+    e = moved[row] / math.sqrt(reach_sq[row])
+    return row, e, a, b, np.where(free, a @ e, 0.0)
+
+
+def _chord_measure(chord):
+    """``measure(z)``: each sample's chord along ``e``, and its normal mass in log space.
+
+    ``chord`` is ``_chord``'s ``(row, e, rows, offsets, pace)``.  The
+    line ``z - (z.e) e + xi e`` through a sample meets each row with
+    ``pace > 0`` above a lower end and each row with ``pace < 0`` below an
+    upper end, and intersecting them gives the chord ``[lo, hi]``; a row
+    with ``pace = 0``, which includes every row in the cone rows' span,
+    must hold at ``z`` itself, since its slack does not change along the
+    line.
+    ``measure`` returns the boolean mask of samples whose chord is not
+    empty (``lo < hi``) and, for those, ``log(Phi(hi) - Phi(lo))``
+    (``_log_ndtr_interval``).  Rows are sorted once into lower, upper and
+    fixed ones, and each block's slacks and ends are written into
+    workspaces of ``IS_BLOCK`` samples, so one thread at a time may call it.
+    """
+    _, e, a, b, pace = chord
+    lower, upper = pace > 0.0, pace < 0.0
+    order = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+    lowers, moving = int(lower.sum()), len(order)
+    order = np.concatenate([order, np.flatnonzero(~(lower | upper))])
+    a, b, back = a[order], b[order], -pace[order[:moving], None]
+    slack_space, xi_space = np.empty(len(b) * IS_BLOCK), np.empty(IS_BLOCK)
+
+    def measure(z):
+        m = len(z)
+        slack = np.matmul(a, z.T, out=slack_space[: len(b) * m].reshape(len(b), m))
+        slack -= b[:, None]
+        hit = np.logical_and.reduce(slack[moving:] >= 0.0, axis=0)
+        # The end of row r lies where its slack reaches 0: xi_z - slack_r / (a_r.e).
+        ends = np.divide(slack[:moving], back, out=slack[:moving])
+        ends += np.matmul(z, e, out=xi_space[:m])
+        lo = np.maximum.reduce(ends[:lowers], axis=0)
+        hi = np.minimum.reduce(ends[lowers:], axis=0, initial=np.inf)
+        hit &= lo < hi
+        return hit, _log_ndtr_interval(lo[hit], hi[hit])
+
+    return measure
+
+
 def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
     """``(k, weigh)``: the cone proposal of ``scaled`` inside ``cone``.
 
@@ -747,9 +857,22 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
     ``G``: ``z = z0 + G^T S^-1 (u - G z0)``.  A hit weighs ``log w = -u^T
     S^-1 u / 2 - log det(2 pi S) / 2 - sum log mu + sum E``; outside the
     cone the target density is 0, so the estimate is unbiased.  With ``k
-    = 0`` it is a plain draw of weight 1.  ``weigh`` takes a block of at
-    most ``IS_BLOCK`` samples and writes its ``u``, ``G z0`` and ``z``
-    into workspaces of that size, so one thread at a time may call it.
+    = 0`` it is a plain draw of weight 1.
+
+    On a linear set with a row outside the cone rows' span (``_chord``),
+    the pass integrates one null-space coordinate exactly instead of
+    testing the sample (conditional Monte Carlo; Asmussen & Glynn,
+    *Stochastic Simulation*, 2007, V.4).  Along the unit direction ``e``
+    of the face nearest the apex, ``xi = z.e = z0.e`` is standard normal
+    and independent of ``u`` and of the rest of ``z``, and the weight
+    depends on ``u`` alone, so replacing the hit indicator by its
+    conditional mean ``Phi(hi) - Phi(lo)``, ``[lo, hi]`` the sample's
+    chord along ``e`` (``_chord_measure``), keeps the estimate unbiased,
+    can only lower its variance, keeps every weight at most the bound of
+    ``log w`` with ``E = 0``, and draws nothing more.  A hit is then a
+    sample whose chord is not empty.  ``weigh`` takes a block of at most
+    ``IS_BLOCK`` samples and writes its ``u``, ``G z0`` and ``z`` into
+    workspaces of that size, so one thread at a time may call it.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
@@ -758,7 +881,11 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
         raise ValueError("a cone needs positive mu = S^-1 offsets")
     k, d = len(mu), model.dimension
     constant = -0.5 * log_det - float(np.log(mu).sum()) - k * _HALF_LOG_2PI
-    contains = scaled.whitened(model.mean, model.covariance.chol_lower)
+    chord = _chord(model, scaled, cone)
+    if chord is None:
+        contains, measure = scaled.whitened(model.mean, model.covariance.chol_lower), None
+    else:
+        measure = _chord_measure(chord)
     lift = gram_inv @ rows
     # Flat workspaces of one block: a view at a block's length is laid out
     # as a fresh array would be, so BLAS sees the same operands.
@@ -774,11 +901,16 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
         np.subtract(u, gap, out=gap)
         z = np.matmul(gap.T, lift, out=z_space[: m * d].reshape(m, d))
         z += z0
-        hit = contains(z)
+        if measure is None:
+            hit = contains(z)
+        else:
+            hit, log_mass = measure(z)
         u = np.compress(hit, u, axis=1)
         lw = np.compress(hit, e, axis=1).sum(axis=0)
         lw -= 0.5 * np.einsum("ij,ij->j", u, gram_inv @ u)
         lw += constant
+        if measure is not None:
+            lw += log_mass
         return lw
 
     return k, weigh
@@ -798,18 +930,24 @@ def is_cones(
     draw from ``stream``, capped at ``samples``, on ``executor`` when
     given; an empty ``rungs`` draws nothing.  Each report carries its
     rung's speed as ``scaling_norm_sq``, and each record adds its cone's
-    row count, ``active_rows``.
+    row count, ``active_rows``, and ``chord_row``, the index of the set
+    row whose direction its pass integrates exactly (``_chord``), or None.
     """
     d = model.dimension
     cones = [
         _active_cone(model, target, limit, e, x_star) if active else _plain_cone(d)
         for e, active in rungs
     ]
-    passes = [_cone_pass(model, target.scale(e.scale_diag), c) for (e, _), c in zip(rungs, cones)]
+    scaled = [target.scale(e.scale_diag) for e, _ in rungs]
+    passes = [_cone_pass(model, s, c) for s, c in zip(scaled, cones)]
+    chords = [_chord(model, s, c) for s, c in zip(scaled, cones)]
     reports, records = _importance_sample(model, passes, samples, stream, executor=executor)
     return (
         [replace(r, scaling_norm_sq=e.speed) for (e, _), r in zip(rungs, reports)],
-        [{"active_rows": len(c.offsets), **r} for c, r in zip(cones, records)],
+        [
+            {"active_rows": len(c.offsets), "chord_row": None if h is None else h[0], **r}
+            for c, h, r in zip(cones, chords, records)
+        ],
     )
 
 
@@ -865,6 +1003,66 @@ def _log_ndtr(a: float) -> float:
         term *= -(2 * k - 1) * inv_a2
         total += term
     return -0.5 * a * a - math.log(-a) - _HALF_LOG_2PI + math.log(total)
+
+
+def _log_ndtr_interval(lo, hi) -> np.ndarray:
+    """``log(Phi(hi) - Phi(lo))`` per element, for ``lo < hi``, to a few ulps relative.
+
+    By symmetry the interval is taken as ``[a, b]`` with ``a + b >= 0``
+    (``[-hi, -lo]`` when ``lo + hi < 0``), so its mass lies mostly above
+    0, and one of three forms applies, each without cancellation:
+
+    * narrow, half-width ``h <= 1`` and ``m h <= 1`` about the midpoint
+      ``m``: ``phi(m) (b - a)`` times the mean of ``exp(-m s - s^2 / 2)``
+      over ``s`` in ``[-h, h]``, by 12-point Gauss-Legendre, whose error
+      is below 1e-15 relative there; this covers ends one ulp apart, where
+      any difference of two tails cancels;
+    * upper, ``a >= 0``: ``log Phi_bar(a) + log(1 - Phi_bar(b) /
+      Phi_bar(a))``; outside the narrow case the log ratio is below -1.5;
+    * straddling 0: ``log(1 - Phi(a) - Phi_bar(b))``, where outside the
+      narrow case ``[a, b]`` holds ``[0, 1]``, so the two tails sum to at
+      most 0.66, each ``erfc(|end| / sqrt 2) / 2``, relatively accurate
+      and 0 at an infinite end.
+
+    Only the upper form takes logs of tails, by ``_log_ndtr`` at its finite
+    ends; the straddling form, most chords of a cone pass, calls
+    ``math.erfc`` alone, a third of ``_log_ndtr``'s cost an element.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    flip = hi < -lo
+    a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    half = 0.5 * (b - a)
+    narrow = half <= 1.0
+    narrow[narrow] = (a[narrow] + half[narrow]) * half[narrow] <= 1.0
+    upper = ~narrow & (a >= 0.0)
+    straddle = ~(narrow | upper)
+    out = np.empty(a.shape)
+    if narrow.any():
+        nodes, weights = _legendre_rule()
+        h = half[narrow]
+        m = a[narrow] + h
+        mean = np.exp(-(m * h)[:, None] * nodes - (0.5 * h * h)[:, None] * nodes**2)
+        mean = (mean * (0.5 * weights)).sum(axis=1)
+        out[narrow] = np.log(mean) + np.log(b[narrow] - a[narrow]) - 0.5 * m * m - _HALF_LOG_2PI
+    if upper.any():
+        log_a = _log_ndtr(-a[upper])
+        log_b = np.full(len(log_a), -np.inf)
+        finite = b[upper] < np.inf
+        log_b[finite] = _log_ndtr(-b[upper][finite])
+        out[upper] = log_a + np.log(-np.expm1(log_b - log_a))
+    if straddle.any():
+        tails = _erfc(-_SQRT1_2 * a[straddle]) + _erfc(_SQRT1_2 * b[straddle])
+        out[straddle] = np.log1p(-0.5 * tails)
+    return out
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre rule on ``[-1, 1]`` of ``_log_ndtr_interval``, made once."""
+    return np.polynomial.legendre.leggauss(12)
 
 
 def union_combined_report(single: EstimateReport, n: int, scaling_norm_sq: float) -> EstimateReport:

@@ -891,11 +891,27 @@ class TestVerifySharedDraw:
         monkeypatch.setattr(gm.estimate, "CRUDE_SCALAR_BUDGET", 0)
         monkeypatch.setattr(gm.estimate, "CHUNK_SCALARS", 1_000)
 
-    # IS chunks of 250, 500, 1000, ... samples: the n = 10 rung stops after
-    # 4 chunks (3750 samples), the others after 3, with 9 chunks to the cap.
-    STAGGERED_YAML = POLY_YAML.replace("is_samples: 500", "is_samples: 64000").replace(
-        "ladder: [10, 100]", "ladder: [10, 100, 1000]"
-    )
+    # The cone of x_3 >= 2 A_n, one row, inside the faces x_1 >= -0.3 A_n
+    # and x_2 >= -0.5 A_n.  Each pass integrates x_1's nearer face along its
+    # chord, while x_2's still misses with probability Phi(-0.5 A_n), which
+    # falls along the ladder.  In IS chunks of 250, 500, 1000, ... samples,
+    # the n = 10 rung stops after 5 chunks (7750 samples), n = 100 after 4
+    # and n = 1000 after 3, of 12 chunks to the cap.
+    STAGGERED_YAML = """\
+model:
+  kind: gaussian
+  mean: [0.0, 0.0, 0.0]
+  sigma: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+set:
+  kind: polyhedron
+  constraints: [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+  offsets: [2.0, -0.3, -0.5]
+limit: [1.0, 1.0, 1.0]
+ladder: [10, 100, 1000]
+trials: 500
+is_samples: 64000
+seed: 31
+"""
 
     @staticmethod
     def _staggered(monkeypatch):
@@ -960,7 +976,7 @@ class TestVerifySharedDraw:
             args = ["verify", "--config", str(cfg), "--out", str(out), "--workers", workers]
             assert cli.main(args) == 0
             # Chunks are drawn in order, and none after the last rung stops.
-            assert calls == [slot.substream(i) for i in range(4)]
+            assert calls == [slot.substream(i) for i in range(5)]
             summary = (out / "verify_summary.json").read_text().splitlines()
             kept = [line for line in summary if '"workers"' not in line]
             outputs.append(((out / "verify_ladder.csv").read_bytes(), kept))
@@ -968,8 +984,8 @@ class TestVerifySharedDraw:
         assert outputs[2] == outputs[0]
         summary = json.loads((tmp_path / "w1" / "verify_summary.json").read_text())
         records = summary["importance_sampling"]
-        assert [r["samples"] for r in records] == [3750, 1750, 1750]
-        assert all(r["target_met"] for r in records)
+        assert [r["samples"] for r in records] == [7750, 3750, 1750]
+        assert all(r["target_met"] and r["chord_row"] == 1 for r in records)
 
     def test_each_degenerate_rung_warns(self, tmp_path):
         # A slab 1e-12 wide: the cone of its near face, x_1 >= 2, puts the

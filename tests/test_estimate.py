@@ -163,6 +163,54 @@ class TestLogNdtr:
         np.testing.assert_allclose(float(got), float(log_ndtr(a)), rtol=1e-13, atol=0.0)
 
 
+class TestLogNdtrInterval:
+    """``log(Phi(hi) - Phi(lo))`` against mpmath at 60 digits."""
+
+    @staticmethod
+    def exact(lo, hi) -> float:
+        with mpmath.workdps(60):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            # Differences of the tails away from 0, or of erf near 0, where
+            # ends a subnormal apart would cancel in Phi.
+            if lo >= 1:
+                mass = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+            elif hi <= -1:
+                mass = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+            else:
+                mass = (mpmath.erf(hi / mpmath.sqrt(2)) - mpmath.erf(lo / mpmath.sqrt(2))) / 2
+            return float(mpmath.log(mass))
+
+    def test_matches_mpmath(self):
+        inf = math.inf
+        pairs = [
+            # Deep upper and lower tails, past where Phi_bar underflows.
+            (38.0, 39.0), (40.0, 40.5), (40.0, inf), (1e3, 1e3 + 1.0), (1e5, 1e5 + 1e-3),
+            (-39.0, -38.0), (-40.5, -40.0), (-inf, -40.0), (-1e3 - 1.0, -1e3),
+            # The borders of the narrow form, h = 1 and m h = 1, and near them.
+            (0.0, 2.0), (0.0, np.nextafter(2.0, 3.0)), (0.5, 1.5), (1.9, 2.4),
+            (np.sqrt(2.0) - 0.5, np.sqrt(2.0) + 0.5), (-0.99, 1.0), (-1.01, 1.0),
+            # Straddling 0, and the whole line.
+            (-0.5, 0.6), (-3.0, 0.2), (-1.5, 1.5), (-inf, inf), (-inf, 0.0), (0.0, inf),
+            # Infinite ends.
+            (-3.0, inf), (2.0, inf), (30.0, inf), (-inf, -30.0), (-inf, -2.0), (-inf, 3.0),
+        ]
+        # Ends one ulp apart, and a little further, on both sides of 0.
+        for lo in (0.0, 0.3, 1.0, 5.0, 37.0, 300.0, -2.0, -40.0, -1e4):
+            for gap in (1, 2, 1000):
+                pairs.append((lo, lo + gap * (np.nextafter(lo, inf) - lo)))
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            lo = rng.normal() * 10.0 ** rng.uniform(-3.0, 2.0)
+            pairs.append((lo, lo + 10.0 ** rng.uniform(-15.0, 1.5) * (abs(lo) + 1e-3)))
+        lo, hi = map(np.array, zip(*pairs))
+        assert (lo < hi).all()
+        got = estimate._log_ndtr_interval(lo, hi)
+        want = np.array([self.exact(a, b) for a, b in pairs])
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(got, want, rtol=4.0 * eps, atol=4.0 * eps)
+        assert got[pairs.index((-inf, inf))] == 0.0
+
+
 class TestCrudeMonteCarlo:
     def test_determinism(self):
         entry = gm.LadderEntry(5, np.ones(2), 1.0)
@@ -944,6 +992,80 @@ class TestConeSampling:
             estimate._cone_pass(mixture, target, cone)
 
 
+class TestChordSampling:
+    """A cone pass on a linear set integrates the chord of its nearest inactive face."""
+
+    @staticmethod
+    def assert_calibrated(model, target, entry, x_star, log_q, chord_row):
+        # Over 200 seeds the standardised errors have mean 0 (SE 0.07) and
+        # SD 1 (SE 0.05).  A cap of 2000 samples is reached before the
+        # target on the vertex, so most runs are of a fixed size.
+        limit = gm.ScalingLimit.identity(model.dimension)
+        gaps = []
+        for seed in range(200):
+            cone, report, record = cone_row(model, target, limit, entry, x_star, 2000, seed)
+            assert record["chord_row"] == chord_row
+            assert record["hits"] == record["samples"]
+            gaps.append(standard_error_gap(report, log_q))
+        assert len(cone.offsets) == 1
+        assert abs(np.mean(gaps)) <= 0.2
+        assert 0.8 <= np.std(gaps) <= 1.2
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_degenerate_vertex_is_unbiased(self, n):
+        # x_1 >= 1, x_2 >= 1 and the implied x_1 + x_2 >= 2: the cone keeps
+        # the implied row alone, and the pass integrates along x_1 - x_2,
+        # across which the two axis rows bound every sample's chord, so
+        # every draw hits.  The exact value is a product of two tails.
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        target = gm.Polyhedron(rows, np.array([1.0, 1.0, 2.0]))
+        limit = gm.ScalingLimit.identity(2)
+        entry = gm.ScalingLadder(limit, (n,)).entries()[0]
+        x_star = gm.dominating_point(target, STANDARD2.covariance, limit).x_star
+        log_q = 2.0 * float(estimate._log_ndtr(-entry.scale_diag[0]))
+        self.assert_calibrated(STANDARD2, target, entry, x_star, log_q, 0)
+
+    def test_halfspace_cut_by_a_parallel_face_is_unbiased(self):
+        # {x_1 >= 1} and {-x_2 >= -0.5} under diag(1, 2): the cone is x_1's
+        # face, and the chord runs along x_2 up to the other face, so the
+        # exact value is Phi_bar(a_1) Phi(c_2).
+        sd = np.array([1.0, math.sqrt(2.0)])
+        model = gm.GaussianModel(np.zeros(2), gm.build_covariance(np.diag(sd**2)))
+        target = gm.Polyhedron(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, -0.5]))
+        limit = gm.ScalingLimit.identity(2)
+        entry = gm.ScalingLadder(limit, (100,)).entries()[0]
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        a_n = entry.scale_diag[0]
+        log_q = float(estimate._log_ndtr(-a_n / sd[0]) + estimate._log_ndtr(0.5 * a_n / sd[1]))
+        self.assert_calibrated(model, target, entry, x_star, log_q, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_chord_pass_alone_equals_it_on_a_shared_draw(self, workers):
+        # The n = 1000 cone of TestSharedShifts.TARGET has one row and
+        # integrates the other's chord; it shares a draw with the n = 10
+        # cone, which holds both rows, and with the plain draw, on threads.
+        target = TestSharedShifts.TARGET
+        limit = gm.ScalingLimit.identity(3)
+        low, high = gm.ScalingLadder(limit, (10, 1000)).entries()
+        x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
+        passes = [
+            estimate._cone_pass(CORRELATED3, target.scale(e.scale_diag), cone)
+            for e, cone in [
+                (high, estimate._active_cone(CORRELATED3, target, limit, high, x_star)),
+                (low, estimate._active_cone(CORRELATED3, target, limit, low, x_star)),
+                (low, estimate._plain_cone(3)),
+            ]
+        ]
+        stream = gm.RandomStream(52)
+        with ThreadPoolExecutor(workers) as pool:
+            shared, records = estimate._importance_sample(
+                CORRELATED3, passes, 20_000, stream, executor=pool
+            )
+        assert [r["samples"] for r in records] == [1024, 20_000, 20_000]
+        alone = estimate._importance_sample(CORRELATED3, passes[:1], 20_000, stream)
+        assert alone == (shared[:1], records[:1])
+
+
 class TestImportanceSampleDriver:
     """One draw weighs every proposal; a pass reads the draw and never writes it."""
 
@@ -989,6 +1111,44 @@ class TestImportanceSampleDriver:
             np.testing.assert_array_equal(z0s[chunk], rng.standard_normal((size, 3)))
             np.testing.assert_array_equal(exps[:, chunk], rng.standard_exponential((k, size)))
             start += size
+
+    def test_running_sums_equal_the_rescaled_sum_of_every_chunk(self, monkeypatch):
+        # A mean-shift pass capped at 225 chunks of 16 samples, short of its
+        # target: after every chunk, its report equals the one that rescales
+        # every chunk so far by the largest maximum and sums them afresh,
+        # bit for bit, while that maximum moves several times.
+        monkeypatch.setattr(estimate, "IS_FIRST_CHUNK", 16)
+        monkeypatch.setattr(estimate, "IS_LARGEST_CHUNK", 16)
+        seen, reduce = [], estimate._log_weight_sums
+        reported, weighed = [], estimate._weighed_report
+
+        def sums(lw):
+            seen.append(reduce(lw))
+            return seen[-1]
+
+        def report(running, samples, *args):
+            reported.append((samples, weighed(running, samples, *args)))
+            return reported[-1][1]
+
+        monkeypatch.setattr(estimate, "_log_weight_sums", sums)
+        monkeypatch.setattr(estimate, "_weighed_report", report)
+        target = gm.Halfspace(np.array([1.0, 0.5]), 3.0)
+        passes = [estimate._shift_pass(STANDARD2, target, np.array([2.0, 1.0]))]
+        (final,), (record,) = estimate._importance_sample(STANDARD2, passes, 3600, gm.RandomStream(9))
+        assert len(seen) == len(reported) == 225 and not record["target_met"]
+        assert reported[-1][1][0] == final
+        tops = [t for t, *_ in seen]
+        assert sum(t > max(tops[:i], default=-math.inf) for i, t in enumerate(tops)) >= 5
+        for i, (samples, (got, relative_se, ess)) in enumerate(reported):
+            chunks = seen[: i + 1]
+            top = max(t for t, *_ in chunks)
+            s1 = math.fsum(s * math.exp(t - top) for t, s, _, _ in chunks)
+            s2 = math.fsum(sq * math.exp(2.0 * (t - top)) for t, _, sq, _ in chunks)
+            log_p = top + math.log(s1 / samples)
+            assert samples == 16 * (i + 1)
+            assert got.log_p_hat == log_p and got.p_hat == math.exp(log_p)
+            assert relative_se == math.sqrt(max(s2 * samples / (s1 * s1) - 1.0, 0.0) / samples)
+            assert ess == s1 * s1 / s2
 
     def test_blocks_cut_chunks_evenly(self):
         block = estimate.IS_BLOCK
@@ -1075,8 +1235,10 @@ class TestIsCones:
     def test_each_rung_is_itself_weighed_alone(self):
         # Two cone rungs with a plain rung between them, on a non-centred
         # model: the n = 1000 cone has one row, the n = 10 cone two.  The
-        # cone rungs stop at 23552 and 97280 samples, while the plain draw
-        # runs to the cap, short of its target.
+        # n = 1000 pass integrates the other row's chord, so every sample
+        # hits and it stops in its first chunk, at 1024 samples; the n = 10
+        # cone holds both rows and integrates none, and stops at 97280,
+        # while the plain draw runs to the cap, short of its target.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         low, high = gm.ScalingLadder(limit, (10, 1000)).entries()
@@ -1090,8 +1252,9 @@ class TestIsCones:
             assert report.scaling_norm_sq == rung[0].speed
             assert record["hits"] > 0
         assert [r["active_rows"] for r in records] == [1, 0, 2]
+        assert [r["chord_row"] for r in records] == [1, None, None]
         assert [r["target_met"] for r in records] == [True, False, True]
-        assert [r["samples"] for r in records] == [23552, 100_000, 97280]
+        assert [r["samples"] for r in records] == [1024, 100_000, 97280]
         with ThreadPoolExecutor(2) as pool:
             threaded = gm.is_cones(
                 CORRELATED3, target, limit, x_star, rungs, 100_000, stream, executor=pool
