@@ -335,19 +335,18 @@ def run_verify(config: ExperimentConfig, seed: int, outdir: Path, workers: int) 
             rows += mc_crude(model, target, entry, config.trials, stream, pool)
         return rows
 
-    # Workers share out the sampling chunks of one crude pass, and the
-    # rungs of one IS chunk; results combine in chunk order, so the rows do
-    # not depend on them.
+    # One draw on substream 3, the IS slot of rung 0, weighs every IS rung
+    # on its own scaled set, from its own active cone, inline.
+    is_entries = [entries[i] for i in is_rungs]
+    qs, stats = is_cones(
+        model, target, config.build_limit(), solved.x_star,
+        [(e, True) for e in is_entries], config.is_samples, root.substream(3),
+    )
+    singles = dict(zip(is_rungs, qs))
+    records = [{"n": e.n, **r} for e, r in zip(is_entries, stats)]
+    # Workers share out the sampling chunks of one crude pass; results
+    # combine in chunk order, so the rows do not depend on them.
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        # One draw on substream 3, the IS slot of rung 0, weighs every IS
-        # rung on its own scaled set, from its own active cone.
-        is_entries = [entries[i] for i in is_rungs]
-        qs, stats = is_cones(
-            model, target, config.build_limit(), solved.x_star,
-            [(e, True) for e in is_entries], config.is_samples, root.substream(3), executor=pool,
-        )
-        singles = dict(zip(is_rungs, qs))
-        records = [{"n": e.n, **r} for e, r in zip(is_entries, stats)]
         rungs = [entry_rows(i, *job, pool) for i, job in enumerate(zip(entries, methods))]
     reports = [r for rows in rungs for r in rows]
     _write_csv(outdir / "verify_ladder.csv", reports)
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the ladder and fit empirical decay slopes")
     common(p_ver)
     p_ver.add_argument(
-        "--workers", type=int, default=1, help="parallel workers over sampling chunks"
+        "--workers", type=int, default=1, help="parallel workers over crude sampling chunks"
     )
     p_ver.set_defaults(func=_cmd_verify)
 

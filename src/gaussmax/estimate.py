@@ -60,11 +60,10 @@ its relative standard error is at most ``IS_TARGET_RELATIVE_SE`` with at
 least ``IS_MIN_HITS`` hits, so ``is_samples`` is only its cap, and the
 draw ends when the last pass stops.  Chunks double up to
 ``IS_LARGEST_CHUNK`` samples and then repeat it, so late stops come
-every ``IS_LARGEST_CHUNK`` samples.  Each pass weighs a chunk in blocks
-of at most ``IS_BLOCK`` samples, in workspaces it allocates once, so its
-arrays stay a few hundred kilobytes however large the chunk.  Passes
-weighed on one draw share common random numbers, so their errors are
-correlated, while each stays unbiased with its own standard error.
+every ``IS_LARGEST_CHUNK`` samples, and every pass weighs each chunk
+whole, inline, so its arrays stay a few megabytes however large the cap.
+Passes weighed on one draw share common random numbers, so their errors
+are correlated, while each stays unbiased with its own standard error.
 
 ``plan_rung`` is the one place that decides which of these a ladder
 rung runs (exact rows or importance sampling, then crude rows) and, when
@@ -77,14 +76,12 @@ rows at or below ``CRUDE_MIN_EXPECTED_HITS``.
 
 Determinism contract: every estimator consumes a RandomStream and draws
 in chunks whose sizes depend only on the problem shape, chunk ``i`` from
-``stream.substream(i)``, and an importance sampling pass weighs a chunk
-in blocks cut by its size alone.  Crude chunks, or the passes of one
-importance sampling chunk, may run on an executor's threads, but their
-results are combined in chunk order (integer sums for hit counts,
-``math.fsum`` for importance weights, each chunk's scaled by its largest
-log-weight), and every importance sampling stop is decided in chunk
-order.  Results are therefore a pure function of (arguments, stream)
-regardless of how callers schedule the work.
+``stream.substream(i)``.  Crude chunks may run on an executor's threads,
+but their hit counts are summed in chunk order; importance sampling runs
+inline, combines its chunks in chunk order (``math.fsum`` of each
+chunk's weights scaled by its largest log-weight) and decides every stop
+in chunk order.  Results are therefore a pure function of (arguments,
+stream) regardless of how callers schedule the work.
 """
 
 from __future__ import annotations
@@ -138,19 +135,14 @@ CRUDE_MIN_EXPECTED_HITS = 0.01
 # at least IS_MIN_HITS hits, a floor against the small-count bias of
 # sequential stopping; is_samples caps it.  Its chunks double in size
 # from IS_FIRST_CHUNK samples up to IS_LARGEST_CHUNK and then repeat
-# that size, so the stop has a fine grain early and a late one comes
-# every IS_LARGEST_CHUNK samples; no row can stop on fewer samples than
-# IS_MIN_HITS, so the first chunk is the smallest power of two that
-# holds them.
+# that size, so the stop has a fine grain early, a late one comes every
+# IS_LARGEST_CHUNK samples, and a chunk's arrays stay small; no row can
+# stop on fewer samples than IS_MIN_HITS, so the first chunk is the
+# smallest power of two that holds them.
 IS_TARGET_RELATIVE_SE = 0.005
 IS_MIN_HITS = 1000
 IS_FIRST_CHUNK = 1 << (IS_MIN_HITS - 1).bit_length()
 IS_LARGEST_CHUNK = 8 * IS_FIRST_CHUNK
-
-# Each pass weighs a chunk in blocks of at most IS_BLOCK samples, in
-# workspaces of that size that it allocates once, so that its arrays stay
-# small and are not allocated afresh per chunk; a multiple of 64 (_blocks).
-IS_BLOCK = 2048
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -306,11 +298,6 @@ def _zero_shift_skip(model: GaussianModel, point: np.ndarray, samples: int, n: i
     return {"n": n, "reason": "expected_hits", "expected_hits": math.exp(log_hits)}
 
 
-def _ordered_map(run, jobs, executor) -> list:
-    """``run(job)`` for each of ``jobs``, on ``executor`` when given, results in job order."""
-    return list(map(run, jobs) if executor is None else executor.map(run, jobs))
-
-
 def _normal_tail(a: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` standard normal draws conditioned on ``z >= a``.
 
@@ -443,7 +430,8 @@ def mc_crude(
         seen = top[:, 0] > -np.inf
         return int(scaled.contains_many(top[seen]).sum()), int(any_in.sum())
 
-    counts = _ordered_map(count, range(-(-trials // chunk)), executor)
+    jobs = range(-(-trials // chunk))
+    counts = list(map(count, jobs) if executor is None else executor.map(count, jobs))
     cw, alo = map(sum, zip(*counts))
     return (
         _crude_report(cw, trials, Method.CRUDE_COMPONENTWISE, stream.seed, n, entry.speed),
@@ -540,21 +528,6 @@ def _doubling_chunks(cap: int, d: int) -> list[int]:
     return sizes + [largest] * full + [rest] * (rest > 0)
 
 
-def _blocks(size: int) -> list[slice]:
-    """The fewest blocks of at most ``IS_BLOCK`` samples that cut a chunk of ``size``.
-
-    Every block but the last has one length, a multiple of 64, so each
-    starts at a multiple of 64 and none is much shorter than the rest.
-    numpy and BLAS pick their kernels by shape (a one-sample block is a
-    matrix-vector product), and on a few samples they can round
-    differently from the same samples weighed in one array.
-    """
-    count = -(-size // IS_BLOCK)
-    step = -(-size // count)
-    step += -step % 64
-    return [slice(start, start + step) for start in range(0, size, step)]
-
-
 def _importance_sample(
     model: GaussianModel,
     passes,
@@ -562,57 +535,42 @@ def _importance_sample(
     stream: RandomStream,
     *,
     scaling_norm_sq: float = math.nan,
-    executor=None,
 ) -> tuple[tuple[EstimateReport, ...], tuple[dict, ...]]:
     """``(reports, records)``: importance sampling of ``(k, weigh)`` passes on one draw.
 
     Each pass is a proposal (``_shift_pass``, ``_cone_pass``) whose
-    ``weigh(z0, exps)`` gives the log-weights of one block's hits.  Chunk
-    ``i`` draws ``m`` standard normal vectors ``z0``, then standard
-    exponentials ``exps`` as a ``(k_max, m)`` array, from
-    ``stream.substream(i)``, into buffers of the largest chunk that every
-    chunk reuses.  A pass with ``k`` rows reads the first ``k`` and no
-    pass writes to the draw, so a pass weighed alone gets the same bits.
-    Each pass weighs the chunk in blocks (``_blocks``), and its hits'
-    log-weights, in sample order, reduce to one chunk sum.  Chunk sizes
-    (``_doubling_chunks``) depend only on ``(cap, d)``, and block cuts
-    only on the chunk size.  A pass stops at the first chunk, in chunk
-    order, after which its relative standard error is at most
-    ``IS_TARGET_RELATIVE_SE`` with at least ``IS_MIN_HITS`` hits, or at
-    ``cap`` samples; the draw ends when every pass has stopped.  The
-    passes of one chunk are weighed on ``executor`` when given (anything
-    with an ordered ``map``), inline otherwise, with the same reports and
-    draws.  Each report is a single-vector row (``n = 1``) whose
-    ``trials`` are the samples its pass used, and each record is
+    ``weigh(z0, exps)`` gives the log-weights of one chunk's hits, in
+    sample order.  Chunk ``i`` draws ``m`` standard normal vectors ``z0``,
+    then standard exponentials ``exps`` as a ``(k_max, m)`` array, from
+    ``stream.substream(i)``.  A pass with ``k`` rows reads the first ``k``
+    and no pass writes to the draw, so a pass weighed alone gets the same
+    bits.  Each live pass weighs the whole chunk, inline, and its hits'
+    log-weights reduce to one chunk sum.  Chunk sizes
+    (``_doubling_chunks``) depend only on ``(cap, d)``.  A pass stops at
+    the first chunk, in chunk order, after which its relative standard
+    error is at most ``IS_TARGET_RELATIVE_SE`` with at least
+    ``IS_MIN_HITS`` hits, or at ``cap`` samples; the draw ends when every
+    pass has stopped.  Each report is a single-vector row (``n = 1``)
+    whose ``trials`` are the samples its pass used, and each record is
     ``{samples, hits, relative_se, effective_sample_size, target_met}``.
     """
     if cap < 1:
         raise ValueError(f"samples must be >= 1, got {cap}")
     d = model.dimension
-    sizes = _doubling_chunks(cap, d)
     k_max = max((k for k, _ in passes), default=0)
-    largest = max(sizes)
-    normals, exponentials = np.empty((largest, d)), np.empty(k_max * largest)
     sums = [_WeightSums() for _ in passes]
     reports, records = [None] * len(passes), [None] * len(passes)
     live = list(range(len(passes)))
     drawn = 0
-    for index, size in enumerate(sizes):
+    for index, size in enumerate(_doubling_chunks(cap, d)):
         if not live:
             break
         drawn += size
         rng = stream.substream(index).generator()
-        z0 = rng.standard_normal(out=normals[:size])
-        exps = rng.standard_exponential(out=exponentials[: k_max * size].reshape(k_max, size))
-        blocks = _blocks(size)
-
-        def weigh(j: int) -> tuple[float, float, float, int]:
-            weigh_block = passes[j][1]
-            lw = [weigh_block(z0[b], exps[:, b]) for b in blocks]
-            return _log_weight_sums(np.concatenate(lw))
-
-        for j, reduced in zip(live, _ordered_map(weigh, live, executor)):
-            sums[j].add(reduced)
+        z0 = rng.standard_normal((size, d))
+        exps = rng.standard_exponential((k_max, size))
+        for j in live:
+            sums[j].add(_log_weight_sums(passes[j][1](z0, exps)))
             reports[j], relative_se, ess = _weighed_report(
                 sums[j], drawn, stream.seed, scaling_norm_sq
             )
@@ -631,11 +589,10 @@ def _importance_sample(
 def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
     """``(0, weigh)``: the mean-shift proposal ``x = mean + shift + C z`` on ``scaled``.
 
-    ``weigh`` tests ``z0``, a block of at most ``IS_BLOCK`` samples,
-    against ``scaled`` mapped through the proposal (``scaled.whitened``)
-    and weighs the hits by the log likelihood ratio ``-<u, z0> - |u|^2 /
-    2``, ``u = L shift``, in a workspace of that size, so one thread at a
-    time may call it; it reads no exponentials.
+    ``weigh`` tests a chunk's ``z0`` against ``scaled`` mapped through
+    the proposal (``scaled.whitened``) and weighs the hits by the log
+    likelihood ratio ``-<u, z0> - |u|^2 / 2``, ``u = L shift``; it reads
+    no exponentials.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
@@ -646,12 +603,11 @@ def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
     u = cov.whitener @ shift
     contains = scaled.whitened(model.mean + shift, cov.chol_lower)
     neg_u, half = -u, 0.5 * float(u @ u)
-    space = np.empty(IS_BLOCK)
 
     def weigh(z0, exps) -> np.ndarray:
         # <u, z0> of every sample, then the hits': a sample's product does
         # not depend on which others hit.
-        lw = np.compress(contains(z0), np.matmul(z0, neg_u, out=space[: len(z0)]))
+        lw = np.compress(contains(z0), z0 @ neg_u)
         lw -= half
         return lw
 
@@ -820,8 +776,7 @@ def _chord_measure(chord):
     ``measure`` returns the boolean mask of samples whose chord is not
     empty (``lo < hi``) and, for those, ``log(Phi(hi) - Phi(lo))``
     (``_log_ndtr_interval``).  Rows are sorted once into lower, upper and
-    fixed ones, and each block's slacks and ends are written into
-    workspaces of ``IS_BLOCK`` samples, so one thread at a time may call it.
+    fixed ones.
     """
     _, e, a, b, pace = chord
     lower, upper = pace > 0.0, pace < 0.0
@@ -829,16 +784,14 @@ def _chord_measure(chord):
     lowers, moving = int(lower.sum()), len(order)
     order = np.concatenate([order, np.flatnonzero(~(lower | upper))])
     a, b, back = a[order], b[order], -pace[order[:moving], None]
-    slack_space, xi_space = np.empty(len(b) * IS_BLOCK), np.empty(IS_BLOCK)
 
     def measure(z):
-        m = len(z)
-        slack = np.matmul(a, z.T, out=slack_space[: len(b) * m].reshape(len(b), m))
+        slack = a @ z.T
         slack -= b[:, None]
         hit = np.logical_and.reduce(slack[moving:] >= 0.0, axis=0)
         # The end of row r lies where its slack reaches 0: xi_z - slack_r / (a_r.e).
         ends = np.divide(slack[:moving], back, out=slack[:moving])
-        ends += np.matmul(z, e, out=xi_space[:m])
+        ends += z @ e
         lo = np.maximum.reduce(ends[:lowers], axis=0)
         hi = np.minimum.reduce(ends[lowers:], axis=0, initial=np.inf)
         hit &= lo < hi
@@ -847,7 +800,7 @@ def _chord_measure(chord):
     return measure
 
 
-def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
+def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone, chord):
     """``(k, weigh)``: the cone proposal of ``scaled`` inside ``cone``.
 
     The cone is ``{z : G z >= h}`` (``_cone``) in the frame ``x = mean +
@@ -859,47 +812,39 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
     cone the target density is 0, so the estimate is unbiased.  With ``k
     = 0`` it is a plain draw of weight 1.
 
-    On a linear set with a row outside the cone rows' span (``_chord``),
-    the pass integrates one null-space coordinate exactly instead of
-    testing the sample (conditional Monte Carlo; Asmussen & Glynn,
-    *Stochastic Simulation*, 2007, V.4).  Along the unit direction ``e``
-    of the face nearest the apex, ``xi = z.e = z0.e`` is standard normal
-    and independent of ``u`` and of the rest of ``z``, and the weight
-    depends on ``u`` alone, so replacing the hit indicator by its
-    conditional mean ``Phi(hi) - Phi(lo)``, ``[lo, hi]`` the sample's
-    chord along ``e`` (``_chord_measure``), keeps the estimate unbiased,
-    can only lower its variance, keeps every weight at most the bound of
-    ``log w`` with ``E = 0``, and draws nothing more.  A hit is then a
-    sample whose chord is not empty.  ``weigh`` takes a block of at most
-    ``IS_BLOCK`` samples and writes its ``u``, ``G z0`` and ``z`` into
-    workspaces of that size, so one thread at a time may call it.
+    ``chord`` is ``_chord(model, scaled, cone)``, which the caller computes
+    once and may record.  When it is not None (a linear set with a row
+    outside the cone rows' span), the pass integrates one null-space
+    coordinate exactly instead of testing the sample (conditional Monte
+    Carlo; Asmussen & Glynn, *Stochastic Simulation*, 2007, V.4).  Along the
+    unit direction ``e`` of the face nearest the apex, ``xi = z.e = z0.e``
+    is standard normal and independent of ``u`` and of the rest of ``z``,
+    and the weight depends on ``u`` alone, so replacing the hit indicator by
+    its conditional mean ``Phi(hi) - Phi(lo)``, ``[lo, hi]`` the sample's
+    chord along ``e`` (``_chord_measure``), keeps the estimate unbiased, can
+    only lower its variance, keeps every weight at most the bound of ``log
+    w`` with ``E = 0``, and draws nothing more.  A hit is then a sample
+    whose chord is not empty.
     """
     if not isinstance(model, GaussianModel):
         raise TypeError("importance sampling requires a single Gaussian model")
     rows, offsets, mu, gram_inv, log_det = cone
     if not (mu > 0.0).all():
         raise ValueError("a cone needs positive mu = S^-1 offsets")
-    k, d = len(mu), model.dimension
+    k = len(mu)
     constant = -0.5 * log_det - float(np.log(mu).sum()) - k * _HALF_LOG_2PI
-    chord = _chord(model, scaled, cone)
     if chord is None:
         contains, measure = scaled.whitened(model.mean, model.covariance.chol_lower), None
     else:
         measure = _chord_measure(chord)
     lift = gram_inv @ rows
-    # Flat workspaces of one block: a view at a block's length is laid out
-    # as a fresh array would be, so BLAS sees the same operands.
-    u_space, gap_space = np.empty(k * IS_BLOCK), np.empty(k * IS_BLOCK)
-    z_space = np.empty(IS_BLOCK * d)
 
     def weigh(z0, exps) -> np.ndarray:
-        m = len(z0)
         e = exps[:k]
-        u = np.divide(e, mu[:, None], out=u_space[: k * m].reshape(k, m))
+        u = e / mu[:, None]
         u += offsets[:, None]
-        gap = np.matmul(rows, z0.T, out=gap_space[: k * m].reshape(k, m))
-        np.subtract(u, gap, out=gap)
-        z = np.matmul(gap.T, lift, out=z_space[: m * d].reshape(m, d))
+        gap = u - rows @ z0.T
+        z = gap.T @ lift
         z += z0
         if measure is None:
             hit = contains(z)
@@ -918,7 +863,7 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone):
 
 def is_cones(
     model: GaussianModel, target: ConvexSet, limit, x_star, rungs, samples: int,
-    stream: RandomStream, *, executor=None,
+    stream: RandomStream,
 ) -> tuple[list[EstimateReport], list[dict]]:
     """``(reports, records)``: cone importance sampling of ladder rungs on one draw.
 
@@ -926,12 +871,13 @@ def is_cones(
     draws from its active cone (``_active_cone``, from ``x_star`` under
     ``limit``), any other from the plain draw, the cone without rows
     (``_plain_cone``); each is weighed on its own scaled set
-    (``_cone_pass``).  ``_importance_sample`` weighs all of them on one
-    draw from ``stream``, capped at ``samples``, on ``executor`` when
-    given; an empty ``rungs`` draws nothing.  Each report carries its
-    rung's speed as ``scaling_norm_sq``, and each record adds its cone's
-    row count, ``active_rows``, and ``chord_row``, the index of the set
-    row whose direction its pass integrates exactly (``_chord``), or None.
+    (``_cone_pass``), with its chord (``_chord``) computed once.
+    ``_importance_sample`` weighs all of them on one draw from
+    ``stream``, capped at ``samples``, inline; an empty ``rungs`` draws
+    nothing.  Each report carries its rung's speed as ``scaling_norm_sq``,
+    and each record adds its cone's row count, ``active_rows``, and
+    ``chord_row``, the index of the set row whose direction its pass
+    integrates exactly, or None.
     """
     d = model.dimension
     cones = [
@@ -939,9 +885,9 @@ def is_cones(
         for e, active in rungs
     ]
     scaled = [target.scale(e.scale_diag) for e, _ in rungs]
-    passes = [_cone_pass(model, s, c) for s, c in zip(scaled, cones)]
     chords = [_chord(model, s, c) for s, c in zip(scaled, cones)]
-    reports, records = _importance_sample(model, passes, samples, stream, executor=executor)
+    passes = [_cone_pass(model, *job) for job in zip(scaled, cones, chords)]
+    reports, records = _importance_sample(model, passes, samples, stream)
     return (
         [replace(r, scaling_norm_sq=e.speed) for (e, _), r in zip(rungs, reports)],
         [

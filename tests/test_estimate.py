@@ -1,6 +1,5 @@
 """Monte Carlo, importance sampling, exact references, and slope fits."""
 
-import contextlib
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -768,24 +767,25 @@ class TestSharedShifts:
         (OTHER, np.array([-0.2, 0.3, 0.6])),
     )
 
-    @pytest.mark.parametrize("workers", [0, 3])
-    def test_one_draw_equals_separate_passes(self, monkeypatch, workers):
-        # 3000 samples of dimension 3 at 999 scalars a chunk: 10 chunks.
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_one_draw_equals_separate_passes(self, monkeypatch, extra):
+        # 3000 + extra samples of dimension 3 at 999 scalars a chunk: 10
+        # chunks, nine of 333 rows and a last one of 3 + extra.
+        samples = 3000 + extra
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
         kwargs = {"scaling_norm_sq": 2.5}
         passes = [estimate._shift_pass(CORRELATED3, *pair) for pair in self.PASSES]
-        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
-            shared, records = estimate._importance_sample(
-                CORRELATED3, passes, 3000, gm.RandomStream(48), executor=pool, **kwargs
-            )
+        shared, records = estimate._importance_sample(
+            CORRELATED3, passes, samples, gm.RandomStream(48), **kwargs
+        )
         separate = tuple(
-            gm.is_single(CORRELATED3, *pair, 3000, gm.RandomStream(48), **kwargs)
+            gm.is_single(CORRELATED3, *pair, samples, gm.RandomStream(48), **kwargs)
             for pair in self.PASSES
         )
         assert shared == separate
         hits = [r["hits"] for r in records]
         for report, count, pair in zip(shared, hits, self.PASSES):
-            p, se, oracle_hits = separate_is_pass(CORRELATED3, *pair, 3000, gm.RandomStream(48), 333)
+            p, se, oracle_hits = separate_is_pass(CORRELATED3, *pair, samples, gm.RandomStream(48), 333)
             assert count == oracle_hits
             # Log-space sums and linear ones differ in the last bits only.
             assert report.p_hat == pytest.approx(p, rel=1e-12)
@@ -793,7 +793,7 @@ class TestSharedShifts:
         assert all(h > 0 for h in hits)
         assert not any(r.degenerate_weights for r in shared)
         # The zero shift weighs crude hits: its weighted sum is the hit count.
-        assert round(shared[1].p_hat * 3000) == hits[1]
+        assert round(shared[1].p_hat * samples) == hits[1]
 
     def test_zero_shift_pair_is_equal(self):
         zeros = [estimate._shift_pass(CORRELATED3, self.TARGET, np.zeros(3)) for _ in range(2)]
@@ -820,6 +820,11 @@ class TestSharedShifts:
         assert abs(report.log_p_hat - log_q) < 0.5
         single = gm.is_single(STANDARD2, target, np.array([40.0, 0.0]), 4000, gm.RandomStream(1))
         assert single == report
+
+
+def cone_pass(model, scaled, cone):
+    """``_cone_pass`` of ``scaled`` inside ``cone``, with its chord, as ``is_cones`` builds it."""
+    return estimate._cone_pass(model, scaled, cone, estimate._chord(model, scaled, cone))
 
 
 def cone_row(model, target, limit, entry, x_star, cap, seed):
@@ -982,14 +987,14 @@ class TestConeSampling:
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
         cone = estimate._cone(np.array([[1.0, 1.0]]), np.array([1.0]))
-        passes = [estimate._cone_pass(STANDARD2, target, cone)]
+        passes = [cone_pass(STANDARD2, target, cone)]
         with pytest.raises(ValueError):
             estimate._importance_sample(STANDARD2, passes, 0, gm.RandomStream(1))
         with pytest.raises(ValueError, match="positive mu"):
-            estimate._cone_pass(STANDARD2, target, cone._replace(mu=-cone.mu))
+            estimate._cone_pass(STANDARD2, target, cone._replace(mu=-cone.mu), None)
         mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
         with pytest.raises(TypeError):
-            estimate._cone_pass(mixture, target, cone)
+            estimate._cone_pass(mixture, target, cone, None)
 
 
 class TestChordSampling:
@@ -1039,29 +1044,26 @@ class TestChordSampling:
         log_q = float(estimate._log_ndtr(-a_n / sd[0]) + estimate._log_ndtr(0.5 * a_n / sd[1]))
         self.assert_calibrated(model, target, entry, x_star, log_q, 1)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_chord_pass_alone_equals_it_on_a_shared_draw(self, workers):
+    @pytest.mark.parametrize("others", [1, 2])
+    def test_a_chord_pass_alone_equals_it_on_a_shared_draw(self, others):
         # The n = 1000 cone of TestSharedShifts.TARGET has one row and
         # integrates the other's chord; it shares a draw with the n = 10
-        # cone, which holds both rows, and with the plain draw, on threads.
+        # cone, which holds both rows, and then also with the plain draw.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         low, high = gm.ScalingLadder(limit, (10, 1000)).entries()
         x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
         passes = [
-            estimate._cone_pass(CORRELATED3, target.scale(e.scale_diag), cone)
+            cone_pass(CORRELATED3, target.scale(e.scale_diag), cone)
             for e, cone in [
                 (high, estimate._active_cone(CORRELATED3, target, limit, high, x_star)),
                 (low, estimate._active_cone(CORRELATED3, target, limit, low, x_star)),
                 (low, estimate._plain_cone(3)),
-            ]
+            ][: 1 + others]
         ]
         stream = gm.RandomStream(52)
-        with ThreadPoolExecutor(workers) as pool:
-            shared, records = estimate._importance_sample(
-                CORRELATED3, passes, 20_000, stream, executor=pool
-            )
-        assert [r["samples"] for r in records] == [1024, 20_000, 20_000]
+        shared, records = estimate._importance_sample(CORRELATED3, passes, 20_000, stream)
+        assert [r["samples"] for r in records] == [1024, 20_000, 20_000][: 1 + others]
         alone = estimate._importance_sample(CORRELATED3, passes[:1], 20_000, stream)
         assert alone == (shared[:1], records[:1])
 
@@ -1070,11 +1072,9 @@ class TestImportanceSampleDriver:
     """One draw weighs every proposal; a pass reads the draw and never writes it."""
 
     def test_a_pass_alone_and_on_a_shared_draw_agree_across_chunk_sizes(self):
-        # 10000 samples are chunks of 1024, 2048, 4096 and 2832, the last
-        # drawn into shorter slices of the same buffers, which every pass
-        # weighs in blocks of 1024, 2048, 2048 + 2048 and 1472 + 1360.  A
-        # third pass, which never hits and so never stops, keeps a copy of
-        # each block it is shown.
+        # 10000 samples are chunks of 1024, 2048, 4096 and 2832, which
+        # every pass weighs whole.  A third pass, which never hits and so
+        # never stops, keeps a copy of each chunk it is shown.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         entry = gm.ScalingLadder(limit, (10,)).entries()[0]
@@ -1089,7 +1089,7 @@ class TestImportanceSampleDriver:
 
         passes = [
             estimate._shift_pass(CORRELATED3, scaled, entry.scale_diag * x_star),
-            estimate._cone_pass(CORRELATED3, scaled, cone),
+            cone_pass(CORRELATED3, scaled, cone),
             (0, keep),
         ]
         stream = gm.RandomStream(50)
@@ -1101,7 +1101,7 @@ class TestImportanceSampleDriver:
             assert record["hits"] > 0
         k = len(cone[1])
         assert k == 2
-        assert [len(z0) for z0, _ in seen] == [1024, 2048, 2048, 2048, 1472, 1360]
+        assert [len(z0) for z0, _ in seen] == [1024, 2048, 4096, 2832]
         z0s = np.concatenate([z0 for z0, _ in seen])
         exps = np.concatenate([e for _, e in seen], axis=1)
         start = 0
@@ -1150,83 +1150,50 @@ class TestImportanceSampleDriver:
             assert relative_se == math.sqrt(max(s2 * samples / (s1 * s1) - 1.0, 0.0) / samples)
             assert ess == s1 * s1 / s2
 
-    def test_blocks_cut_chunks_evenly(self):
-        block = estimate.IS_BLOCK
-        assert block % 64 == 0
-        for size in (1, 63, block - 1, block, block + 1, 3 * block + 17, 4 * block):
-            blocks = estimate._blocks(size)
-            assert len(blocks) == -(-size // block)
-            lengths = [len(range(size)[b]) for b in blocks]
-            assert sum(lengths) == size and max(lengths) <= block
-            assert all(b.start % 64 == 0 for b in blocks)
-            assert all(length == lengths[0] for length in lengths[:-1])
-        assert [len(range(2049)[b]) for b in estimate._blocks(2049)] == [1088, 961]
+    @staticmethod
+    def traced_top_rung_peak(cap: int) -> tuple[dict, int]:
+        """``(record, peak)``: polyhedron-is's top-rung cone pass capped at ``cap``.
 
-    @pytest.mark.parametrize("d", [3, 10])
-    def test_blocks_weigh_as_the_whole_chunk(self, monkeypatch, d):
-        # The per-sample arithmetic does not depend on the block a sample
-        # is weighed in: every pass gives the same log-weights, bit for
-        # bit, weighing a chunk in blocks or in one array.
-        if d == 3:
-            model, target = CORRELATED3, TestSharedShifts.TARGET
-            limit = gm.ScalingLimit.identity(3)
-            entries = gm.ScalingLadder(limit, (10, 1000)).entries()
-        else:
-            config = load_config(POLYHEDRON_IS)
-            model, target, limit = config.build_model(), config.build_set(), config.build_limit()
-            entries = config.build_ladder().entries()
-        x_star = gm.dominating_point(target, model.covariance, limit).x_star
-
-        def passes():
-            made = [estimate._cone_pass(model, target, estimate._plain_cone(d))]
-            for entry in entries:
-                scaled = target.scale(entry.scale_diag)
-                cone = estimate._active_cone(model, target, limit, entry, x_star)
-                made.append(estimate._cone_pass(model, scaled, cone))
-                made.append(estimate._shift_pass(model, scaled, entry.scale_diag * x_star))
-            return made
-
-        block = estimate.IS_BLOCK
-        sizes = (1, block - 1, block, block + 1, 3 * block + 17)
-        cuts = [estimate._blocks(size) for size in sizes]
-        blocked = passes()
-        monkeypatch.setattr(estimate, "IS_BLOCK", 4 * block)
-        whole = passes()
-        rng = np.random.default_rng(d)
-        for size, blocks in zip(sizes, cuts):
-            z0 = rng.standard_normal((size, d))
-            exps = rng.standard_exponential((d, size))
-            hits = []
-            for (_, weigh), (_, weigh_whole) in zip(blocked, whole):
-                lw = np.concatenate([weigh(z0[b], exps[:, b]) for b in blocks])
-                np.testing.assert_array_equal(lw, weigh_whole(z0, exps))
-                hits.append(len(lw))
-        # On the largest chunk every pass but the plain draw's hits.
-        assert all(hits[1:])
-
-    def test_a_chunk_is_weighed_in_small_buffers(self):
-        # polyhedron-is's top rung under a 2,000,000-sample cap: the draw
-        # buffers hold one 8192-sample chunk and the pass's workspaces one
-        # block, so the traced peak stays under 2 MB (a buffer of the whole
-        # 400,000-sample chunk would take 32 MB).  A first call warms up
-        # what numpy sets up once.
+        ``peak`` is the traced memory peak of building and running the pass
+        (traced from a first run of 1024 samples, which warms up what numpy
+        sets up once).
+        """
         config = load_config(POLYHEDRON_IS)
         model, target, limit = config.build_model(), config.build_set(), config.build_limit()
         entry = config.build_ladder().entries()[-1]
         x_star = gm.dominating_point(target, model.covariance, limit).x_star
         cone = estimate._active_cone(model, target, limit, entry, x_star)
         scaled = target.scale(entry.scale_diag)
-        estimate._importance_sample(
-            model, [estimate._cone_pass(model, scaled, cone)], 1024, gm.RandomStream(7)
-        )
+        warm = [cone_pass(model, scaled, cone)]
+        estimate._importance_sample(model, warm, 1024, gm.RandomStream(7))
         tracemalloc.start()
         try:
-            pass_ = estimate._cone_pass(model, scaled, cone)
-            estimate._importance_sample(model, [pass_], 2_000_000, gm.RandomStream(7))
+            pass_ = cone_pass(model, scaled, cone)
+            _, (record,) = estimate._importance_sample(model, [pass_], cap, gm.RandomStream(7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return record, peak
+
+    def test_a_chunk_is_weighed_in_small_buffers(self):
+        # polyhedron-is's top rung under a 2,000,000-sample cap: its chord
+        # pass meets its target in the first chunk, of 1024 samples, so the
+        # traced peak stays under 2 MB (a buffer of the whole 400,000-sample
+        # chunk would take 32 MB).  The next test runs it to its cap.
+        record, peak = self.traced_top_rung_peak(2_000_000)
+        assert record["target_met"]
         assert peak < 2 * 2**20
+
+    def test_a_pass_run_to_its_cap_is_weighed_in_small_chunks(self, monkeypatch):
+        # The same pass with no precision target runs to its 200,000-sample
+        # cap, through 27 chunks of at most IS_LARGEST_CHUNK = 8192 samples,
+        # each weighed whole: the traced peak measured 3.6 MB at d = 10.  A
+        # chunk twice as large would take about 7 MB, and chunks that kept
+        # doubling, up to 69,952 samples here, about 30 MB.
+        monkeypatch.setattr(estimate, "IS_TARGET_RELATIVE_SE", 0.0)
+        record, peak = self.traced_top_rung_peak(200_000)
+        assert record["samples"] == 200_000 and not record["target_met"]
+        assert peak < 5 * 2**20
 
 
 class TestIsCones:
@@ -1255,11 +1222,24 @@ class TestIsCones:
         assert [r["chord_row"] for r in records] == [1, None, None]
         assert [r["target_met"] for r in records] == [True, False, True]
         assert [r["samples"] for r in records] == [1024, 100_000, 97280]
-        with ThreadPoolExecutor(2) as pool:
-            threaded = gm.is_cones(
-                CORRELATED3, target, limit, x_star, rungs, 100_000, stream, executor=pool
-            )
-        assert threaded == (reports, records)
+
+    def test_each_rung_computes_its_chord_once(self, monkeypatch):
+        # polyhedron-is's three rungs each integrate a chord: is_cones
+        # computes it once a rung, for the pass and its record alike.
+        calls, chord = [], estimate._chord
+
+        def counted(*args):
+            calls.append(args)
+            return chord(*args)
+
+        monkeypatch.setattr(estimate, "_chord", counted)
+        config = load_config(POLYHEDRON_IS)
+        model, target, limit = config.build_model(), config.build_set(), config.build_limit()
+        x_star = gm.dominating_point(target, model.covariance, limit).x_star
+        rungs = [(e, True) for e in config.build_ladder().entries()]
+        _, records = gm.is_cones(model, target, limit, x_star, rungs, 1024, gm.RandomStream(7))
+        assert all(r["chord_row"] is not None for r in records)
+        assert len(calls) == len(rungs) == 3
 
 
 class TestUnionCombinedReport:
