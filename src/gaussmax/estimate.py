@@ -2,13 +2,12 @@
 
 Two crude Monte Carlo estimators target the two event definitions (the
 componentwise maximum landing in the scaled set; at least one of the n
-vectors landing in it), two importance samplers (mean shift, and cone
-proposals from the active set) target the single-vector probability,
-and closed-form references, in log space throughout, cover block sets
-under diagonal covariances (``exact_block_diagonal_log``) and
-single-vector halfspace events (``exact_single_log``).  A small
-regression helper turns a ladder of log probabilities into an empirical
-decay rate.
+vectors landing in it), an importance sampler with cone proposals from
+the active set targets the single-vector probability, and closed-form
+references, in log space throughout, cover block sets under diagonal
+covariances (``exact_block_diagonal_log``) and single-vector halfspace
+events (``exact_single_log``).  A small regression helper turns a ladder
+of log probabilities into an empirical decay rate.
 
 Both crude estimators come from one pass, which takes one of two forms.
 The full draw draws every vector of each trial.  On a set with finite
@@ -24,17 +23,14 @@ Gaussian being a mixture of one.  Each chunk of trials reduces the same
 way, to one componentwise maximum and one at-least-one flag per trial,
 and yields both hit counts together.
 
-Both importance samplers run on one driver (``_importance_sample``),
-which draws standard normals ``z`` and standard exponentials ``E`` and
-weighs any number of passes on that draw; each pass is a proposal that
-maps its target once into the frame ``x = mean + C z`` (``C C^T =
-sigma``; ``ConvexSet.whitened``), so no pass forms ``x``.  The mean-shift
-proposal (``_shift_pass``) ``x = mean + shift + C z`` has likelihood
-ratio ``exp(-<u, z> - |u|^2 / 2)`` with ``u = L shift`` (``L = C^-1``,
-the whitener); it serves the public ``is_single``.  The cone proposal
-(``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
-Engineering*, 2004, ch. 4.6 and 9) serves both commands through one
-entry point, ``is_cones``, which builds the cone and pass of each rung
+Importance sampling runs in one loop (``_importance_sample``), which
+draws standard normals ``z`` and standard exponentials ``E`` and weighs
+any number of passes on that draw; each pass is a proposal that maps its
+target once into the frame ``x = mean + C z`` (``C C^T = sigma``;
+``ConvexSet.whitened``), so no pass forms ``x``.  Every pass is a cone
+proposal (``_cone_pass``; Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2004, ch. 4.6 and 9), and one entry point serves both
+commands, ``is_cones``, which builds the cone and pass of each rung
 it is given and weighs them all on one draw: ``verify`` gives it every
 importance-sampled rung, and ``estimate`` its top rung beside that
 rung's crude counterpart, the cone without rows (``_plain_cone``),
@@ -43,8 +39,8 @@ in the cone ``{z : G z >= h}`` of the k constraints active at ``z*``,
 its point nearest the mean, with positive multipliers ``mu = (G G^T)^-1
 h`` (``_active_cone``, ``_cone``).  Across each active face the target
 density falls like ``exp(-mu_i u_i)``, which the proposal follows with
-the exponential draws; a mean-shift Gaussian cannot, so the cone's
-weights are bounded where the shift's spread.  On a linear set with
+the exponential draws, so its weights stay bounded where a Gaussian
+shifted to ``z*`` would spread them.  On a linear set with
 ``0 < k < d``, a cone pass integrates one null-space coordinate of each
 draw exactly (``_chord``): along the unit projection ``e = P a / |P a|``
 (``P = I - G^T S^-1 G``) of the set row ``a`` whose face is nearest the
@@ -105,7 +101,6 @@ __all__ = [
     "SlopeFit",
     "plan_rung",
     "mc_crude",
-    "is_single",
     "is_cones",
     "union_combine",
     "union_combined_report",
@@ -479,7 +474,7 @@ class _WeightSums:
         return s * math.exp(top - self.top), sq * math.exp(2.0 * (top - self.top))
 
 
-def _weighed_report(sums: _WeightSums, samples: int, seed: int, scaling_norm_sq: float):
+def _weighed_report(sums: _WeightSums, samples: int, seed: int):
     """``(report, relative_se, ess)`` of one pass from its chunks' ``_WeightSums``.
 
     The chunks combine in chunk order under their common maximum, each sum
@@ -489,6 +484,7 @@ def _weighed_report(sums: _WeightSums, samples: int, seed: int, scaling_norm_sq:
     ``(sum w)^2 / sum w^2``.  A pass without hits, with log-weights that
     are not finite, or with an estimate past double range gives a
     degenerate report, relative standard error ``inf`` and ``ess`` 0.
+    The report's ``scaling_norm_sq`` is NaN; ``is_cones`` sets its rung's.
     """
     top = sums.top
     log_p = math.nan
@@ -499,15 +495,14 @@ def _weighed_report(sums: _WeightSums, samples: int, seed: int, scaling_norm_sq:
     if not log_p < _LOG_MAX:
         report = EstimateReport(
             0.0, 0.0, -math.inf, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-            seed, 1, scaling_norm_sq, degenerate_weights=True,
+            seed, 1, math.nan, degenerate_weights=True,
         )
         return report, math.inf, 0.0
     p = math.exp(log_p)
     # var(w) / p^2 = E[w^2] / p^2 - 1, free of the common factor exp(top).
     relative_se = math.sqrt(max(s2 * samples / (s1 * s1) - 1.0, 0.0) / samples)
     report = EstimateReport(
-        p, p * relative_se, log_p, samples, Method.IMPORTANCE_SAMPLED_SINGLE,
-        seed, 1, scaling_norm_sq,
+        p, p * relative_se, log_p, samples, Method.IMPORTANCE_SAMPLED_SINGLE, seed, 1, math.nan
     )
     return report, relative_se, s1 * s1 / s2
 
@@ -533,15 +528,13 @@ def _importance_sample(
     passes,
     cap: int,
     stream: RandomStream,
-    *,
-    scaling_norm_sq: float = math.nan,
 ) -> tuple[tuple[EstimateReport, ...], tuple[dict, ...]]:
     """``(reports, records)``: importance sampling of ``(k, weigh)`` passes on one draw.
 
-    Each pass is a proposal (``_shift_pass``, ``_cone_pass``) whose
-    ``weigh(z0, exps)`` gives the log-weights of one chunk's hits, in
-    sample order.  Chunk ``i`` draws ``m`` standard normal vectors ``z0``,
-    then standard exponentials ``exps`` as a ``(k_max, m)`` array, from
+    Each pass is a proposal (``_cone_pass``) whose ``weigh(z0, exps)``
+    gives the log-weights of one chunk's hits, in sample order.  Chunk
+    ``i`` draws ``m`` standard normal vectors ``z0``, then standard
+    exponentials ``exps`` as a ``(k_max, m)`` array, from
     ``stream.substream(i)``.  A pass with ``k`` rows reads the first ``k``
     and no pass writes to the draw, so a pass weighed alone gets the same
     bits.  Each live pass weighs the whole chunk, inline, and its hits'
@@ -571,9 +564,7 @@ def _importance_sample(
         exps = rng.standard_exponential((k_max, size))
         for j in live:
             sums[j].add(_log_weight_sums(passes[j][1](z0, exps)))
-            reports[j], relative_se, ess = _weighed_report(
-                sums[j], drawn, stream.seed, scaling_norm_sq
-            )
+            reports[j], relative_se, ess = _weighed_report(sums[j], drawn, stream.seed)
             hits = sums[j].hits
             records[j] = {
                 "samples": drawn,
@@ -584,64 +575,6 @@ def _importance_sample(
             }
         live = [j for j in live if not records[j]["target_met"]]
     return tuple(reports), tuple(records)
-
-
-def _shift_pass(model: GaussianModel, scaled: ConvexSet, shift):
-    """``(0, weigh)``: the mean-shift proposal ``x = mean + shift + C z`` on ``scaled``.
-
-    ``weigh`` tests a chunk's ``z0`` against ``scaled`` mapped through
-    the proposal (``scaled.whitened``) and weighs the hits by the log
-    likelihood ratio ``-<u, z0> - |u|^2 / 2``, ``u = L shift``; it reads
-    no exponentials.
-    """
-    if not isinstance(model, GaussianModel):
-        raise TypeError("importance sampling requires a single Gaussian model")
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (model.dimension,):
-        raise ValueError(f"shift must have shape ({model.dimension},)")
-    cov = model.covariance
-    u = cov.whitener @ shift
-    contains = scaled.whitened(model.mean + shift, cov.chol_lower)
-    neg_u, half = -u, 0.5 * float(u @ u)
-
-    def weigh(z0, exps) -> np.ndarray:
-        # <u, z0> of every sample, then the hits': a sample's product does
-        # not depend on which others hit.
-        lw = np.compress(contains(z0), z0 @ neg_u)
-        lw -= half
-        return lw
-
-    return 0, weigh
-
-
-def is_single(
-    model: GaussianModel,
-    target: ConvexSet,
-    shift,
-    samples: int,
-    stream: RandomStream,
-    *,
-    scaling_norm_sq: float = math.nan,
-) -> EstimateReport:
-    """Mean-shift importance sampling of the single-vector probability.
-
-    Samples ``x' ~ Gaussian(mean + shift, sigma)`` and averages the
-    likelihood ratio ``exp(-<shift, sigma_inv (x' - shift/2 - mean)>)``
-    over hits, in log space.  A zero shift reproduces crude Monte Carlo.
-    ``samples`` is a cap: the row stops once it meets the stated
-    precision (``IS_TARGET_RELATIVE_SE`` with ``IS_MIN_HITS`` hits), and
-    its ``trials`` are the samples it used.  Below double range ``p_hat``
-    reads 0 but ``log_p_hat`` stays finite.  If no sample lands in the
-    target, or the hits' log-weights are not finite, the report carries
-    ``p_hat = 0`` and ``log_p_hat = -inf`` with ``degenerate_weights``
-    set instead of raising.  This is ``_importance_sample`` with one
-    ``_shift_pass``.
-    """
-    reports, _ = _importance_sample(
-        model, [_shift_pass(model, target, shift)], samples, stream,
-        scaling_norm_sq=scaling_norm_sq,
-    )
-    return reports[0]
 
 
 class _Cone(NamedTuple):
@@ -826,8 +759,6 @@ def _cone_pass(model: GaussianModel, scaled: ConvexSet, cone: _Cone, chord):
     w`` with ``E = 0``, and draws nothing more.  A hit is then a sample
     whose chord is not empty.
     """
-    if not isinstance(model, GaussianModel):
-        raise TypeError("importance sampling requires a single Gaussian model")
     rows, offsets, mu, gram_inv, log_det = cone
     if not (mu > 0.0).all():
         raise ValueError("a cone needs positive mu = S^-1 offsets")
@@ -877,8 +808,11 @@ def is_cones(
     nothing.  Each report carries its rung's speed as ``scaling_norm_sq``,
     and each record adds its cone's row count, ``active_rows``, and
     ``chord_row``, the index of the set row whose direction its pass
-    integrates exactly, or None.
+    integrates exactly, or None.  A mixture raises ``TypeError`` unless
+    ``rungs`` is empty.
     """
+    if rungs and not isinstance(model, GaussianModel):
+        raise TypeError("importance sampling requires a single Gaussian model")
     d = model.dimension
     cones = [
         _active_cone(model, target, limit, e, x_star) if active else _plain_cone(d)

@@ -121,16 +121,19 @@ def test_c02_closed_forms_match_general_solver(capsys):
 
 def test_c03_importance_sampling_slope_single_vector(capsys):
     model = gm.GaussianModel(mean=np.zeros(2), covariance=gm.build_covariance(np.eye(2)))
+    target = gm.Halfspace((1.0, 1.0), 2.0)
+    limit = gm.ScalingLimit.identity(2)
+    x_star = gm.dominating_point(target, model.covariance, limit).x_star
     stream = gm.RandomStream(3001)
     start = time.perf_counter()
     points = []
     for k, a in enumerate((3.0, 4.0, 5.0, 6.0)):
-        scaled = gm.Halfspace((1.0, 1.0), 2.0 * a)
-        report = gm.is_single(
-            model, scaled, (a, a), 100_000, stream.substream(k), scaling_norm_sq=a * a
+        rung = (gm.LadderEntry(1, np.full(2, a), a * a), True)
+        (report,), _ = gm.is_cones(
+            model, target, limit, x_star, [rung], 100_000, stream.substream(k)
         )
         assert not report.degenerate_weights
-        points.append((a * a, report.log_p_hat))
+        points.append((report.scaling_norm_sq, report.log_p_hat))
     fit = gm.slope_fit(points, predicted_rate=-1.0)
     elapsed = time.perf_counter() - start
     ok = fit.relative_gap <= 0.1 and elapsed < 30.0
@@ -278,22 +281,28 @@ def test_c07_mixture_rate_largest_term(capsys):
 
 
 def test_c08_importance_sampling_variance_reduction(capsys):
+    # The cone row and the plain draw of one rung on one draw, as estimate
+    # weighs them.
     a = 5.0
     samples = 100_000
     model = gm.GaussianModel(mean=np.zeros(2), covariance=gm.build_covariance(np.eye(2)))
-    scaled = gm.Halfspace((1.0, 1.0), 2.0 * a)
-    stream = gm.RandomStream(8061)
-    crude = gm.is_single(model, scaled, np.zeros(2), samples, stream.substream(0))
-    shifted = gm.is_single(model, scaled, (a, a), samples, stream.substream(1))
-    rel_se = shifted.std_error / shifted.p_hat
+    target = gm.Halfspace((1.0, 1.0), 2.0)
+    limit = gm.ScalingLimit.identity(2)
+    x_star = gm.dominating_point(target, model.covariance, limit).x_star
+    entry = gm.LadderEntry(1, np.full(2, a), a * a)
+    (cone, crude), _ = gm.is_cones(
+        model, target, limit, x_star, [(entry, True), (entry, False)], samples,
+        gm.RandomStream(8061),
+    )
+    rel_se = cone.std_error / cone.p_hat
     if crude.p_hat == 0.0:
         ok = rel_se <= 0.05
         detail = (
-            f"crude resolved nothing at p ~ {shifted.p_hat:.2e}; "
+            f"crude resolved nothing at p ~ {cone.p_hat:.2e}; "
             f"importance sampling relative SE {100 * rel_se:.2f}%"
         )
     else:
-        ratio = (crude.std_error / shifted.std_error) ** 2
+        ratio = (crude.std_error / cone.std_error) ** 2
         ok = ratio >= 10.0
         detail = f"variance ratio {ratio:.1f}x, relative SE {100 * rel_se:.2f}%"
     _verdict(capsys, 8, ok, detail)

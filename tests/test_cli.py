@@ -1060,7 +1060,11 @@ seed: 31
         # probability itself is within a factor 10 of double underflow.
         model = gm.GaussianModel(np.zeros(1), gm.build_covariance([[1.0]]))
         target = gm.Halfspace(np.array([1.0]), sigmas)
-        report = gm.is_single(model, target, np.array([sigmas]), 20_000, gm.RandomStream(5))
+        limit = gm.ScalingLimit.identity(1)
+        rung = (gm.LadderEntry(1, np.ones(1), 1.0), True)
+        (report,), _ = gm.is_cones(
+            model, target, limit, np.array([sigmas]), [rung], 20_000, gm.RandomStream(5)
+        )
         assert not report.degenerate_weights
         assert report.std_error > 0.0
         log_q = float(gm.estimate._log_ndtr(-sigmas))

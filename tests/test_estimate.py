@@ -660,36 +660,55 @@ class TestPlanRung:
         assert gm.exact_single_log(STANDARD2, ellipsoid, self.ENTRY) is None
 
 
+def unit_row(model, target, active, cap, seed):
+    """``(report, record)`` of the rung ``n = 1``, ``A_n = I`` alone, through ``is_cones``.
+
+    The rung's scaled set is ``target`` itself; it draws from its active
+    cone when ``active``, else from the plain draw.
+    """
+    d = model.dimension
+    limit = gm.ScalingLimit.identity(d)
+    x_star = gm.dominating_point(target, model.covariance, limit).x_star
+    rung = (gm.LadderEntry(1, np.ones(d), 1.0), active)
+    (report,), (record,) = gm.is_cones(
+        model, target, limit, x_star, [rung], cap, gm.RandomStream(seed)
+    )
+    return report, record
+
+
 class TestImportanceSampling:
     def test_zero_shift_weights_are_unit(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
-        report = gm.is_single(STANDARD2, target, np.zeros(2), 5000, gm.RandomStream(41))
+        report, record = unit_row(STANDARD2, target, False, 5000, 41)
         # Unit weights make the weighted sum an integer hit count.
+        assert record["active_rows"] == 0 and report.trials == 5000
         count = report.p_hat * 5000
         assert count == pytest.approx(round(count), abs=1e-9)
+        assert round(count) == record["hits"]
+        assert record["effective_sample_size"] == pytest.approx(record["hits"], rel=1e-12)
         assert report.method is gm.Method.IMPORTANCE_SAMPLED_SINGLE
 
     def test_zero_shift_agrees_with_independent_crude(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
-        is_report = gm.is_single(STANDARD2, target, np.zeros(2), 20_000, gm.RandomStream(42))
+        is_report, _ = unit_row(STANDARD2, target, False, 20_000, 42)
         entry = gm.LadderEntry(1, np.ones(2), 1.0)
         crude = gm.mc_crude(STANDARD2, target, entry, 20_000, gm.RandomStream(43))[0]
         combined = is_report.std_error + crude.std_error
         assert abs(is_report.p_hat - crude.p_hat) <= 4.0 * combined
 
     def test_shifted_estimate_matches_quadrature_oracle(self):
-        # P(X1 + X2 >= 8) = upper tail at 8/sqrt(2); the dominating-point
-        # shift (4, 4) makes half the proposals hit.
+        # P(X1 + X2 >= 8) = upper tail at 8/sqrt(2); the cone of the one
+        # active face is the halfspace itself, so every proposal hits.
         target = gm.Halfspace(np.array([1.0, 1.0]), 8.0)
-        report = gm.is_single(STANDARD2, target, np.array([4.0, 4.0]), 40_000, gm.RandomStream(44))
+        report, record = unit_row(STANDARD2, target, True, 40_000, 44)
         truth = gauss_tail(8.0 / math.sqrt(2.0))
+        assert record["active_rows"] == 1 and record["hits"] == record["samples"]
         assert abs(report.p_hat - truth) <= 3.0 * report.std_error
         assert report.std_error <= 0.05 * truth
 
     def test_degenerate_flag_instead_of_error(self):
-        report = gm.is_single(
-            STANDARD2, gm.Block(np.array([50.0, 50.0])), np.zeros(2), 200, gm.RandomStream(45)
-        )
+        report, record = unit_row(STANDARD2, gm.Block(np.array([50.0, 50.0])), False, 200, 45)
+        assert record["hits"] == 0
         assert report.degenerate_weights
         assert report.p_hat == 0.0
         assert report.std_error == 0.0
@@ -697,8 +716,8 @@ class TestImportanceSampling:
 
     def test_determinism(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 4.0)
-        a = gm.is_single(STANDARD2, target, np.array([2.0, 2.0]), 3000, gm.RandomStream(46))
-        b = gm.is_single(STANDARD2, target, np.array([2.0, 2.0]), 3000, gm.RandomStream(46))
+        a = unit_row(STANDARD2, target, True, 3000, 46)
+        b = unit_row(STANDARD2, target, True, 3000, 46)
         assert a == b
 
     def test_ill_conditioned_ellipsoid(self):
@@ -713,8 +732,7 @@ class TestImportanceSampling:
         cov = gm.build_covariance(np.array([[1.0, rho], [rho, 1.0]]))
         model = gm.GaussianModel(np.zeros(2), cov)
         target = gm.Ellipsoid(np.array([3.0, 2.0]), np.diag([1.0, 1e-3]), 0.5)
-        point = gm.dominating_point(target, cov, gm.ScalingLimit.identity(2)).x_star
-        report = gm.is_single(model, target, point, 1000, gm.RandomStream(1))
+        report, _ = unit_row(model, target, True, 1000, 1)
         roots = np.roots([1.001, -6.004, 8.754])
         truth = norm.sf(roots.min()) - norm.sf(roots.max())
         assert not report.degenerate_weights
@@ -723,13 +741,9 @@ class TestImportanceSampling:
 
     def test_validation(self):
         target = gm.Halfspace(np.array([1.0, 1.0]), 1.0)
-        with pytest.raises(ValueError):
-            gm.is_single(STANDARD2, target, np.zeros(2), 0, gm.RandomStream(1))
-        with pytest.raises(ValueError):
-            gm.is_single(STANDARD2, target, np.zeros(3), 10, gm.RandomStream(1))
-        mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
-        with pytest.raises(TypeError):
-            gm.is_single(mixture, target, np.zeros(2), 10, gm.RandomStream(1))
+        for active in (True, False):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                unit_row(STANDARD2, target, active, 0, 1)
 
 
 CORRELATED3 = gm.GaussianModel(
@@ -738,19 +752,35 @@ CORRELATED3 = gm.GaussianModel(
 )
 
 
-def separate_is_pass(model, target, shift, samples, stream, chunk_rows):
-    """``(p_hat, std_error, hits)`` of one shift's IS pass with a draw of its own.
+def separate_cone_pass(model, scaled, cone, samples, stream, chunk_rows):
+    """``(p_hat, std_error, hits)`` of one cone pass, or the plain draw, in linear space.
 
-    Chunk ``i`` comes fresh from ``Gaussian(mean + shift)`` on
-    ``stream.substream(i)``; weights come from boolean-indexed hits.
+    Chunk ``i`` takes ``x0 = mean + C z0`` from ``fresh_gaussian`` on
+    ``stream.substream(i)``, and ``k`` rows of exponentials ``E`` from that
+    substream past the same normals.  The proposal moves ``x0`` so that
+    ``G z = u = h + E / mu``, ``z = L (x - mean)``, keeping ``z0``'s part
+    in the null space of ``G``; a hit, tested against ``scaled`` in the
+    frame of ``x``, weighs the ``N(0, S)`` density of ``u`` over its
+    exponential density, ``S = G G^T``.  The plain draw (``k = 0``) weighs
+    every hit 1.  The pass must integrate no chord.
     """
-    shifted = gm.GaussianModel(model.mean + shift, model.covariance)
-    theta = model.covariance.sigma_inv @ shift
+    g, h, mu = cone.rows, cone.offsets, cone.mu
+    k, d = len(mu), model.dimension
+    gram = g @ g.T
+    back = model.covariance.chol_lower @ g.T @ np.linalg.inv(gram)
     sums, squares, hits = [], [], 0
     for i, start in enumerate(range(0, samples, chunk_rows)):
-        x = fresh_gaussian(shifted, min(chunk_rows, samples - start), stream.substream(i))
-        hit = target.contains_many(x)
-        w = np.exp(-(x[hit] - model.mean - 0.5 * shift) @ theta)
+        size = min(chunk_rows, samples - start)
+        x0 = fresh_gaussian(model, size, stream.substream(i))
+        rng = stream.substream(i).generator()
+        rng.standard_normal((size, d))
+        e = rng.standard_exponential((k, size))
+        u = h[:, None] + e / mu[:, None]
+        x = x0 + (back @ (u - g @ model.covariance.whitener @ (x0 - model.mean).T)).T
+        hit = scaled.contains_many(x)
+        density = np.exp(-0.5 * np.einsum("is,is->s", u, np.linalg.solve(gram, u)))
+        density /= math.sqrt(np.linalg.det(2.0 * math.pi * gram))
+        w = (density / np.prod(mu[:, None] * np.exp(-e), axis=0))[hit]
         sums.append(float(w.sum()))
         squares.append(float((w * w).sum()))
         hits += int(hit.sum())
@@ -759,67 +789,83 @@ def separate_is_pass(model, target, shift, samples, stream, chunk_rows):
 
 
 class TestSharedShifts:
+    """Passes that each move one shared draw into their own proposal."""
+
     TARGET = gm.Polyhedron(np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3]]), np.array([2.0, 1.5]))
     OTHER = gm.Halfspace(np.array([0.3, 0.4, 1.0]), 1.0)
-    PASSES = (
-        (TARGET, np.array([1.5, 0.8, 0.1])),
-        (TARGET, np.zeros(3)),
-        (OTHER, np.array([-0.2, 0.3, 0.6])),
-    )
+
+    @classmethod
+    def jobs(cls):
+        """``(set, cone)`` unscaled: TARGET's active cone and plain draw, OTHER's active cone."""
+        limit = gm.ScalingLimit.identity(3)
+        entry = gm.LadderEntry(1, np.ones(3), 1.0)
+        jobs = []
+        for target, active in ((cls.TARGET, True), (cls.TARGET, False), (cls.OTHER, True)):
+            x_star = gm.dominating_point(target, CORRELATED3.covariance, limit).x_star
+            cone = (
+                estimate._active_cone(CORRELATED3, target, limit, entry, x_star)
+                if active else estimate._plain_cone(3)
+            )
+            jobs.append((target, cone))
+        return jobs
 
     @pytest.mark.parametrize("extra", [0, 3])
     def test_one_draw_equals_separate_passes(self, monkeypatch, extra):
         # 3000 + extra samples of dimension 3 at 999 scalars a chunk: 10
-        # chunks, nine of 333 rows and a last one of 3 + extra.
+        # chunks, nine of 333 rows and a last one of 3 + extra, each pass
+        # short of its target.  TARGET's cone holds both its rows and
+        # OTHER's is the halfspace, so neither integrates a chord and every
+        # proposal hits.
         samples = 3000 + extra
         monkeypatch.setattr(estimate, "CHUNK_SCALARS", 999)
-        kwargs = {"scaling_norm_sq": 2.5}
-        passes = [estimate._shift_pass(CORRELATED3, *pair) for pair in self.PASSES]
+        jobs = self.jobs()
+        assert [len(c.mu) for _, c in jobs] == [2, 0, 1]
+        assert all(estimate._chord(CORRELATED3, *job) is None for job in jobs)
+        passes = [cone_pass(CORRELATED3, *job) for job in jobs]
         shared, records = estimate._importance_sample(
-            CORRELATED3, passes, samples, gm.RandomStream(48), **kwargs
+            CORRELATED3, passes, samples, gm.RandomStream(48)
         )
-        separate = tuple(
-            gm.is_single(CORRELATED3, *pair, samples, gm.RandomStream(48), **kwargs)
-            for pair in self.PASSES
-        )
-        assert shared == separate
+        for pass_, report, record in zip(passes, shared, records):
+            alone = estimate._importance_sample(CORRELATED3, [pass_], samples, gm.RandomStream(48))
+            assert alone == ((report,), (record,))
+        assert [r["samples"] for r in records] == [samples] * 3
         hits = [r["hits"] for r in records]
-        for report, count, pair in zip(shared, hits, self.PASSES):
-            p, se, oracle_hits = separate_is_pass(CORRELATED3, *pair, samples, gm.RandomStream(48), 333)
+        for report, count, job in zip(shared, hits, jobs):
+            p, se, oracle_hits = separate_cone_pass(
+                CORRELATED3, *job, samples, gm.RandomStream(48), 333
+            )
             assert count == oracle_hits
             # Log-space sums and linear ones differ in the last bits only.
             assert report.p_hat == pytest.approx(p, rel=1e-12)
             assert report.std_error == pytest.approx(se, rel=1e-9)
         assert all(h > 0 for h in hits)
+        assert hits[0] == hits[2] == samples
         assert not any(r.degenerate_weights for r in shared)
-        # The zero shift weighs crude hits: its weighted sum is the hit count.
+        # The plain draw weighs crude hits: its weighted sum is the hit count.
         assert round(shared[1].p_hat * samples) == hits[1]
 
     def test_zero_shift_pair_is_equal(self):
-        zeros = [estimate._shift_pass(CORRELATED3, self.TARGET, np.zeros(3)) for _ in range(2)]
+        zeros = [cone_pass(CORRELATED3, self.TARGET, estimate._plain_cone(3)) for _ in range(2)]
         (a, b), (record_a, record_b) = estimate._importance_sample(
             CORRELATED3, zeros, 2000, gm.RandomStream(49)
         )
+        assert record_a["hits"] > 0
         assert a == b
         assert record_a == record_b
 
     def test_underflowing_weights_stay_in_log_space(self):
-        # About half the shifted samples hit, and every weight is below
-        # exp(-800): p_hat underflows, but log_p_hat stays an estimate.
+        # Every proposal of the halfspace's cone hits, and every weight is
+        # below exp(-800): p_hat underflows, but log_p_hat stays an
+        # estimate, and the record keeps its relative standard error.
         target = gm.Halfspace(np.array([1.0, 0.0]), 40.0)
-        (report,), (record,) = estimate._importance_sample(
-            STANDARD2, [estimate._shift_pass(STANDARD2, target, np.array([40.0, 0.0]))], 4000,
-            gm.RandomStream(1),
-        )
-        assert 1800 < record["hits"] < 2200
+        report, record = unit_row(STANDARD2, target, True, 4000, 1)
+        assert record["hits"] == record["samples"] == 1024 and record["target_met"]
         assert not report.degenerate_weights
         assert report.p_hat == 0.0
         log_q = gm.exact_single_log(STANDARD2, target, gm.LadderEntry(1, np.ones(2), 1.0))
         assert log_q < -800.0
-        # Mean-shift IS at 40 sigma has a relative SE near sqrt(50 / 4000).
-        assert abs(report.log_p_hat - log_q) < 0.5
-        single = gm.is_single(STANDARD2, target, np.array([40.0, 0.0]), 4000, gm.RandomStream(1))
-        assert single == report
+        assert 0.0 < record["relative_se"] <= estimate.IS_TARGET_RELATIVE_SE
+        assert abs(report.log_p_hat - log_q) <= 4.0 * record["relative_se"]
 
 
 def cone_pass(model, scaled, cone):
@@ -992,9 +1038,6 @@ class TestConeSampling:
             estimate._importance_sample(STANDARD2, passes, 0, gm.RandomStream(1))
         with pytest.raises(ValueError, match="positive mu"):
             estimate._cone_pass(STANDARD2, target, cone._replace(mu=-cone.mu), None)
-        mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
-        with pytest.raises(TypeError):
-            estimate._cone_pass(mixture, target, cone, None)
 
 
 class TestChordSampling:
@@ -1073,8 +1116,9 @@ class TestImportanceSampleDriver:
 
     def test_a_pass_alone_and_on_a_shared_draw_agree_across_chunk_sizes(self):
         # 10000 samples are chunks of 1024, 2048, 4096 and 2832, which
-        # every pass weighs whole.  A third pass, which never hits and so
-        # never stops, keeps a copy of each chunk it is shown.
+        # every pass weighs whole: the plain draw's, a cone's of two rows,
+        # and a third, which never hits and so never stops and keeps a copy
+        # of each chunk it is shown.
         target = TestSharedShifts.TARGET
         limit = gm.ScalingLimit.identity(3)
         entry = gm.ScalingLadder(limit, (10,)).entries()[0]
@@ -1088,7 +1132,7 @@ class TestImportanceSampleDriver:
             return np.empty(0)
 
         passes = [
-            estimate._shift_pass(CORRELATED3, scaled, entry.scale_diag * x_star),
+            cone_pass(CORRELATED3, scaled, estimate._plain_cone(3)),
             cone_pass(CORRELATED3, scaled, cone),
             (0, keep),
         ]
@@ -1113,10 +1157,11 @@ class TestImportanceSampleDriver:
             start += size
 
     def test_running_sums_equal_the_rescaled_sum_of_every_chunk(self, monkeypatch):
-        # A mean-shift pass capped at 225 chunks of 16 samples, short of its
+        # A cone pass capped at 225 chunks of 16 samples, with no precision
         # target: after every chunk, its report equals the one that rescales
         # every chunk so far by the largest maximum and sums them afresh,
         # bit for bit, while that maximum moves several times.
+        monkeypatch.setattr(estimate, "IS_TARGET_RELATIVE_SE", 0.0)
         monkeypatch.setattr(estimate, "IS_FIRST_CHUNK", 16)
         monkeypatch.setattr(estimate, "IS_LARGEST_CHUNK", 16)
         seen, reduce = [], estimate._log_weight_sums
@@ -1133,7 +1178,11 @@ class TestImportanceSampleDriver:
         monkeypatch.setattr(estimate, "_log_weight_sums", sums)
         monkeypatch.setattr(estimate, "_weighed_report", report)
         target = gm.Halfspace(np.array([1.0, 0.5]), 3.0)
-        passes = [estimate._shift_pass(STANDARD2, target, np.array([2.0, 1.0]))]
+        limit = gm.ScalingLimit.identity(2)
+        x_star = gm.dominating_point(target, STANDARD2.covariance, limit).x_star
+        entry = gm.LadderEntry(1, np.ones(2), 1.0)
+        cone = estimate._active_cone(STANDARD2, target, limit, entry, x_star)
+        passes = [cone_pass(STANDARD2, target, cone)]
         (final,), (record,) = estimate._importance_sample(STANDARD2, passes, 3600, gm.RandomStream(9))
         assert len(seen) == len(reported) == 225 and not record["target_met"]
         assert reported[-1][1][0] == final
@@ -1240,6 +1289,22 @@ class TestIsCones:
         _, records = gm.is_cones(model, target, limit, x_star, rungs, 1024, gm.RandomStream(7))
         assert all(r["chord_row"] is not None for r in records)
         assert len(calls) == len(rungs) == 3
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_a_mixture_raises_type_error(self, monkeypatch, active):
+        # Raised before any cone is built, on an active rung and a plain one;
+        # without rungs (verify on a mixture) there is nothing to sample.
+        built = []
+        monkeypatch.setattr(estimate, "_cone", lambda *args: built.append(args))
+        mixture = gm.GaussianMixture(np.array([1.0]), (STANDARD2,))
+        target = gm.Halfspace(np.array([1.0, 1.0]), 2.0)
+        limit = gm.ScalingLimit.identity(2)
+        rung = (gm.LadderEntry(1, np.ones(2), 1.0), active)
+        with pytest.raises(TypeError, match="single Gaussian model"):
+            gm.is_cones(mixture, target, limit, np.ones(2), [rung], 100, gm.RandomStream(1))
+        assert built == []
+        nothing = gm.is_cones(mixture, target, limit, np.ones(2), [], 100, gm.RandomStream(1))
+        assert nothing == ([], [])
 
 
 class TestUnionCombinedReport:

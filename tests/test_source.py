@@ -1,15 +1,18 @@
 """Source hygiene of the package: every import is used, every private name is
-referenced, and the package exports exactly what its modules export.
+referenced, the package exports exactly what its modules export, and every
+export has a reader.
 
 Parsed with ``ast`` only, so nothing under ``src/gaussmax`` is imported here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gaussmax"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gaussmax"
 TREES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -112,3 +115,26 @@ def test_package_exports_are_the_submodules_exports():
 def test_every_export_is_defined(module):
     tree = TREES[module]
     assert sorted(set(_exports(tree)) - _definitions(tree) - _imported(tree)) == []
+
+
+def _readers() -> list:
+    """Trees an export may be read by: the package, the benchmarks and the README quick start."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    quick_start = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    benchmarks = sorted((ROOT / "benchmarks").glob("*.py"))
+    return [
+        *TREES.values(),
+        *(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in benchmarks),
+        ast.parse(quick_start),
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m, t in TREES.items() if m != "__init__.py" and _exports(t)]
+)
+def test_every_export_has_a_reader(module):
+    # A name in ``__all__`` that nothing reads, not even its own module, is
+    # an orphaned public function; tests do not count as readers.
+    read = set().union(*(_references(tree) for tree in _readers()))
+    assert sorted(set(_exports(TREES[module])) - read) == []
